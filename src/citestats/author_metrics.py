@@ -12,7 +12,7 @@ from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corpus import Corpus, citations_to
+from .corpus import Corpus
 from .errors import InsufficientDataError, UnknownIdError
 
 
@@ -48,8 +48,7 @@ def author_record(
             raise InsufficientDataError(
                 f"author {author_id!r} has no papers of kind {sorted(kinds)}"
             )
-    years = frozenset(citing_years) if citing_years is not None else None
-    counts = sorted((citations_to(corpus, p.id, years) for p in papers), reverse=True)
+    counts = sorted(corpus.citation_counts([p.id for p in papers], citing_years), reverse=True)
     return AuthorRecord(
         author_id=author_id,
         counts=tuple(counts),

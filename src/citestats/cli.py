@@ -509,10 +509,7 @@ def cmd_policy(args, argv) -> int:
             )
         by_policy = {s.subject_id: s.score for s in scores}
         by_citations = {
-            s.subject_id: sum(
-                len(corpus.incoming_edges(pid))
-                for pid in corpus.author_papers[s.subject_id]
-            )
+            s.subject_id: sum(corpus.citation_counts(corpus.author_papers[s.subject_id]))
             for s in scores
         }
         result = divergence(by_policy, by_citations)
@@ -809,3 +806,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

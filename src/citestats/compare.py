@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .corpus import SUBSTANTIVE_KINDS, Corpus, citations_to
+from .corpus import SUBSTANTIVE_KINDS, Corpus
 from .errors import InsufficientDataError, UnknownIdError
 
 
@@ -145,7 +145,7 @@ def journal_distribution(
             f"journal {journal_id!r} has no substantive articles published "
             f"in {sorted(pub_years)}"
         )
-    counts = [citations_to(corpus, p.id, cit_years) for p in articles]
+    counts = corpus.citation_counts([p.id for p in articles], cit_years)
     return EmpiricalDistribution.from_counts(
         counts,
         journal_id=journal_id,

@@ -1,8 +1,14 @@
 """Citation corpus: data model, JSON-lines ingestion, validation.
 
-A corpus is an immutable collection of :class:`PaperRecord` objects with
-citation edges materialized for every reference that resolves to another
-paper in the corpus.  References pointing outside the corpus are *counted*
+A corpus is an immutable collection of :class:`PaperRecord` objects plus a
+columnar index.  Paper ``i`` (its *row*, in record order) has ``year[i]``,
+``journal_code[i]`` and ``kind_code[i]``; the papers citing it are
+``citing_idx[indptr[i]:indptr[i + 1]]``, in record order, the CSR layout of
+``scipy.sparse.csr_matrix``.  Metrics are numpy reductions over these
+arrays, and counts become Python ints before any ratio is formed.
+``edges`` and ``incoming_edges`` are lazy :class:`EdgeView` sequences of
+:class:`CitationEdge` for tests and API callers; their length is O(1).
+References pointing outside the corpus are *counted*
 (``unresolved_reference_count``) rather than dropped silently, so coverage
 gaps in the underlying database stay visible in every downstream statistic.
 
@@ -20,11 +26,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Any, Union
+
+import numpy as np
 
 from .errors import DuplicateIdError, RecordError, UnknownIdError
 
@@ -35,6 +44,10 @@ SUBSTANTIVE_KINDS = frozenset({"research-article", "review"})
 
 YEAR_MIN = 1800
 YEAR_MAX = 2100
+
+#: Row codes of ``Corpus.kind_code``.
+KIND_CODES = {"research-article": 0, "review": 1, "letter": 2, "editorial": 3, "book": 4}
+SUBSTANTIVE_CODES = tuple(KIND_CODES[kind] for kind in sorted(SUBSTANTIVE_KINDS))
 
 _RECORD_FIELDS = ("id", "journal", "year", "kind", "authors", "references")
 
@@ -93,6 +106,24 @@ class CitationEdge:
         return self.citing_year - self.cited_year
 
 
+class EdgeView(Sequence):
+    """Read-only sequence of :class:`CitationEdge` with an O(1) ``len``; the
+    edges are built on first element access.  Library code never iterates one."""
+
+    __slots__ = ("_length", "_build", "_edges")
+
+    def __init__(self, length: int, build: Callable[[], tuple[CitationEdge, ...]]):
+        self._length, self._build, self._edges = length, build, None
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if self._edges is None:
+            self._edges = self._build()
+        return self._edges[index]
+
+
 class Corpus:
     """Immutable, indexed collection of papers and their citation edges.
 
@@ -101,12 +132,8 @@ class Corpus:
     """
 
     __slots__ = (
-        "_papers",
-        "_edges",
-        "_incoming",
-        "_journal_papers",
-        "_author_papers",
-        "_unresolved",
+        "_papers", "_ids", "_row", "_journal_codes", "_year", "_journal_code", "_kind_code",
+        "_indptr", "_citing_idx", "_edges", "_journal_papers", "_author_papers", "_unresolved",
     )
 
     def __init__(self, *args, **kwargs):
@@ -114,44 +141,52 @@ class Corpus:
 
     @classmethod
     def from_records(cls, records: Iterable[PaperRecord]) -> "Corpus":
-        """Build a corpus, materializing edges for in-corpus references only."""
+        """Build a corpus, indexing edges for in-corpus references only."""
         papers: dict[str, PaperRecord] = {}
         for record in records:
             if record.id in papers:
                 raise DuplicateIdError(f"duplicate paper id {record.id!r}")
             papers[record.id] = record
 
-        edges: list[CitationEdge] = []
-        incoming: dict[str, list[CitationEdge]] = {pid: [] for pid in papers}
         journal_papers: dict[str, list[str]] = {}
         author_papers: dict[str, list[str]] = {}
-        unresolved = 0
         for record in papers.values():
             journal_papers.setdefault(record.journal_id, []).append(record.id)
             for author_id in record.author_ids:
                 author_papers.setdefault(author_id, []).append(record.id)
-            for ref in record.reference_ids:
-                target = papers.get(ref)
-                if target is None:
-                    unresolved += 1
-                    continue
-                edge = CitationEdge(record.id, ref, record.year, target.year)
-                edges.append(edge)
-                incoming[ref].append(edge)
 
         corpus = object.__new__(cls)
+        n = len(papers)
+        values = papers.values()
+        corpus._row = row = {paper_id: i for i, paper_id in enumerate(papers)}
+        corpus._journal_codes = codes = {jid: code for code, jid in enumerate(journal_papers)}
+        corpus._year = np.fromiter((p.year for p in values), np.int32, n)
+        corpus._journal_code = np.fromiter((codes[p.journal_id] for p in values), np.int32, n)
+        corpus._kind_code = np.fromiter((KIND_CODES[p.kind] for p in values), np.int8, n)
+        ref_counts = np.fromiter((len(p.reference_ids) for p in values), np.int64, n)
+        refs = chain.from_iterable(p.reference_ids for p in values)
+        cited = np.fromiter(map(row.get, refs, repeat(-1)), np.int64, int(ref_counts.sum()))
+        citing = np.repeat(np.arange(n, dtype=np.int32), ref_counts)
+        resolved = cited >= 0
+        cited, citing = cited[resolved], citing[resolved]
+        # a stable sort keeps each paper's citations in record order
+        corpus._citing_idx = citing[np.argsort(cited, kind="stable")]
+        corpus._indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cited, minlength=n), out=corpus._indptr[1:])
+        for array in (corpus._year, corpus._journal_code, corpus._kind_code,
+                      corpus._indptr, corpus._citing_idx):
+            array.setflags(write=False)
+
         corpus._papers = MappingProxyType(papers)
-        corpus._edges = tuple(edges)
-        corpus._incoming = MappingProxyType(
-            {pid: tuple(lst) for pid, lst in incoming.items()}
-        )
+        corpus._ids = tuple(papers)
+        corpus._edges = EdgeView(len(cited), corpus._all_edges)
         corpus._journal_papers = MappingProxyType(
             {jid: tuple(lst) for jid, lst in journal_papers.items()}
         )
         corpus._author_papers = MappingProxyType(
             {aid: tuple(lst) for aid, lst in author_papers.items()}
         )
-        corpus._unresolved = unresolved
+        corpus._unresolved = len(resolved) - len(cited)
         return corpus
 
     @property
@@ -159,7 +194,8 @@ class Corpus:
         return self._papers
 
     @property
-    def edges(self) -> tuple[CitationEdge, ...]:
+    def edges(self) -> EdgeView:
+        """Every resolved citation, in record order."""
         return self._edges
 
     @property
@@ -176,18 +212,68 @@ class Corpus:
     def unresolved_reference_count(self) -> int:
         return self._unresolved
 
+    # the read-only columnar index described in the module docstring
+    year = property(lambda self: self._year)
+    journal_code = property(lambda self: self._journal_code)
+    kind_code = property(lambda self: self._kind_code)
+    indptr = property(lambda self: self._indptr)
+    citing_idx = property(lambda self: self._citing_idx)
+
     def paper(self, paper_id: str) -> PaperRecord:
         try:
             return self._papers[paper_id]
         except KeyError:
             raise UnknownIdError(f"unknown paper id {paper_id!r}") from None
 
-    def incoming_edges(self, paper_id: str) -> tuple[CitationEdge, ...]:
-        """Edges citing the given paper."""
+    def journal_rows(self, journal_id: str) -> tuple[int, np.ndarray]:
+        """The journal's code and the rows of its papers, ascending."""
         try:
-            return self._incoming[paper_id]
+            code = self._journal_codes[journal_id]
         except KeyError:
-            raise UnknownIdError(f"unknown paper id {paper_id!r}") from None
+            raise UnknownIdError(f"unknown journal {journal_id!r}") from None
+        return code, np.flatnonzero(self._journal_code == code)
+
+    def incoming(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR slice of the citations ``rows`` receive: for each, the position
+        in ``rows`` of the cited paper and the citing row."""
+        starts = self._indptr[rows]
+        counts = self._indptr[rows + 1] - starts
+        owner = np.repeat(np.arange(len(rows)), counts)
+        offsets = np.cumsum(counts) - counts
+        return owner, self._citing_idx[starts[owner] + np.arange(len(owner)) - offsets[owner]]
+
+    def citation_counts(
+        self, paper_ids: Iterable[str], citing_years: Iterable[int] | None = None
+    ) -> list[int]:
+        """In-corpus citations to each paper, optionally restricted to citing
+        (source) years."""
+        try:
+            rows = np.array([self._row[pid] for pid in paper_ids], dtype=np.int64)
+        except KeyError as exc:
+            raise UnknownIdError(f"unknown paper id {exc.args[0]!r}") from None
+        if citing_years is None:
+            return (self._indptr[rows + 1] - self._indptr[rows]).tolist()
+        owner, citing = self.incoming(rows)
+        counted = np.isin(self._year[citing], np.fromiter(frozenset(citing_years), np.int64))
+        return np.bincount(owner[counted], minlength=len(rows)).tolist()
+
+    def incoming_edges(self, paper_id: str) -> EdgeView:
+        """Edges citing the given paper, in record order."""
+        cited = self.paper(paper_id)
+        i = self._row[paper_id]
+        citing = self._citing_idx[self._indptr[i] : self._indptr[i + 1]].tolist()
+        return EdgeView(len(citing), lambda: tuple(
+            CitationEdge(self._ids[c], paper_id, int(self._year[c]), cited.year) for c in citing
+        ))
+
+    def _all_edges(self) -> tuple[CitationEdge, ...]:
+        papers = self._papers
+        return tuple(
+            CitationEdge(p.id, ref, p.year, papers[ref].year)
+            for p in papers.values()
+            for ref in p.reference_ids
+            if ref in papers
+        )
 
     def __len__(self) -> int:
         return len(self._papers)
@@ -233,11 +319,12 @@ class ValidationReport:
 
 def validate(corpus: Corpus) -> ValidationReport:
     """Tally unresolved references, negative-age edges, authorless papers."""
+    cited_year = np.repeat(corpus.year, np.diff(corpus.indptr))
     return ValidationReport(
         paper_count=len(corpus.papers),
-        edge_count=len(corpus.edges),
+        edge_count=len(corpus.citing_idx),
         unresolved_references=corpus.unresolved_reference_count,
-        negative_age_edges=sum(1 for e in corpus.edges if e.age < 0),
+        negative_age_edges=int(np.count_nonzero(corpus.year[corpus.citing_idx] < cited_year)),
         papers_without_authors=sum(
             1 for p in corpus.papers.values() if not p.author_ids
         ),
@@ -249,11 +336,7 @@ def citations_to(
 ) -> int:
     """Number of in-corpus citations to a paper, optionally restricted to
     citing (source) years."""
-    edges = corpus.incoming_edges(paper_id)
-    if citing_years is None:
-        return len(edges)
-    years = frozenset(citing_years)
-    return sum(1 for e in edges if e.citing_year in years)
+    return corpus.citation_counts([paper_id], citing_years)[0]
 
 
 def _record_from_obj(obj: Any, line_number: int, strict: bool, warned: set) -> PaperRecord:
@@ -281,6 +364,11 @@ def _record_from_obj(obj: Any, line_number: int, strict: bool, warned: set) -> P
                     f"(first seen on line {line_number})",
                     stacklevel=3,
                 )
+    for field, kind in (("id", str), ("journal", str), ("year", int), ("kind", str)):
+        if not isinstance(obj[field], kind) or isinstance(obj[field], bool):
+            raise RecordError(
+                f"line {line_number}: {field!r} must be of type {kind.__name__}", line_number
+            )
     for field, value in (("authors", obj["authors"]), ("references", obj["references"])):
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise RecordError(
@@ -313,14 +401,23 @@ def iter_records(
         if isinstance(item, PaperRecord):
             yield item
             continue
-        if isinstance(item, (str, bytes)):
+        if isinstance(item, bytes):
+            try:
+                item = item.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise RecordError(
+                    f"line {line_number}: invalid UTF-8 ({exc.reason})", line_number
+                ) from exc
+        if isinstance(item, str):
             if not item.strip():
                 continue
             try:
                 obj = json.loads(item)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError also covers integers longer than Python's digit limit
                 raise RecordError(
-                    f"line {line_number}: invalid JSON ({exc.msg})", line_number
+                    f"line {line_number}: invalid JSON ({getattr(exc, 'msg', exc)})",
+                    line_number,
                 ) from exc
             yield _record_from_obj(obj, line_number, strict, warned)
             continue
@@ -332,7 +429,8 @@ def load_corpus(
 ) -> Corpus:
     """Load a corpus from a JSON-lines path, open file or record iterable."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
+        # bytes, so that invalid UTF-8 is reported with its line number
+        with open(source, "rb") as handle:
             return Corpus.from_records(iter_records(handle, strict=strict))
     return Corpus.from_records(iter_records(source, strict=strict))
 

@@ -15,8 +15,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .corpus import YEAR_MIN, Corpus
-from .errors import InsufficientDataError, UnknownIdError
+import numpy as np
+
+from .corpus import KIND_CODES, SUBSTANTIVE_CODES, YEAR_MIN, Corpus
+from .errors import InsufficientDataError
 
 DENOMINATOR_POLICIES = ("substantive-only", "all-items")
 SELF_CITATION_POLICIES = ("include", "exclude-same-journal")
@@ -85,13 +87,6 @@ class IFResult:
         return Fraction(self.numerator, self.denominator)
 
 
-def _require_journal(corpus: Corpus, journal_id: str) -> tuple[str, ...]:
-    try:
-        return corpus.journal_papers[journal_id]
-    except KeyError:
-        raise UnknownIdError(f"unknown journal {journal_id!r}") from None
-
-
 def impact_factor(corpus: Corpus, query: IFQuery) -> IFResult:
     """Average citations from census-year papers to the journal's window items.
 
@@ -103,26 +98,22 @@ def impact_factor(corpus: Corpus, query: IFQuery) -> IFResult:
     ``exclude-same-journal`` citations whose citing paper appears in the same
     journal are dropped from the numerator.
     """
-    paper_ids = _require_journal(corpus, query.journal_id)
-    window = frozenset(query.window_years)
-    numerator = 0
-    denominator = 0
-    for pid in paper_ids:
-        paper = corpus.papers[pid]
-        if paper.year not in window or paper.kind == "book":
-            continue
-        if query.denominator_policy == "all-items" or paper.is_substantive:
-            denominator += 1
-        for edge in corpus.incoming_edges(pid):
-            if edge.citing_year != query.census_year:
-                continue
-            if (
-                query.self_citation_policy == "exclude-same-journal"
-                and corpus.papers[edge.citing_id].journal_id == query.journal_id
-            ):
-                continue
-            numerator += 1
-    return IFResult(numerator=numerator, denominator=denominator, query=query)
+    code, rows = corpus.journal_rows(query.journal_id)
+    years, kinds = corpus.year[rows], corpus.kind_code[rows]
+    window = (years >= query.census_year - query.window_w) & (years < query.census_year)
+    window &= kinds != KIND_CODES["book"]
+    rows, kinds = rows[window], kinds[window]
+    if query.denominator_policy == "all-items":
+        denominator = len(rows)
+    else:
+        denominator = int(np.count_nonzero(np.isin(kinds, SUBSTANTIVE_CODES)))
+    _, citing = corpus.incoming(rows)
+    counted = corpus.year[citing] == query.census_year
+    if query.self_citation_policy == "exclude-same-journal":
+        counted &= corpus.journal_code[citing] != code
+    return IFResult(
+        numerator=int(np.count_nonzero(counted)), denominator=denominator, query=query
+    )
 
 
 def citation_age_profile(
@@ -130,26 +121,21 @@ def citation_age_profile(
 ) -> Counter:
     """Histogram of citation age over all edges whose citing year is
     ``census_year``; a journal filter restricts the cited side."""
-    if journal_id is not None:
-        _require_journal(corpus, journal_id)
-    if not any(p.year == census_year for p in corpus.papers.values()):
+    if journal_id is None:
+        rows = np.arange(len(corpus))
+    else:
+        _, rows = corpus.journal_rows(journal_id)
+    if not np.any(corpus.year == census_year):
         warnings.warn(
             f"no papers published in census year {census_year}; "
             "age profile is empty",
             stacklevel=2,
         )
         return Counter()
-    profile: Counter = Counter()
-    for edge in corpus.edges:
-        if edge.citing_year != census_year:
-            continue
-        if (
-            journal_id is not None
-            and corpus.papers[edge.cited_id].journal_id != journal_id
-        ):
-            continue
-        profile[edge.age] += 1
-    return profile
+    owner, citing = corpus.incoming(rows)
+    census = corpus.year[citing] == census_year
+    ages, counts = np.unique(census_year - corpus.year[rows][owner[census]], return_counts=True)
+    return Counter(dict(zip(ages.tolist(), counts.tolist())))
 
 
 def window_coverage(
@@ -159,20 +145,13 @@ def window_coverage(
     inside the impact-factor window; ``None`` when it receives none."""
     if window_w < 1:
         raise ValueError("window_w must be >= 1")
-    paper_ids = _require_journal(corpus, journal_id)
-    lo, hi = census_year - window_w, census_year - 1
-    received = 0
-    inside = 0
-    for pid in paper_ids:
-        for edge in corpus.incoming_edges(pid):
-            if edge.citing_year != census_year:
-                continue
-            received += 1
-            if lo <= edge.cited_year <= hi:
-                inside += 1
-    if received == 0:
+    _, rows = corpus.journal_rows(journal_id)
+    owner, citing = corpus.incoming(rows)
+    cited_years = corpus.year[rows][owner[corpus.year[citing] == census_year]]
+    if len(cited_years) == 0:
         return None
-    return Fraction(inside, received)
+    inside = (cited_years >= census_year - window_w) & (cited_years < census_year)
+    return Fraction(int(np.count_nonzero(inside)), len(cited_years))
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,16 +245,11 @@ def self_citation_fraction(
     """
     if window_w is not None and window_w < 1:
         raise ValueError("window_w must be >= 1")
-    paper_ids = _require_journal(corpus, journal_id)
-    received = 0
-    internal = 0
-    for pid in paper_ids:
-        for edge in corpus.incoming_edges(pid):
-            if window_w is not None and not 1 <= edge.age <= window_w:
-                continue
-            received += 1
-            if corpus.papers[edge.citing_id].journal_id == journal_id:
-                internal += 1
-    if received == 0:
+    code, rows = corpus.journal_rows(journal_id)
+    owner, citing = corpus.incoming(rows)
+    if window_w is not None:
+        ages = corpus.year[citing] - corpus.year[rows][owner]
+        citing = citing[(ages >= 1) & (ages <= window_w)]
+    if len(citing) == 0:
         return None
-    return Fraction(internal, received)
+    return Fraction(int(np.count_nonzero(corpus.journal_code[citing] == code)), len(citing))

@@ -2,6 +2,12 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import citestats
 
 import pytest
 
@@ -66,6 +72,20 @@ class TestExitCodes:
         line = corpus_to_jsonl(build_corpus(rec("p1"))).strip()
         path.write_text(line + "\n" + line + "\n")
         assert main(["validate", "--input", str(path), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "second_line",
+        [b'{"id": "p2", "journal": "j", "year": 2000, "kind": ["x"], "authors": [], '
+         b'"references": []}', b'{"id": "p\xff"}'],
+        ids=["unhashable-kind", "invalid-utf8"],
+    )
+    def test_malformed_line_is_data_error_with_line_number(self, capsys, tmp_path, second_line):
+        path = tmp_path / "bad.jsonl"
+        first = corpus_to_jsonl(build_corpus(rec("p1"))).encode()
+        path.write_bytes(first + second_line + b"\n")
+        assert main(["validate", "--input", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
 
     def test_strict_mode_rejects_unknown_fields(self, capsys, tmp_path):
         record = json.loads(corpus_to_jsonl(build_corpus(rec("p1"))).strip())
@@ -477,3 +497,18 @@ class TestReproducibility:
         assert manifest_a == manifest_b
         assert manifest_a["tool_version"]
         assert list(manifest_a["inputs"].values())[0]  # sha256 of the input
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["citestats", "citestats.cli"])
+    def test_help(self, module):
+        src = str(Path(citestats.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: citestats")

@@ -4,8 +4,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citestats import (
+    KINDS,
     Corpus,
     DuplicateIdError,
     PaperRecord,
@@ -13,6 +16,7 @@ from citestats import (
     UnknownIdError,
     citations_to,
     corpus_to_jsonl,
+    iter_records,
     load_corpus,
     record_to_json,
     validate,
@@ -139,6 +143,72 @@ class TestLoadCorpus:
         path.write_text(jline("p1") + "\n" + jline("p2", refs=["p1"]) + "\n")
         corpus = load_corpus(path)
         assert len(corpus.edges) == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(), children, max_size=3),
+    max_leaves=6,
+)
+STRINGS = st.lists(st.text(max_size=4), max_size=3)
+PLAUSIBLE_FIELDS = {
+    "id": st.text(min_size=1, max_size=4),
+    "journal": st.text(min_size=1, max_size=4),
+    "year": st.integers(1800, 2100),
+    "kind": st.sampled_from(sorted(KINDS)),
+    "authors": STRINGS,
+    "references": STRINGS,
+}
+FIELD_NAMES = st.sampled_from(sorted(PLAUSIBLE_FIELDS))
+# a plausible record with one field set to any JSON value, one field
+# missing, or unknown fields added
+JSON_OBJECTS = st.builds(
+    lambda record, wild, extra, missing: {
+        k: v for k, v in {**extra, **record, **dict(wild)}.items() if k != missing
+    },
+    st.fixed_dictionaries(PLAUSIBLE_FIELDS),
+    st.lists(st.tuples(FIELD_NAMES, JSON_VALUES), max_size=1),
+    st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2),
+    st.none() | FIELD_NAMES,
+)
+
+
+class TestLoaderHardening:
+    def test_unhashable_kind_is_record_error(self):
+        bad = json.loads(jline("p2"))
+        bad["kind"] = ["x"]
+        with pytest.raises(RecordError, match="line 2.*'kind'") as excinfo:
+            load_corpus([jline("p1"), json.dumps(bad)])
+        assert excinfo.value.line_number == 2
+
+    def test_invalid_utf8_reports_line_number(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        latin1 = jline("p2").encode().replace(b"p2", b"p\xe9")
+        path.write_bytes(jline("p1").encode() + b"\n" + latin1 + b"\n")
+        with pytest.raises(RecordError, match="line 2.*UTF-8") as excinfo:
+            load_corpus(path)
+        assert excinfo.value.line_number == 2
+
+    def test_overlong_integer_is_record_error(self):
+        line = jline("p1").replace("2000", "9" * 5000)
+        with pytest.raises(RecordError, match="line 1"):
+            load_corpus([line])
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_OBJECTS, st.integers(0, 3), st.booleans())
+    @pytest.mark.filterwarnings("ignore:ignoring unknown record field")
+    def test_arbitrary_json_object_loads_or_names_its_line(self, obj, valid_before, as_bytes):
+        lines = [jline(f"valid-{i}") for i in range(valid_before)] + ["", json.dumps(obj)]
+        if as_bytes:
+            lines = [line.encode() for line in lines]
+        try:
+            records = list(iter_records(lines))
+        except RecordError as exc:
+            assert exc.line_number == valid_before + 2
+            assert str(exc).startswith(f"line {valid_before + 2}: ")
+        else:
+            assert len(records) == valid_before + 1
 
 
 class TestValidate:
