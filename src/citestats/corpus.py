@@ -28,6 +28,7 @@ import json
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
@@ -124,6 +125,15 @@ class EdgeView(Sequence):
         return self._edges[index]
 
 
+def _edges_in_record_order(papers: Mapping[str, PaperRecord]) -> tuple[CitationEdge, ...]:
+    return tuple(
+        CitationEdge(p.id, ref, p.year, papers[ref].year)
+        for p in papers.values()
+        for ref in p.reference_ids
+        if ref in papers
+    )
+
+
 class Corpus:
     """Immutable, indexed collection of papers and their citation edges.
 
@@ -179,7 +189,9 @@ class Corpus:
 
         corpus._papers = MappingProxyType(papers)
         corpus._ids = tuple(papers)
-        corpus._edges = EdgeView(len(cited), corpus._all_edges)
+        # the builder must not reference the corpus: a cycle would keep every
+        # corpus alive until the cyclic garbage collector runs
+        corpus._edges = EdgeView(len(cited), partial(_edges_in_record_order, corpus._papers))
         corpus._journal_papers = MappingProxyType(
             {jid: tuple(lst) for jid, lst in journal_papers.items()}
         )
@@ -265,15 +277,6 @@ class Corpus:
         return EdgeView(len(citing), lambda: tuple(
             CitationEdge(self._ids[c], paper_id, int(self._year[c]), cited.year) for c in citing
         ))
-
-    def _all_edges(self) -> tuple[CitationEdge, ...]:
-        papers = self._papers
-        return tuple(
-            CitationEdge(p.id, ref, p.year, papers[ref].year)
-            for p in papers.values()
-            for ref in p.reference_ids
-            if ref in papers
-        )
 
     def __len__(self) -> int:
         return len(self._papers)

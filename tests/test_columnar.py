@@ -6,6 +6,7 @@ through the per-edge reference loops in ``reference_metrics``; both must
 agree exactly, undefined results included.
 """
 
+import gc
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -162,3 +163,19 @@ def test_metrics_build_no_citation_edges(monkeypatch, tmp_path):
     assert len(corpus.edges) == len(corpus.incoming_edges("a")) == 1
     with pytest.raises(AssertionError, match="CitationEdge"):
         corpus.edges[0]
+
+
+def test_corpus_is_freed_without_the_cycle_collector():
+    """replicate builds a corpus per run; a reference cycle would keep each
+    one alive until the cyclic collector happens to run."""
+    gc.collect()
+    gc.disable()
+    try:
+        corpus = Corpus.from_records(
+            [PaperRecord("a", "j", 2001, "letter"), PaperRecord("b", "j", 2002, "book", (), ("a",))]
+        )
+        assert corpus.edges[0].cited_id == corpus.incoming_edges("a")[0].cited_id == "a"
+        del corpus
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
