@@ -432,9 +432,11 @@ def load_corpus(
 ) -> Corpus:
     """Load a corpus from a JSON-lines path, open file or record iterable."""
     if isinstance(source, (str, Path)):
-        # bytes, so that invalid UTF-8 is reported with its line number
+        # bytes, so that invalid UTF-8 is reported with its line number; a
+        # lone \r still ends a line, as in text mode
         with open(source, "rb") as handle:
-            return Corpus.from_records(iter_records(handle, strict=strict))
+            lines = (line for chunk in handle for line in chunk.splitlines(keepends=True))
+            return Corpus.from_records(iter_records(lines, strict=strict))
     return Corpus.from_records(iter_records(source, strict=strict))
 
 

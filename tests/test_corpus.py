@@ -190,10 +190,24 @@ class TestLoaderHardening:
             load_corpus(path)
         assert excinfo.value.line_number == 2
 
-    def test_overlong_integer_is_record_error(self):
-        line = jline("p1").replace("2000", "9" * 5000)
-        with pytest.raises(RecordError, match="line 1"):
-            load_corpus([line])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_line_numbers_under_every_newline_convention(self, tmp_path, newline):
+        path = tmp_path / "corpus.jsonl"
+        lines = [jline("p1").encode(), b"", jline("p2", refs=["p1"]).encode(), b"{not json"]
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(RecordError, match="line 4"):
+            load_corpus(path)
+        path.write_bytes(newline.join(lines[:3]))
+        assert len(load_corpus(path).edges) == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [jline("p1").replace("2000", "9" * 5000), "[" * 100_000 + "]" * 100_000],
+        ids=["integer-beyond-digit-limit", "nesting-beyond-recursion-limit"],
+    )
+    def test_decoder_limits_are_record_errors(self, line):
+        with pytest.raises(RecordError, match="line 2.*invalid JSON"):
+            load_corpus([jline("p0"), line])
 
     @settings(max_examples=300, deadline=None)
     @given(JSON_OBJECTS, st.integers(0, 3), st.booleans())
