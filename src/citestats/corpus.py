@@ -266,7 +266,7 @@ class Corpus:
         if citing_years is None:
             return (self._indptr[rows + 1] - self._indptr[rows]).tolist()
         owner, citing = self.incoming(rows)
-        counted = np.isin(self._year[citing], np.fromiter(frozenset(citing_years), np.int64))
+        counted = np.isin(self._year[citing], list(citing_years))
         return np.bincount(owner[counted], minlength=len(rows)).tolist()
 
     def incoming_edges(self, paper_id: str) -> EdgeView:

@@ -7,10 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import citestats
-
 import pytest
 
+import citestats
 from citestats import corpus_to_jsonl
 from citestats.cli import main
 

@@ -118,7 +118,7 @@ def test_age_profile_matches_reference(corpus, census_year):
 def test_validate_and_citations_to_match_reference(corpus, citing_years):
     assert validate(corpus) == ref.validate(corpus)
     for paper_id in corpus.papers:
-        for years in (None, citing_years):
+        for years in (None, citing_years, {2**70}):
             count = citations_to(corpus, paper_id, years)
             assert count == ref.citations_to(corpus, paper_id, years)
             assert type(count) is int
