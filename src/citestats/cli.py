@@ -53,6 +53,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _StoreMapped(argparse.Action):
+    """Store the policy name that a ``choices`` mapping gives the CLI word."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.choices[values])
+
+
+_POLICY_MAP = {"substantive": "substantive-only", "all": "all-items"}
+_SELF_MAP = {"include": "include", "exclude": "exclude-same-journal"}
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Reproducibility record emitted with every report."""
@@ -694,8 +705,15 @@ def build_parser() -> _Parser:
     _add_out_option(p)
     p.add_argument("--census-year", type=int, required=True)
     p.add_argument("--window", type=int, default=2)
-    p.add_argument("--denominator", choices=("substantive", "all"), default="substantive")
-    p.add_argument("--self-cites", choices=("include", "exclude"), default="include")
+    p.add_argument(
+        "--denominator",
+        choices=_POLICY_MAP,
+        action=_StoreMapped,
+        default=_POLICY_MAP["substantive"],
+    )
+    p.add_argument(
+        "--self-cites", choices=_SELF_MAP, action=_StoreMapped, default=_SELF_MAP["include"]
+    )
     p.add_argument("--journal", action="append", help="restrict to a journal (repeatable)")
     p.set_defaults(func=cmd_journal_if)
 
@@ -774,10 +792,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-_POLICY_MAP = {"substantive": "substantive-only", "all": "all-items"}
-_SELF_MAP = {"include": "include", "exclude": "exclude-same-journal"}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -785,10 +799,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if hasattr(args, "denominator"):
-        args.denominator = _POLICY_MAP[args.denominator]
-    if hasattr(args, "self_cites"):
-        args.self_cites = _SELF_MAP[args.self_cites]
     try:
         return args.func(args, argv)
     except CitationStatsError as exc:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
+import numpy as np
+
 from .corpus import Corpus, PaperRecord
 from .errors import InsufficientDataError, PolicyError
 from .journal_metrics import (
@@ -219,8 +221,15 @@ def divergence(
 ) -> DivergenceResult:
     """Tie-aware rank correlation between two scorings of the same subjects.
 
-    Inputs map subject id to a comparable score (higher ranks better).
-    Tau-b is used because citation-count rankings carry heavy ties.
+    Inputs map subject id to a score (higher ranks better); scores must be
+    hashable and totally ordered, such as ints and ``Fraction``s, and a
+    value unequal to itself (NaN) is rejected.  Tau-b is used because
+    citation-count rankings carry heavy ties.
+
+    Knight's algorithm (Knight 1966, JASA) in O(n log n): dense-rank each
+    side, sort by (a, b), count tied pairs from the sizes of groups of equal
+    ranks, and count discordant pairs as the strict inversions of b in that
+    order (pairs tied in a are already in b order, so they add none).
     """
     if set(ranking_a) != set(ranking_b):
         raise PolicyError("rankings must cover the same subjects")
@@ -228,28 +237,15 @@ def divergence(
     n = len(subjects)
     if n < 2:
         raise PolicyError("divergence needs at least 2 subjects")
-    concordant = 0
-    discordant = 0
-    ties_a = 0
-    ties_b = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            da = (ranking_a[subjects[i]] > ranking_a[subjects[j]]) - (
-                ranking_a[subjects[i]] < ranking_a[subjects[j]]
-            )
-            db = (ranking_b[subjects[i]] > ranking_b[subjects[j]]) - (
-                ranking_b[subjects[i]] < ranking_b[subjects[j]]
-            )
-            if da == 0:
-                ties_a += 1
-            if db == 0:
-                ties_b += 1
-            if da != 0 and db != 0:
-                if da == db:
-                    concordant += 1
-                else:
-                    discordant += 1
+    rank_a = _dense_ranks([ranking_a[s] for s in subjects])
+    rank_b = _dense_ranks([ranking_b[s] for s in subjects])
+    size_b = int(rank_b.max()) + 1
+    ties_a = _tied_pairs(rank_a)
+    ties_b = _tied_pairs(rank_b)
+    ties_ab = _tied_pairs(rank_a * size_b + rank_b)
+    discordant = _inversions(rank_b[np.lexsort((rank_b, rank_a))].tolist(), size_b)
     total_pairs = n * (n - 1) // 2
+    concordant = total_pairs - ties_a - ties_b + ties_ab - discordant
     denominator = math.sqrt((total_pairs - ties_a) * (total_pairs - ties_b))
     tau = (concordant - discordant) / denominator if denominator > 0 else None
     return DivergenceResult(
@@ -259,3 +255,35 @@ def divergence(
         discordant_pairs=discordant,
         n_subjects=n,
     )
+
+
+def _dense_ranks(values: list) -> np.ndarray:
+    """0-based dense ranks (equal values share a rank, with no gaps); NaN is rejected."""
+    if any(value != value for value in values):
+        raise PolicyError("rankings must not contain unordered values (NaN)")
+    rank = {value: i for i, value in enumerate(sorted(set(values)))}
+    return np.array([rank[value] for value in values], dtype=np.int64)
+
+
+def _tied_pairs(keys: np.ndarray) -> int:
+    """Pairs of positions holding equal keys: c(c-1)/2 summed over each key's count c."""
+    _, counts = np.unique(keys, return_counts=True)
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _inversions(ranks: list[int], size: int) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], via a Fenwick tree over 0..size-1."""
+    tree = [0] * (size + 1)
+    inversions = 0
+    for seen, rank in enumerate(ranks):
+        at_most = 0  # earlier ranks <= rank
+        i = rank + 1
+        while i > 0:
+            at_most += tree[i]
+            i -= i & -i
+        inversions += seen - at_most
+        i = rank + 1
+        while i <= size:
+            tree[i] += 1
+            i += i & -i
+    return inversions

@@ -3,15 +3,18 @@
 These are the per-edge loops the library used before the columnar index:
 each walks :class:`CitationEdge` objects from the corpus's lazy edge views.
 They are slow and obviously correct, and the property tests compare the
-numpy implementations with them.
+numpy implementations with them.  ``divergence_pairs`` is the O(n^2)
+pair loop that ``policy.divergence`` ran before Knight's algorithm.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 
 from citestats.corpus import ValidationReport
-from citestats.errors import UnknownIdError
+from citestats.errors import PolicyError, UnknownIdError
 from citestats.journal_metrics import IFResult
+from citestats.policy import DivergenceResult
 
 
 def _require_journal(corpus, journal_id):
@@ -107,3 +110,48 @@ def citations_to(corpus, paper_id, citing_years=None):
         return sum(1 for _ in edges)
     years = frozenset(citing_years)
     return sum(1 for e in edges if e.citing_year in years)
+
+
+def divergence_pairs(ranking_a, ranking_b):
+    if set(ranking_a) != set(ranking_b):
+        raise PolicyError("rankings must cover the same subjects")
+    subjects = sorted(ranking_a)
+    n = len(subjects)
+    if n < 2:
+        raise PolicyError("divergence needs at least 2 subjects")
+    concordant = 0
+    discordant = 0
+    ties_a = 0
+    ties_b = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            da = (ranking_a[subjects[i]] > ranking_a[subjects[j]]) - (
+                ranking_a[subjects[i]] < ranking_a[subjects[j]]
+            )
+            db = (ranking_b[subjects[i]] > ranking_b[subjects[j]]) - (
+                ranking_b[subjects[i]] < ranking_b[subjects[j]]
+            )
+            if da == 0:
+                ties_a += 1
+            if db == 0:
+                ties_b += 1
+            if da != 0 and db != 0:
+                if da == db:
+                    concordant += 1
+                else:
+                    discordant += 1
+    total_pairs = n * (n - 1) // 2
+    denominator = math.sqrt((total_pairs - ties_a) * (total_pairs - ties_b))
+    tau = (concordant - discordant) / denominator if denominator > 0 else None
+    return DivergenceResult(
+        kendall_tau=tau,
+        discordant_fraction=Fraction(discordant, total_pairs),
+        concordant_pairs=concordant,
+        discordant_pairs=discordant,
+        n_subjects=n,
+    )
+
+
+def tied_pairs(values):
+    """Pairs of equal values, by the pair loop's tie test: sum of c(c-1)/2."""
+    return sum(c * (c - 1) // 2 for c in Counter(values).values())

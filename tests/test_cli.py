@@ -59,6 +59,21 @@ class TestExitCodes:
         assert code == 1
         assert "window_w" in capsys.readouterr().err
 
+    def test_invalid_denominator_is_usage_error(self, capsys, if_fixture_path):
+        code = main(
+            [
+                "journal-if",
+                "--input", str(if_fixture_path),
+                "--census-year", "2007",
+                "--denominator", "bogus",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.endswith(
+            "citestats journal-if: error: argument --denominator: invalid choice: "
+            "'bogus' (choose from 'substantive', 'all')\n"
+        )
+
     def test_missing_input_file_is_data_error(self, capsys, tmp_path):
         code = main(
             ["validate", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)]

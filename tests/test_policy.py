@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
 from citestats import (
@@ -17,6 +19,7 @@ from citestats import (
     score_example3,
 )
 
+import reference_metrics as ref
 from conftest import build_corpus, rec
 
 
@@ -255,3 +258,70 @@ class TestDivergence:
         result = divergence({"a": 1, "b": 1}, {"a": 2, "b": 3})
         assert result.kendall_tau is None
         assert result.discordant_fraction == 0
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_nan_rejected(self, side):
+        with_nan = {"a": 1, "b": float("nan"), "c": 2}
+        plain = {"a": 1, "b": 2, "c": 3}
+        rankings = (with_nan, plain) if side == "a" else (plain, with_nan)
+        with pytest.raises(PolicyError, match="NaN"):
+            divergence(*rankings)
+
+    def test_scale_matches_scipy_on_exact_dense_ranks(self):
+        rng = random.Random(2009)
+        n = 20_000
+        subjects = [f"a{i:05d}" for i in range(n)]
+        scores = {s: Fraction(rng.randrange(60), rng.randrange(1, 6)) for s in subjects}
+        counts = {s: rng.randrange(40) for s in subjects}
+
+        def dense(ranking):
+            rank = {v: i for i, v in enumerate(sorted(set(ranking.values())))}
+            return [rank[ranking[s]] for s in subjects]
+
+        result = divergence(scores, counts)
+        expected, _ = kendalltau(dense(scores), dense(counts), variant="b")
+        assert result.kendall_tau == pytest.approx(expected, rel=1e-12)
+        ties_a = ref.tied_pairs(scores.values())
+        ties_b = ref.tied_pairs(counts.values())
+        ties_ab = ref.tied_pairs((scores[s], counts[s]) for s in subjects)
+        assert (
+            result.concordant_pairs + result.discordant_pairs + ties_a + ties_b - ties_ab
+            == n * (n - 1) // 2
+        )
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SCORES = {
+    "ints": st.integers(-20, 20),
+    "fractions": SMALL_FRACTIONS,
+    "mixed": st.one_of(st.integers(-3, 3), SMALL_FRACTIONS),
+    "heavy-ties": st.sampled_from([0, 1, Fraction(1), Fraction(1, 2)]),
+}
+
+
+@st.composite
+def ranking_pairs(draw):
+    subjects = [f"s{i}" for i in range(draw(st.integers(2, 60)))]
+
+    def ranking():
+        kind = draw(st.sampled_from([*SCORES, "fully-tied"]))
+        if kind == "fully-tied":
+            return dict.fromkeys(subjects, draw(SCORES["mixed"]))
+        return {s: draw(SCORES[kind]) for s in subjects}
+
+    return ranking(), ranking()
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranking_pairs())
+@example(({"a": 1, "b": 2}, {"a": 5, "b": Fraction(5)}))
+@example(({"a": 1, "b": Fraction(1)}, {"a": Fraction(5, 2), "b": Fraction(5, 2)}))
+def test_divergence_matches_pair_loop(rankings):
+    result = divergence(*rankings)
+    expected = ref.divergence_pairs(*rankings)
+    # every field exactly, the float tau included
+    assert result.kendall_tau == expected.kendall_tau
+    assert result.discordant_fraction == expected.discordant_fraction
+    assert result.concordant_pairs == expected.concordant_pairs
+    assert result.discordant_pairs == expected.discordant_pairs
+    assert result.n_subjects == expected.n_subjects
