@@ -385,7 +385,7 @@ def cmd_synth(args, argv) -> int:
     write_corpus(corpus, out / "corpus.jsonl")
     _write_text(out / "synth_config.json", config_to_json(config))
     print(
-        f"generated {len(corpus.papers)} papers, {len(corpus.edges)} edges "
+        f"generated {len(corpus)} papers, {len(corpus.edges)} edges "
         f"(seed {config.seed}) -> {out / 'corpus.jsonl'}"
     )
     inputs = [Path(args.config)] if args.config else []

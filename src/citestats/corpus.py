@@ -1,13 +1,16 @@
 """Citation corpus: data model, JSON-lines ingestion, validation.
 
-A corpus is an immutable collection of :class:`PaperRecord` objects plus a
-columnar index.  Paper ``i`` (its *row*, in record order) has ``year[i]``,
-``journal_code[i]`` and ``kind_code[i]``; the papers citing it are
-``citing_idx[indptr[i]:indptr[i + 1]]``, in record order, the CSR layout of
-``scipy.sparse.csr_matrix``.  Metrics are numpy reductions over these
-arrays, and counts become Python ints before any ratio is formed.
-``edges`` and ``incoming_edges`` are lazy :class:`EdgeView` sequences of
-:class:`CitationEdge` for tests and API callers; their length is O(1).
+A corpus is an immutable columnar index of papers.  Paper ``i`` (its *row*,
+in record order) has ``year[i]``, ``journal_code[i]`` and ``kind_code[i]``;
+the papers citing it are ``citing_idx[indptr[i]:indptr[i + 1]]``, in record
+order, the CSR layout of ``scipy.sparse.csr_matrix``.  Metrics are numpy
+reductions over these arrays, and counts become Python ints before any
+ratio is formed.  A corpus read from records keeps them; one built from
+columns (:func:`citestats.synth.generate`) builds its :class:`PaperRecord`
+objects only when ``papers``, ``paper()``, ``author_papers`` or an edge is
+first asked for.  ``edges`` and ``incoming_edges`` are lazy
+:class:`EdgeView` sequences of :class:`CitationEdge` for tests and API
+callers; their length is O(1).
 References pointing outside the corpus are *counted*
 (``unresolved_reference_count``) rather than dropped silently, so coverage
 gaps in the underlying database stay visible in every downstream statistic.
@@ -48,6 +51,7 @@ YEAR_MAX = 2100
 
 #: Row codes of ``Corpus.kind_code``.
 KIND_CODES = {"research-article": 0, "review": 1, "letter": 2, "editorial": 3, "book": 4}
+KIND_NAMES = tuple(KIND_CODES)
 SUBSTANTIVE_CODES = tuple(KIND_CODES[kind] for kind in sorted(SUBSTANTIVE_KINDS))
 
 _RECORD_FIELDS = ("id", "journal", "year", "kind", "authors", "references")
@@ -125,7 +129,28 @@ class EdgeView(Sequence):
         return self._edges[index]
 
 
-def _edges_in_record_order(papers: Mapping[str, PaperRecord]) -> tuple[CitationEdge, ...]:
+class _Records:
+    """A corpus's id -> :class:`PaperRecord` mapping, built on first call.
+
+    The corpus and its edge view share one; it refers to neither, since a
+    reference cycle would keep every corpus alive until the cyclic garbage
+    collector runs (``replicate`` builds one corpus per run).
+    """
+
+    __slots__ = ("_build", "_papers")
+
+    def __init__(self, build: Callable[[], dict[str, PaperRecord]]):
+        self._build, self._papers = build, None
+
+    def __call__(self) -> Mapping[str, PaperRecord]:
+        if self._papers is None:
+            self._papers = MappingProxyType(self._build())
+            self._build = None
+        return self._papers
+
+
+def _edges_in_record_order(records: _Records) -> tuple[CitationEdge, ...]:
+    papers = records()
     return tuple(
         CitationEdge(p.id, ref, p.year, papers[ref].year)
         for p in papers.values()
@@ -134,15 +159,35 @@ def _edges_in_record_order(papers: Mapping[str, PaperRecord]) -> tuple[CitationE
     )
 
 
+def _records_from_columns(
+    ids, journals, year, journal_code, kind_code, authors, indptr, citing_idx
+) -> dict[str, PaperRecord]:
+    """Records of a corpus built from columns: each paper's references are
+    the rows it cites, ascending."""
+    n = len(ids)
+    cited = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    by_citing = np.sort(citing_idx.astype(np.int64) * n + cited) % n
+    refs = np.array(ids, dtype=object)[by_citing].tolist()
+    ends = np.cumsum(np.bincount(citing_idx, minlength=n)).tolist()
+    return {
+        pid: PaperRecord(pid, journals[j], y, KIND_NAMES[k], names, tuple(refs[lo:hi]))
+        for pid, j, y, k, names, lo, hi in zip(
+            ids, journal_code.tolist(), year.tolist(), kind_code.tolist(), authors,
+            [0, *ends[:-1]], ends,
+        )
+    }
+
+
 class Corpus:
     """Immutable, indexed collection of papers and their citation edges.
 
     Construct with :meth:`from_records` or :func:`load_corpus`.  Safe for
-    concurrent read access: all exposed containers are read-only views.
+    concurrent read access: all exposed containers are read-only views (two
+    threads that first ask for records at once may both build them).
     """
 
     __slots__ = (
-        "_papers", "_ids", "_row", "_journal_codes", "_year", "_journal_code", "_kind_code",
+        "_records", "_ids", "_row", "_journal_codes", "_year", "_journal_code", "_kind_code",
         "_indptr", "_citing_idx", "_edges", "_journal_papers", "_author_papers", "_unresolved",
     )
 
@@ -158,52 +203,82 @@ class Corpus:
                 raise DuplicateIdError(f"duplicate paper id {record.id!r}")
             papers[record.id] = record
 
-        journal_papers: dict[str, list[str]] = {}
-        author_papers: dict[str, list[str]] = {}
-        for record in papers.values():
-            journal_papers.setdefault(record.journal_id, []).append(record.id)
-            for author_id in record.author_ids:
-                author_papers.setdefault(author_id, []).append(record.id)
-
-        corpus = object.__new__(cls)
         n = len(papers)
         values = papers.values()
-        corpus._row = row = {paper_id: i for i, paper_id in enumerate(papers)}
-        corpus._journal_codes = codes = {jid: code for code, jid in enumerate(journal_papers)}
-        corpus._year = np.fromiter((p.year for p in values), np.int32, n)
-        corpus._journal_code = np.fromiter((codes[p.journal_id] for p in values), np.int32, n)
-        corpus._kind_code = np.fromiter((KIND_CODES[p.kind] for p in values), np.int8, n)
+        row = {paper_id: i for i, paper_id in enumerate(papers)}
+        journals: dict[str, int] = {}  # codes in order of first appearance
+        journal_code = np.fromiter(
+            (journals.setdefault(p.journal_id, len(journals)) for p in values), np.int32, n
+        )
         ref_counts = np.fromiter((len(p.reference_ids) for p in values), np.int64, n)
         refs = chain.from_iterable(p.reference_ids for p in values)
         cited = np.fromiter(map(row.get, refs, repeat(-1)), np.int64, int(ref_counts.sum()))
         citing = np.repeat(np.arange(n, dtype=np.int32), ref_counts)
         resolved = cited >= 0
+        unresolved = len(cited) - int(np.count_nonzero(resolved))
         cited, citing = cited[resolved], citing[resolved]
-        # a stable sort keeps each paper's citations in record order
-        corpus._citing_idx = citing[np.argsort(cited, kind="stable")]
+        return cls._from_columns(
+            tuple(papers),
+            tuple(journals),
+            np.fromiter((p.year for p in values), np.int32, n),
+            journal_code,
+            np.fromiter((KIND_CODES[p.kind] for p in values), np.int8, n),
+            citing,
+            cited,
+            unresolved=unresolved,
+            records=_Records(lambda: papers),
+        )
+
+    @classmethod
+    def _from_columns(
+        cls, ids, journals, year, journal_code, kind_code, citing, cited,
+        unresolved=0, records=None, authors=(),
+    ) -> "Corpus":
+        """Index papers given as columns in row order: ``ids``, ``year``,
+        ``journal_code`` (into ``journals``, each of which has a paper) and
+        ``kind_code``, plus the resolved citations as (``citing``, ``cited``)
+        row pairs in any order.  Without ``records`` they are built on first
+        use from the columns, ``authors`` (one tuple a row) and the
+        citations, each paper's references in ascending row order."""
+        corpus = object.__new__(cls)
+        n = len(ids)
+        corpus._ids = ids
+        corpus._row = {paper_id: i for i, paper_id in enumerate(ids)}
+        corpus._journal_codes = {jid: code for code, jid in enumerate(journals)}
+        corpus._year, corpus._journal_code, corpus._kind_code = year, journal_code, kind_code
+        # sorting (cited, citing) keys keeps each paper's citations in record
+        # order; in place, since the temporaries set a large load's peak memory
+        keys = cited.astype(np.int64)
+        keys *= n
+        keys += citing
+        keys.sort()
+        keys %= n
+        corpus._citing_idx = keys.astype(np.int32)
         corpus._indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(cited, minlength=n), out=corpus._indptr[1:])
-        for array in (corpus._year, corpus._journal_code, corpus._kind_code,
-                      corpus._indptr, corpus._citing_idx):
+        for array in (year, journal_code, kind_code, corpus._indptr, corpus._citing_idx):
             array.setflags(write=False)
 
-        corpus._papers = MappingProxyType(papers)
-        corpus._ids = tuple(papers)
-        # the builder must not reference the corpus: a cycle would keep every
-        # corpus alive until the cyclic garbage collector runs
-        corpus._edges = EdgeView(len(cited), partial(_edges_in_record_order, corpus._papers))
+        if records is None:
+            records = _Records(partial(
+                _records_from_columns, ids, journals, year, journal_code, kind_code,
+                authors, corpus._indptr, corpus._citing_idx,
+            ))
+        corpus._records = records
+        corpus._edges = EdgeView(len(cited), partial(_edges_in_record_order, records))
+        journal_papers: dict[str, list[str]] = {jid: [] for jid in journals}
+        for paper_id, code in zip(ids, journal_code.tolist()):
+            journal_papers[journals[code]].append(paper_id)
         corpus._journal_papers = MappingProxyType(
             {jid: tuple(lst) for jid, lst in journal_papers.items()}
         )
-        corpus._author_papers = MappingProxyType(
-            {aid: tuple(lst) for aid, lst in author_papers.items()}
-        )
-        corpus._unresolved = len(resolved) - len(cited)
+        corpus._author_papers = None
+        corpus._unresolved = unresolved
         return corpus
 
     @property
     def papers(self) -> Mapping[str, PaperRecord]:
-        return self._papers
+        return self._records()
 
     @property
     def edges(self) -> EdgeView:
@@ -218,6 +293,14 @@ class Corpus:
     @property
     def author_papers(self) -> Mapping[str, tuple[str, ...]]:
         """Author id -> ids of every paper listing that author."""
+        if self._author_papers is None:
+            author_papers: dict[str, list[str]] = {}
+            for record in self.papers.values():
+                for author_id in record.author_ids:
+                    author_papers.setdefault(author_id, []).append(record.id)
+            self._author_papers = MappingProxyType(
+                {aid: tuple(lst) for aid, lst in author_papers.items()}
+            )
         return self._author_papers
 
     @property
@@ -233,7 +316,7 @@ class Corpus:
 
     def paper(self, paper_id: str) -> PaperRecord:
         try:
-            return self._papers[paper_id]
+            return self.papers[paper_id]
         except KeyError:
             raise UnknownIdError(f"unknown paper id {paper_id!r}") from None
 
@@ -254,15 +337,18 @@ class Corpus:
         offsets = np.cumsum(counts) - counts
         return owner, self._citing_idx[starts[owner] + np.arange(len(owner)) - offsets[owner]]
 
+    def _rows(self, paper_ids: Iterable[str]) -> np.ndarray:
+        try:
+            return np.array([self._row[pid] for pid in paper_ids], dtype=np.int64)
+        except KeyError as exc:
+            raise UnknownIdError(f"unknown paper id {exc.args[0]!r}") from None
+
     def citation_counts(
         self, paper_ids: Iterable[str], citing_years: Iterable[int] | None = None
     ) -> list[int]:
         """In-corpus citations to each paper, optionally restricted to citing
         (source) years."""
-        try:
-            rows = np.array([self._row[pid] for pid in paper_ids], dtype=np.int64)
-        except KeyError as exc:
-            raise UnknownIdError(f"unknown paper id {exc.args[0]!r}") from None
+        rows = self._rows(paper_ids)
         if citing_years is None:
             return (self._indptr[rows + 1] - self._indptr[rows]).tolist()
         owner, citing = self.incoming(rows)
@@ -271,19 +357,19 @@ class Corpus:
 
     def incoming_edges(self, paper_id: str) -> EdgeView:
         """Edges citing the given paper, in record order."""
-        cited = self.paper(paper_id)
-        i = self._row[paper_id]
+        i = int(self._rows([paper_id])[0])
+        ids, year, cited_year = self._ids, self._year, int(self._year[i])
         citing = self._citing_idx[self._indptr[i] : self._indptr[i + 1]].tolist()
         return EdgeView(len(citing), lambda: tuple(
-            CitationEdge(self._ids[c], paper_id, int(self._year[c]), cited.year) for c in citing
+            CitationEdge(ids[c], paper_id, int(year[c]), cited_year) for c in citing
         ))
 
     def __len__(self) -> int:
-        return len(self._papers)
+        return len(self._ids)
 
     def __repr__(self) -> str:
         return (
-            f"<Corpus papers={len(self._papers)} edges={len(self._edges)} "
+            f"<Corpus papers={len(self._ids)} edges={len(self._edges)} "
             f"journals={len(self._journal_papers)} "
             f"unresolved={self._unresolved}>"
         )
@@ -324,7 +410,7 @@ def validate(corpus: Corpus) -> ValidationReport:
     """Tally unresolved references, negative-age edges, authorless papers."""
     cited_year = np.repeat(corpus.year, np.diff(corpus.indptr))
     return ValidationReport(
-        paper_count=len(corpus.papers),
+        paper_count=len(corpus),
         edge_count=len(corpus.citing_idx),
         unresolved_references=corpus.unresolved_reference_count,
         negative_age_edges=int(np.count_nonzero(corpus.year[corpus.citing_idx] < cited_year)),
@@ -342,7 +428,9 @@ def citations_to(
     return corpus.citation_counts([paper_id], citing_years)[0]
 
 
-def _record_from_obj(obj: Any, line_number: int, strict: bool, warned: set) -> PaperRecord:
+def _record_from_obj(
+    obj: Any, line_number: int, strict: bool, warned: set, memo: dict
+) -> PaperRecord:
     if not isinstance(obj, Mapping):
         raise RecordError(
             f"line {line_number}: record must be a JSON object", line_number
@@ -378,14 +466,15 @@ def _record_from_obj(obj: Any, line_number: int, strict: bool, warned: set) -> P
                 f"line {line_number}: {field!r} must be an array of strings",
                 line_number,
             )
+    authors, references = obj["authors"], obj["references"]
     try:
         return PaperRecord(
-            id=obj["id"],
+            id=memo.setdefault(obj["id"], obj["id"]),
             journal_id=obj["journal"],
             year=obj["year"],
             kind=obj["kind"],
-            author_ids=tuple(obj["authors"]),
-            reference_ids=tuple(obj["references"]),
+            author_ids=tuple(map(memo.setdefault, authors, authors)),
+            reference_ids=tuple(map(memo.setdefault, references, references)),
         )
     except ValueError as exc:
         raise RecordError(f"line {line_number}: {exc}", line_number) from exc
@@ -397,9 +486,12 @@ def iter_records(
     """Yield :class:`PaperRecord` from JSON lines, dicts or ready-made records.
 
     Blank lines are skipped.  Malformed items raise :class:`RecordError`
-    carrying the 1-based line number.
+    carrying the 1-based line number.  Equal id, author and reference
+    strings decoded in one call share one object, so a loaded corpus holds
+    each distinct id once however often it is cited.
     """
     warned: set = set()
+    memo: dict[str, str] = {}
     for line_number, item in enumerate(source, 1):
         if isinstance(item, PaperRecord):
             yield item
@@ -422,9 +514,9 @@ def iter_records(
                     f"line {line_number}: invalid JSON ({getattr(exc, 'msg', exc)})",
                     line_number,
                 ) from exc
-            yield _record_from_obj(obj, line_number, strict, warned)
+            yield _record_from_obj(obj, line_number, strict, warned, memo)
             continue
-        yield _record_from_obj(item, line_number, strict, warned)
+        yield _record_from_obj(item, line_number, strict, warned, memo)
 
 
 def load_corpus(

@@ -17,6 +17,11 @@ resolves; experiments see no unresolved-reference noise).
 All randomness flows from a single 64-bit seed through numpy's
 SeedSequence counter scheme, so replicate runs are mutually independent
 yet byte-for-byte reproducible.
+
+:func:`generate` hands the corpus its columns and (citing, cited) row pairs
+directly; the string reference tuples and :class:`~citestats.corpus.PaperRecord`
+objects are built only when something reads them (writing the corpus,
+``corpus.papers``), so :func:`replicate` never builds them.
 """
 
 from __future__ import annotations
@@ -31,9 +36,24 @@ from typing import Union
 import numpy as np
 
 from .compare import EmpiricalDistribution
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, PaperRecord
-from .errors import InsufficientDataError, SynthConfigError
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus
+from .errors import InsufficientDataError, SynthConfigError, UnknownIdError
 from .journal_metrics import VariabilityResult, if_variability
+
+
+def _check_types(spec, int_fields, float_fields, where: str = "") -> None:
+    """Integers must be ints and numbers finite ints or floats; bools are
+    neither, though Python counts them as ints."""
+    for name in int_fields:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SynthConfigError(f"{where}{name} must be an integer, got {value!r}")
+    for name in float_fields:
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SynthConfigError(f"{where}{name} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise SynthConfigError(f"{where}{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,8 +67,14 @@ class JournalSpec:
     quality_scale: float = 1.0
 
     def __post_init__(self):
-        if not self.journal_id:
-            raise SynthConfigError("journal_id must be nonempty")
+        if not isinstance(self.journal_id, str) or not self.journal_id:
+            raise SynthConfigError(
+                f"journal_id must be a nonempty string, got {self.journal_id!r}"
+            )
+        _check_types(
+            self, ("articles_per_year", "start_year", "end_year"), ("quality_scale",),
+            f"journal {self.journal_id!r}: ",
+        )
         if self.articles_per_year < 0:
             raise SynthConfigError(
                 f"journal {self.journal_id!r}: articles_per_year must be >= 0"
@@ -82,6 +108,13 @@ class SynthConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "journals", tuple(self.journals))
+        _check_types(
+            self, ("seed",),
+            ("latent_mu", "latent_sigma", "zero_inflation", "half_life_years",
+             "references_per_paper"),
+        )
+        if self.seed < 0:
+            raise SynthConfigError("seed must be >= 0")
         if not self.journals:
             raise SynthConfigError("config needs at least one journal")
         ids = [j.journal_id for j in self.journals]
@@ -109,9 +142,13 @@ def config_from_json(source: Union[str, Path, Mapping]) -> SynthConfig:
         if isinstance(source, Path) or (
             isinstance(source, str) and not source.lstrip().startswith("{")
         ):
-            payload = json.loads(Path(source).read_text(encoding="utf-8"))
-        else:
+            source = Path(source).read_text(encoding="utf-8")
+        try:
             payload = json.loads(source)
+        except ValueError as exc:
+            raise SynthConfigError(f"invalid synth config: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise SynthConfigError("invalid synth config: expected a JSON object")
     try:
         journals = tuple(JournalSpec(**j) for j in payload.pop("journals"))
         return SynthConfig(journals=journals, **payload)
@@ -180,53 +217,52 @@ def zero_inflated_pair(
 
 
 def generate(config: SynthConfig) -> Corpus:
-    """Generate a corpus; deterministic function of ``config``."""
-    total = sum(
-        j.articles_per_year * (j.end_year - j.start_year + 1) for j in config.journals
-    )
-    if total == 0:
+    """Generate a corpus; deterministic function of ``config``.
+
+    Ids, years and journals are filled one (journal, year) slice at a time,
+    and the references go to the index as (citing, cited) row pairs.  A
+    journal with no articles gets no journal code, as if it were loaded.
+    """
+    specs = [j for j in config.journals if j.articles_per_year]
+    if not specs:
         raise SynthConfigError("configuration produces zero papers")
     rng = _rng(config.seed)
 
+    sizes = [j.articles_per_year * (j.end_year - j.start_year + 1) for j in specs]
+    total = sum(sizes)
+    journal_code = np.repeat(np.arange(len(specs), dtype=np.int32), sizes)
+    years = np.empty(total, dtype=np.int32)
+    suffixes = [f"-{i:04d}" for i in range(max(j.articles_per_year for j in specs))]
     ids: list[str] = []
-    journal_ids: list[str] = []
-    years = np.empty(total, dtype=np.int64)
-    scales = np.empty(total, dtype=np.float64)
-    pos = 0
-    for spec in config.journals:
+    for spec in specs:
         for year in range(spec.start_year, spec.end_year + 1):
-            for i in range(spec.articles_per_year):
-                ids.append(f"{spec.journal_id}-{year}-{i:04d}")
-                journal_ids.append(spec.journal_id)
-                years[pos] = year
-                scales[pos] = spec.quality_scale
-                pos += 1
+            names = suffixes[: spec.articles_per_year]
+            years[len(ids) : len(ids) + len(names)] = year
+            ids.extend(map(f"{spec.journal_id}-{year}".__add__, names))
 
     # latent attractiveness: zero-inflated log-normal times journal scale
     keep = rng.random(total) >= config.zero_inflation
     rates = np.where(keep, rng.lognormal(config.latent_mu, config.latent_sigma, total), 0.0)
-    rates *= scales
+    rates *= np.repeat([j.quality_scale for j in specs], sizes)
 
     # authors: 1-3 names from a small per-journal pool
-    pool_sizes = {
-        j.journal_id: max(3, j.articles_per_year) for j in config.journals
-    }
+    pools = [
+        [f"{j.journal_id}-au{a:03d}" for a in range(max(3, j.articles_per_year))] for j in specs
+    ]
     n_authors = rng.integers(1, 4, size=total)
     authors: list[tuple[str, ...]] = []
-    for i in range(total):
-        pool = pool_sizes[journal_ids[i]]
-        picks = rng.choice(pool, size=min(int(n_authors[i]), pool), replace=False)
-        authors.append(
-            tuple(f"{journal_ids[i]}-au{int(a):03d}" for a in sorted(picks))
-        )
+    for code, k in zip(journal_code.tolist(), n_authors.tolist()):
+        pool = pools[code]
+        picks = rng.choice(len(pool), size=min(k, len(pool)), replace=False)
+        authors.append(tuple(pool[a] for a in sorted(picks.tolist())))
 
     # references: per census year, weighted draw over strictly earlier papers
     decay = math.log(2.0) / config.half_life_years
     ref_budget = rng.poisson(config.references_per_paper, size=total)
-    references: list[tuple[str, ...]] = [()] * total
+    citing_rows, cited_rows = [], []
     for year in np.unique(years):
-        citing = np.nonzero(years == year)[0]
-        targets = np.nonzero(years < year)[0]
+        citing = np.flatnonzero(years == year)
+        targets = np.flatnonzero(years < year)
         if targets.size == 0:
             continue
         weights = rates[targets] * np.exp(-decay * (year - years[targets]))
@@ -239,22 +275,25 @@ def generate(config: SynthConfig) -> Corpus:
             cumulative, rng.random(int(budget.sum())) * total_weight, side="right"
         )
         draws = np.minimum(draws, targets.size - 1)  # float-edge guard
-        for idx, chunk in zip(citing, np.split(draws, np.cumsum(budget)[:-1])):
-            # duplicates within one paper collapse to a single reference
-            references[idx] = tuple(ids[t] for t in targets[np.unique(chunk)])
+        # duplicates within one paper collapse to a single reference: one
+        # sort of (paper, target) keys; np.unique would hash them first and
+        # take ~20x longer
+        owner = np.repeat(np.arange(citing.size, dtype=np.int64), budget)
+        keys = np.sort(owner * targets.size + draws)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        citing_rows.append(citing[keys // targets.size])
+        cited_rows.append(targets[keys % targets.size])
 
-    records = [
-        PaperRecord(
-            id=ids[i],
-            journal_id=journal_ids[i],
-            year=int(years[i]),
-            kind="research-article",
-            author_ids=authors[i],
-            reference_ids=references[i],
-        )
-        for i in range(total)
-    ]
-    return Corpus.from_records(records)
+    return Corpus._from_columns(
+        tuple(ids),
+        tuple(j.journal_id for j in specs),
+        years,
+        journal_code,
+        np.zeros(total, dtype=np.int8),  # every paper is a research article
+        np.concatenate([np.empty(0, np.int64), *citing_rows]),
+        np.concatenate([np.empty(0, np.int64), *cited_rows]),
+        authors=authors,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,7 +315,8 @@ def replicate(
 ) -> list[ReplicateRun]:
     """Run the generator ``n_runs`` times with seeds derived from
     ``(config.seed, run_index)`` and summarize impact-factor variability
-    for every configured journal."""
+    for every configured journal; ``None`` where it is undefined, as for a
+    journal that publishes nothing."""
     if n_runs < 1:
         raise SynthConfigError("n_runs must be >= 1")
     runs: list[ReplicateRun] = []
@@ -289,7 +329,8 @@ def replicate(
                 summaries[spec.journal_id] = if_variability(
                     corpus, spec.journal_id, census_start, census_end, window_w
                 )
-            except InsufficientDataError:
+            except (InsufficientDataError, UnknownIdError):
+                # UnknownIdError: a journal with no papers has no impact factors
                 summaries[spec.journal_id] = None
         runs.append(ReplicateRun(run_index=run_index, seed=run_seed, journals=summaries))
     return runs

@@ -4,17 +4,22 @@ These are the per-edge loops the library used before the columnar index:
 each walks :class:`CitationEdge` objects from the corpus's lazy edge views.
 They are slow and obviously correct, and the property tests compare the
 numpy implementations with them.  ``divergence_pairs`` is the O(n^2)
-pair loop that ``policy.divergence`` ran before Knight's algorithm.
+pair loop that ``policy.divergence`` ran before Knight's algorithm, and
+``generate`` is the synthetic generator that built string ids, reference
+tuples and records before ``synth.generate`` built columns.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
 
-from citestats.corpus import ValidationReport
-from citestats.errors import PolicyError, UnknownIdError
+import numpy as np
+
+from citestats.corpus import Corpus, PaperRecord, ValidationReport
+from citestats.errors import PolicyError, SynthConfigError, UnknownIdError
 from citestats.journal_metrics import IFResult
 from citestats.policy import DivergenceResult
+from citestats.synth import SynthConfig, _rng
 
 
 def _require_journal(corpus, journal_id):
@@ -155,3 +160,81 @@ def divergence_pairs(ranking_a, ranking_b):
 def tied_pairs(values):
     """Pairs of equal values, by the pair loop's tie test: sum of c(c-1)/2."""
     return sum(c * (c - 1) // 2 for c in Counter(values).values())
+
+
+def generate(config: SynthConfig) -> Corpus:
+    """Generate a corpus; deterministic function of ``config``."""
+    total = sum(
+        j.articles_per_year * (j.end_year - j.start_year + 1) for j in config.journals
+    )
+    if total == 0:
+        raise SynthConfigError("configuration produces zero papers")
+    rng = _rng(config.seed)
+
+    ids: list[str] = []
+    journal_ids: list[str] = []
+    years = np.empty(total, dtype=np.int64)
+    scales = np.empty(total, dtype=np.float64)
+    pos = 0
+    for spec in config.journals:
+        for year in range(spec.start_year, spec.end_year + 1):
+            for i in range(spec.articles_per_year):
+                ids.append(f"{spec.journal_id}-{year}-{i:04d}")
+                journal_ids.append(spec.journal_id)
+                years[pos] = year
+                scales[pos] = spec.quality_scale
+                pos += 1
+
+    # latent attractiveness: zero-inflated log-normal times journal scale
+    keep = rng.random(total) >= config.zero_inflation
+    rates = np.where(keep, rng.lognormal(config.latent_mu, config.latent_sigma, total), 0.0)
+    rates *= scales
+
+    # authors: 1-3 names from a small per-journal pool
+    pool_sizes = {
+        j.journal_id: max(3, j.articles_per_year) for j in config.journals
+    }
+    n_authors = rng.integers(1, 4, size=total)
+    authors: list[tuple[str, ...]] = []
+    for i in range(total):
+        pool = pool_sizes[journal_ids[i]]
+        picks = rng.choice(pool, size=min(int(n_authors[i]), pool), replace=False)
+        authors.append(
+            tuple(f"{journal_ids[i]}-au{int(a):03d}" for a in sorted(picks))
+        )
+
+    # references: per census year, weighted draw over strictly earlier papers
+    decay = math.log(2.0) / config.half_life_years
+    ref_budget = rng.poisson(config.references_per_paper, size=total)
+    references: list[tuple[str, ...]] = [()] * total
+    for year in np.unique(years):
+        citing = np.nonzero(years == year)[0]
+        targets = np.nonzero(years < year)[0]
+        if targets.size == 0:
+            continue
+        weights = rates[targets] * np.exp(-decay * (year - years[targets]))
+        total_weight = float(weights.sum())
+        if total_weight <= 0.0:
+            continue
+        cumulative = np.cumsum(weights)
+        budget = ref_budget[citing]
+        draws = np.searchsorted(
+            cumulative, rng.random(int(budget.sum())) * total_weight, side="right"
+        )
+        draws = np.minimum(draws, targets.size - 1)  # float-edge guard
+        for idx, chunk in zip(citing, np.split(draws, np.cumsum(budget)[:-1])):
+            # duplicates within one paper collapse to a single reference
+            references[idx] = tuple(ids[t] for t in targets[np.unique(chunk)])
+
+    records = [
+        PaperRecord(
+            id=ids[i],
+            journal_id=journal_ids[i],
+            year=int(years[i]),
+            kind="research-article",
+            author_ids=authors[i],
+            reference_ids=references[i],
+        )
+        for i in range(total)
+    ]
+    return Corpus.from_records(records)

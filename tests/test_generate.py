@@ -1,0 +1,257 @@
+"""The column-building generator against the record-building one.
+
+``reference_metrics.generate`` is the generator as it was before it built
+columns: string ids, string reference tuples and eager records, indexed by
+``Corpus.from_records``.  Both must give the same corpus for any config,
+and the replicate path must never build a :class:`PaperRecord`.
+"""
+
+import gc
+import hashlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import citestats.corpus
+import reference_metrics as ref
+from citestats import (
+    JournalSpec,
+    SynthConfig,
+    SynthConfigError,
+    corpus_to_jsonl,
+    generate,
+    load_corpus,
+    replicate,
+    validate,
+)
+from citestats.cli import main
+
+from test_golden import CONFIG, GOLDEN
+
+ARRAYS = ("year", "journal_code", "kind_code", "indptr", "citing_idx")
+
+
+@st.composite
+def configs(draw):
+    ids = draw(st.lists(st.sampled_from(("j0", "j1", "j2")), min_size=1, max_size=3, unique=True))
+    journals = []
+    for journal_id in ids:
+        start = draw(st.integers(2000, 2004))
+        journals.append(
+            JournalSpec(
+                journal_id,
+                articles_per_year=draw(st.integers(0, 6)),
+                start_year=start,
+                end_year=start + draw(st.integers(0, 4)),  # 0: a single-year span
+                quality_scale=draw(st.sampled_from((0.25, 1.0, 3.0))),
+            )
+        )
+    return SynthConfig(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        journals=tuple(journals),
+        latent_mu=draw(st.sampled_from((0.0, 0.5))),
+        latent_sigma=draw(st.sampled_from((0.0, 0.8))),
+        zero_inflation=draw(st.sampled_from((0.0, 0.3, 1.0))),
+        half_life_years=draw(st.sampled_from((1.0, 10.0))),
+        references_per_paper=draw(st.sampled_from((0.0, 2.0, 8.0))),
+    )
+
+
+def _edges(corpus):
+    return [(e.citing_id, e.cited_id, e.citing_year, e.cited_year) for e in corpus.edges]
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+def test_generate_matches_reference(config):
+    if all(j.articles_per_year == 0 for j in config.journals):
+        for build in (generate, ref.generate):
+            with pytest.raises(SynthConfigError, match="zero papers"):
+                build(config)
+        return
+    corpus, expected = generate(config), ref.generate(config)
+    # the columns first, before anything builds the records
+    assert repr(corpus) == repr(expected)
+    assert len(corpus) == len(expected) and len(corpus.edges) == len(expected.edges)
+    for name in ARRAYS:
+        array, want = getattr(corpus, name), getattr(expected, name)
+        assert array.dtype == want.dtype and np.array_equal(array, want), name
+        assert not array.flags.writeable
+    assert list(corpus.journal_papers.items()) == list(expected.journal_papers.items())
+    assert corpus_to_jsonl(corpus) == corpus_to_jsonl(expected)
+    assert list(corpus.author_papers.items()) == list(expected.author_papers.items())
+    assert _edges(corpus) == _edges(expected)
+    assert validate(corpus) == validate(expected)
+    for paper_id in expected.papers:
+        assert list(corpus.incoming_edges(paper_id)) == list(expected.incoming_edges(paper_id))
+
+
+def test_generate_matches_reference_on_the_volatility_preset():
+    from citestats import volatility_config
+
+    config = volatility_config(2009)
+    assert corpus_to_jsonl(generate(config)) == corpus_to_jsonl(ref.generate(config))
+
+
+def test_journal_without_papers_is_not_in_the_corpus(tmp_path):
+    config = SynthConfig(
+        seed=3,
+        journals=(JournalSpec("a", 0, 2000, 2005), JournalSpec("b", 4, 2000, 2005)),
+    )
+    corpus = generate(config)
+    assert list(corpus.journal_papers) == ["b"]
+    path = tmp_path / "corpus.jsonl"
+    citestats.corpus.write_corpus(corpus, path)
+    assert list(load_corpus(path).journal_papers) == ["b"]
+
+
+def test_replicate_reports_a_journal_without_papers_as_undefined(tmp_path):
+    config = SynthConfig(
+        seed=3,
+        journals=(JournalSpec("a", 0, 2000, 2005), JournalSpec("b", 20, 1995, 2005)),
+    )
+    runs = replicate(config, 2, 2002, 2005)
+    assert [run.journals["a"] for run in runs] == [None, None]
+    assert all(run.journals["b"] is not None for run in runs)
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "seed": 3,
+        "journals": [
+            {"journal_id": "a", "articles_per_year": 0, "start_year": 2000, "end_year": 2005},
+            {"journal_id": "b", "articles_per_year": 20, "start_year": 1995, "end_year": 2005},
+        ],
+    }))
+    out = tmp_path / "out"
+    args = ["replicate", "--config", str(path), "--runs", "2", "--census-years", "2002:2005"]
+    assert main([*args, "--out", str(out)]) == 0
+    rows = (out / "replicate.csv").read_text().splitlines()
+    assert [r for r in rows if ",a," in r] == [
+        f"{i},{run.seed},a,0,0,0,NA" for i, run in enumerate(runs)
+    ]
+    payload = json.loads((out / "replicate.json").read_text())
+    assert [run["journals"]["a"] for run in payload["runs"]] == [None, None]
+
+
+class _NoRecords:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a PaperRecord was built")
+
+
+def test_replicate_builds_no_records(monkeypatch, tmp_path):
+    monkeypatch.setattr(citestats.corpus, "PaperRecord", _NoRecords)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    out = tmp_path / "replicate"
+    argv = ["replicate", "--config", str(config), "--runs", "3", "--census-years", "2007:2010"]
+    assert main([*argv, "--out", str(out)]) == 0
+    for name in ("replicate.csv", "replicate.json"):
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN[f"replicate/{name}"]
+
+    corpus = generate(SynthConfig(seed=1, journals=(JournalSpec("j", 30, 2000, 2006),)))
+    assert len(corpus) == 210 and len(corpus.edges) > 0
+    assert repr(corpus).startswith("<Corpus papers=210 ")
+    assert all(e.cited_id == "j-2000-0000" for e in corpus.incoming_edges("j-2000-0000"))
+    with pytest.raises(AssertionError, match="PaperRecord"):
+        corpus.papers
+
+
+def test_generated_corpus_is_freed_without_the_cycle_collector():
+    config = SynthConfig(seed=1, journals=(JournalSpec("j", 5, 2000, 2003),))
+    gc.collect()
+    gc.disable()
+    try:
+        corpus = generate(config)
+        del corpus
+        assert gc.collect() == 0
+        corpus = generate(config)
+        assert corpus.paper("j-2001-0000").journal_id == "j"
+        assert len(corpus.author_papers) > 0
+        assert corpus.edges[0].citing_year > corpus.edges[0].cited_year
+        incoming = corpus.incoming_edges("j-2000-0000")
+        assert len(list(incoming)) == len(incoming)
+        del incoming
+        del corpus
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_loaded_reference_ids_share_one_object():
+    lines = [
+        json.dumps({"id": p, "journal": "j", "year": 2000 + i, "kind": "review",
+                    "authors": ["author-1"], "references": refs})
+        for i, (p, refs) in enumerate(
+            (("paper-a", []), ("paper-b", ["paper-a"]), ("paper-c", ["paper-a", "paper-b"]))
+        )
+    ]
+    corpus = load_corpus(io.StringIO("\n".join(lines)))
+    a, b, c = (corpus.paper(p) for p in ("paper-a", "paper-b", "paper-c"))
+    assert b.reference_ids[0] is c.reference_ids[0] is a.id
+    assert c.reference_ids[1] is b.id
+    assert a.author_ids[0] is b.author_ids[0] is c.author_ids[0]
+
+
+GOOD_JOURNAL = {"journal_id": "a", "articles_per_year": 3, "start_year": 2000, "end_year": 2003}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"articles_per_year": 2.5}, "articles_per_year must be an integer, got 2.5"),
+        ({"articles_per_year": True}, "articles_per_year must be an integer, got True"),
+        ({"articles_per_year": "3"}, "articles_per_year must be an integer"),
+        ({"start_year": 2000.0}, "start_year must be an integer"),
+        ({"end_year": False}, "end_year must be an integer"),
+        ({"quality_scale": True}, "quality_scale must be a number, got True"),
+        ({"quality_scale": "2"}, "quality_scale must be a number"),
+        ({"journal_id": 5}, "journal_id must be a nonempty string, got 5"),
+    ],
+)
+def test_synth_rejects_mistyped_journal_fields(tmp_path, capsys, change, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 1, "journals": [{**GOOD_JOURNAL, **change}]}))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"seed": 1.0}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"latent_mu": True}, "latent_mu must be a number"),
+        ({"zero_inflation": "0.3"}, "zero_inflation must be a number"),
+        ({"references_per_paper": None}, "references_per_paper must be a number"),
+        ({"half_life_years": float("inf")}, "half_life_years must be finite"),
+        ({"latent_sigma": float("nan")}, "latent_sigma must be finite"),
+    ],
+)
+def test_synth_rejects_mistyped_config_fields(tmp_path, capsys, change, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 1, "journals": [GOOD_JOURNAL], **change}))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_synth_config_numbers_take_ints_and_reject_non_objects(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "seed": 1,
+        "journals": [{**GOOD_JOURNAL, "quality_scale": 2}],
+        "references_per_paper": 3,
+        "half_life_years": 5,
+    }))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    for text, message in (("[1]", "expected a JSON object"), ("{", "invalid synth config")):
+        path.write_text(text)
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "bad")]) == 2
+        assert message in capsys.readouterr().err
