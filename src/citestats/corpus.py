@@ -173,7 +173,7 @@ def _records_from_columns(
         pid: PaperRecord(pid, journals[j], y, KIND_NAMES[k], names, tuple(refs[lo:hi]))
         for pid, j, y, k, names, lo, hi in zip(
             ids, journal_code.tolist(), year.tolist(), kind_code.tolist(), authors,
-            [0, *ends[:-1]], ends,
+            [0, *ends[:-1]], ends, strict=True,
         )
     }
 
