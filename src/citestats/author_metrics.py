@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import Corpus
-from .errors import InsufficientDataError, UnknownIdError
+from .errors import InsufficientDataError, UnknownIdError, UsageError
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +93,7 @@ def m_index(h: int, first_publication_year: int, evaluation_year: int) -> Fracti
     (elapsed + 1) would shift every m down slightly and is not used here.
     """
     if evaluation_year < first_publication_year:
-        raise ValueError(
+        raise UsageError(
             f"evaluation year {evaluation_year} precedes first publication "
             f"year {first_publication_year}"
         )
@@ -118,7 +118,7 @@ def citation_histogram(counts: Iterable[int], bucket_width: int = 1) -> Citation
     """Bucket per-paper counts by ``bucket_width`` (keys are bucket lower
     edges) and report the fraction of papers with at least h citations."""
     if bucket_width < 1:
-        raise ValueError("bucket_width must be >= 1")
+        raise UsageError("bucket_width must be >= 1")
     values = list(counts)
     h = h_index(values)
     buckets = Counter((c // bucket_width) * bucket_width for c in values)

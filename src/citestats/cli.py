@@ -26,12 +26,13 @@ from . import __version__
 from .author_metrics import author_record, citation_histogram, g_index, h_index, m_index
 from .compare import journal_distribution, mean, prob_at_least
 from .corpus import Corpus, load_corpus, validate, write_corpus
-from .errors import CitationStatsError, InsufficientDataError, UnknownIdError
+from .errors import CitationStatsError, InsufficientDataError, UnknownIdError, UsageError
 from .journal_metrics import (
     IFQuery,
     citation_age_profile,
     if_variability,
     impact_factor,
+    impact_factors,
     self_citation_fraction,
     window_coverage,
 )
@@ -109,8 +110,39 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for string-keyed values.
+
+    ``json`` uses its C encoder only without ``indent``; this recursion does
+    the indented layout itself and leaves the scalars to ``json``.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = ("," + inner).join([_json_text(item, inner) for item in value])
+        return "[" + inner + items + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = ("," + inner).join(
+            [
+                _json_string(key) + ": " + _json_text(item, inner)
+                for key, item in sorted(value.items())
+            ]
+        )
+        return "{" + inner + items + indent + "}"
+    return json.dumps(value)
+
+
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, _json_text(payload) + "\n")
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -207,7 +239,7 @@ def cmd_validate(args, argv) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "validation.json", report.to_dict())
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(_json_text(report.to_dict()))
     _write_manifest(out, argv, inputs=[Path(args.input)])
     return EXIT_OK
 
@@ -452,16 +484,6 @@ def cmd_replicate(args, argv) -> int:
     return EXIT_OK
 
 
-def _policy_if_lookup(corpus, census_year, window_w) -> dict:
-    lookup = {}
-    for journal_id in corpus.journal_papers:
-        result = impact_factor(
-            corpus, IFQuery(journal_id=journal_id, census_year=census_year, window_w=window_w)
-        )
-        lookup[journal_id] = result.value
-    return lookup
-
-
 def cmd_policy(args, argv) -> int:
     if args.rule in ("example2", "example3") and args.census_year is None:
         print(
@@ -481,7 +503,7 @@ def cmd_policy(args, argv) -> int:
         authors = args.author or sorted(corpus.author_papers)
         lookup = None
         if args.rule == "example3":
-            lookup = _policy_if_lookup(corpus, args.census_year, args.window)
+            lookup = impact_factors(corpus, args.census_year, args.window)
         for author_id in authors:
             if author_id not in corpus.author_papers:
                 raise UnknownIdError(f"unknown author {author_id!r}")
@@ -503,12 +525,23 @@ def cmd_policy(args, argv) -> int:
     out = Path(args.out)
     _write_text(out / "policy_scores.csv", text)
     print(text, end="")
+    # One cell per distinct points value, shared by the entries that hold it;
+    # the (numerator, denominator) key hashes faster than the Fraction.
+    cells: dict = {}
+
+    def shared_cell(points):
+        key = (points.numerator, points.denominator)
+        cell = cells.get(key)
+        if cell is None:
+            cell = cells[key] = _cell(points)
+        return cell
+
     payload = {
         "rule": args.rule,
         "scores": {
             s.subject_id: {
                 "score": _cell(s.score),
-                "breakdown": {pid: _cell(points) for pid, points in s.breakdown},
+                "breakdown": {pid: shared_cell(points) for pid, points in s.breakdown},
             }
             for s in scores
         },
@@ -801,14 +834,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, argv)
-    except CitationStatsError as exc:
-        print(f"citestats: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except UsageError as exc:
         # argument values that survive argparse but violate a query contract,
         # e.g. --window 0
         print(f"citestats: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CitationStatsError as exc:
+        print(f"citestats: error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except OSError as exc:
         print(f"citestats: error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -29,6 +29,13 @@ class UnknownIdError(CitationStatsError, LookupError):
     """A paper, journal or author id does not exist in the corpus."""
 
 
+class UsageError(CitationStatsError, ValueError):
+    """A query's arguments violate its contract, e.g. a window of 0 years.
+
+    The CLI reports it as a usage error (exit 1) rather than a data error.
+    """
+
+
 class InsufficientDataError(CitationStatsError):
     """A statistic's preconditions are not met by the data at hand."""
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .corpus import KIND_CODES, SUBSTANTIVE_CODES, YEAR_MIN, Corpus
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, UsageError
 
 DENOMINATOR_POLICIES = ("substantive-only", "all-items")
 SELF_CITATION_POLICIES = ("include", "exclude-same-journal")
@@ -43,16 +43,16 @@ class IFQuery:
 
     def __post_init__(self):
         if self.window_w < 1:
-            raise ValueError("window_w must be >= 1")
+            raise UsageError("window_w must be >= 1")
         if self.census_year - self.window_w < YEAR_MIN:
-            raise ValueError(
+            raise UsageError(
                 f"window would start before {YEAR_MIN} "
                 f"(census_year={self.census_year}, window_w={self.window_w})"
             )
         if self.denominator_policy not in DENOMINATOR_POLICIES:
-            raise ValueError(f"unknown denominator policy {self.denominator_policy!r}")
+            raise UsageError(f"unknown denominator policy {self.denominator_policy!r}")
         if self.self_citation_policy not in SELF_CITATION_POLICIES:
-            raise ValueError(
+            raise UsageError(
                 f"unknown self-citation policy {self.self_citation_policy!r}"
             )
 
@@ -116,6 +116,31 @@ def impact_factor(corpus: Corpus, query: IFQuery) -> IFResult:
     )
 
 
+def impact_factors(
+    corpus: Corpus,
+    census_year: int,
+    window_w: int = 2,
+    *,
+    denominator_policy: str = DEFAULT_DENOMINATOR_POLICY,
+    self_citation_policy: str = DEFAULT_SELF_CITATION_POLICY,
+) -> dict[str, Fraction | None]:
+    """Impact factor of every corpus journal, by journal id in sorted order;
+    ``None`` where it is undefined."""
+    return {
+        journal_id: impact_factor(
+            corpus,
+            IFQuery(
+                journal_id=journal_id,
+                census_year=census_year,
+                window_w=window_w,
+                denominator_policy=denominator_policy,
+                self_citation_policy=self_citation_policy,
+            ),
+        ).value
+        for journal_id in sorted(corpus.journal_papers)
+    }
+
+
 def citation_age_profile(
     corpus: Corpus, census_year: int, journal_id: str | None = None
 ) -> Counter:
@@ -144,7 +169,7 @@ def window_coverage(
     """Fraction of the journal's census-year citations whose cited year falls
     inside the impact-factor window; ``None`` when it receives none."""
     if window_w < 1:
-        raise ValueError("window_w must be >= 1")
+        raise UsageError("window_w must be >= 1")
     _, rows = corpus.journal_rows(journal_id)
     owner, citing = corpus.incoming(rows)
     cited_years = corpus.year[rows][owner[corpus.year[citing] == census_year]]
@@ -244,7 +269,7 @@ def self_citation_fraction(
     paper) are considered.  ``None`` when no citations qualify.
     """
     if window_w is not None and window_w < 1:
-        raise ValueError("window_w must be >= 1")
+        raise UsageError("window_w must be >= 1")
     code, rows = corpus.journal_rows(journal_id)
     owner, citing = corpus.incoming(rows)
     if window_w is not None:

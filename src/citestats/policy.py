@@ -21,8 +21,8 @@ from .errors import InsufficientDataError, PolicyError
 from .journal_metrics import (
     DEFAULT_DENOMINATOR_POLICY,
     DEFAULT_SELF_CITATION_POLICY,
-    IFQuery,
-    impact_factor,
+    impact_factor,  # noqa: F401  kept importable as policy.impact_factor
+    impact_factors,
 )
 
 TIER_NAMES = ("top", "middle", "bottom")
@@ -71,21 +71,18 @@ def build_tiers(
     """
     defined: list[tuple[str, Fraction]] = []
     unindexed: list[str] = []
-    for journal_id in sorted(corpus.journal_papers):
-        result = impact_factor(
-            corpus,
-            IFQuery(
-                journal_id=journal_id,
-                census_year=census_year,
-                window_w=window_w,
-                denominator_policy=denominator_policy,
-                self_citation_policy=self_citation_policy,
-            ),
-        )
-        if result.is_defined:
-            defined.append((journal_id, result.value))
-        else:
+    values = impact_factors(
+        corpus,
+        census_year,
+        window_w,
+        denominator_policy=denominator_policy,
+        self_citation_policy=self_citation_policy,
+    )
+    for journal_id, value in values.items():
+        if value is None:
             unindexed.append(journal_id)
+        else:
+            defined.append((journal_id, value))
     if len(defined) < 3:
         raise InsufficientDataError(
             f"tier table needs >= 3 journals with defined impact factors, "
@@ -120,18 +117,32 @@ class PolicyScore:
     breakdown: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
-        total = sum((points for _, points in self.breakdown), Fraction(0))
+        total = _exact_sum(points for _, points in self.breakdown)
         if total != self.score:
             raise ValueError(
                 f"score {self.score} does not equal breakdown sum {total}"
             )
 
 
+def _exact_sum(values: Iterable[Fraction | int]) -> Fraction:
+    """Exact sum over one common denominator, normalized once.
+
+    Chained ``Fraction`` additions reduce by a gcd at every step; summing the
+    numerators scaled to the lcm of the denominators reduces only at the end.
+    """
+    values = list(values)
+    denominator = math.lcm(*(value.denominator for value in values))
+    return Fraction(
+        sum(value.numerator * (denominator // value.denominator) for value in values),
+        denominator,
+    )
+
+
 def _score(subject_id: str, rule: str, breakdown: list[tuple[str, Fraction]]) -> PolicyScore:
     return PolicyScore(
         subject_id=subject_id,
         rule=rule,
-        score=sum((points for _, points in breakdown), Fraction(0)),
+        score=_exact_sum(points for _, points in breakdown),
         breakdown=tuple(breakdown),
     )
 
@@ -195,9 +206,7 @@ def score_example3(
             raise PolicyError(
                 f"journal {paper.journal_id!r} has no defined impact factor"
             )
-        breakdown.append(
-            (paper.id, Fraction(1, len(paper.author_ids)) * Fraction(value))
-        )
+        breakdown.append((paper.id, Fraction(value) / len(paper.author_ids)))
     return _score(subject_id, "example3", breakdown)
 
 

@@ -4,13 +4,16 @@ These are the per-edge loops the library used before the columnar index:
 each walks :class:`CitationEdge` objects from the corpus's lazy edge views.
 They are slow and obviously correct, and the property tests compare the
 numpy implementations with them.  ``divergence_pairs`` is the O(n^2)
-pair loop that ``policy.divergence`` ran before Knight's algorithm, and
+pair loop that ``policy.divergence`` ran before Knight's algorithm,
 ``generate`` is the synthetic generator that built string ids, reference
-tuples and records before ``synth.generate`` built columns.
+tuples and records before ``synth.generate`` built columns, and
+``score_example3`` is the chained-``Fraction`` scoring that
+``policy.score_example3`` did before it summed over one common denominator.
 """
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from citestats.corpus import Corpus, PaperRecord, ValidationReport
 from citestats.errors import PolicyError, SynthConfigError, UnknownIdError
 from citestats.journal_metrics import IFResult
-from citestats.policy import DivergenceResult
+from citestats.policy import DivergenceResult, PolicyScore
 from citestats.synth import SynthConfig, _rng
 
 
@@ -155,6 +158,37 @@ def divergence_pairs(ranking_a, ranking_b):
         discordant_pairs=discordant,
         n_subjects=n,
     )
+
+
+def _score(subject_id: str, rule: str, breakdown: list[tuple[str, Fraction]]) -> PolicyScore:
+    return PolicyScore(
+        subject_id=subject_id,
+        rule=rule,
+        score=sum((points for _, points in breakdown), Fraction(0)),
+        breakdown=tuple(breakdown),
+    )
+
+
+def score_example3(
+    papers: Iterable[PaperRecord],
+    impact_factors: Mapping[str, Fraction | None],
+    subject_id: str = "paper-set",
+) -> PolicyScore:
+    """Author-share-weighted impact factors: each paper contributes
+    ``(1 / author count) * IF(journal)``."""
+    breakdown = []
+    for paper in papers:
+        if not paper.author_ids:
+            raise PolicyError(f"paper {paper.id!r} has no authors")
+        value = impact_factors.get(paper.journal_id)
+        if value is None:
+            raise PolicyError(
+                f"journal {paper.journal_id!r} has no defined impact factor"
+            )
+        breakdown.append(
+            (paper.id, Fraction(1, len(paper.author_ids)) * Fraction(value))
+        )
+    return _score(subject_id, "example3", breakdown)
 
 
 def tied_pairs(values):

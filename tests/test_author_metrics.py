@@ -8,6 +8,7 @@ import pytest
 from citestats import (
     InsufficientDataError,
     UnknownIdError,
+    UsageError,
     author_record,
     citation_histogram,
     g_index,
@@ -180,7 +181,7 @@ class TestMIndex:
         assert m_index(3, 2005, 2005) == 3
 
     def test_evaluation_before_first_paper(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             m_index(3, 2005, 2004)
 
     def test_exact_fraction(self):
@@ -215,5 +216,5 @@ class TestCitationHistogram:
         assert hist.tail_fraction is None
 
     def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             citation_histogram([1], bucket_width=0)

@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import citestats
-from citestats import corpus_to_jsonl
+from citestats import cli, corpus_to_jsonl
 from citestats.cli import main
 
 from conftest import build_corpus, rec
@@ -74,6 +76,44 @@ class TestExitCodes:
             "'bogus' (choose from 'substantive', 'all')\n"
         )
 
+    def test_invalid_policy_window_is_usage_error(self, capsys, if_fixture_path, tmp_path):
+        code = main(
+            [
+                "policy",
+                "--input", str(if_fixture_path),
+                "--rule", "example3",
+                "--census-year", "2007",
+                "--window", "0",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "window_w" in capsys.readouterr().err
+
+    def test_evaluation_year_before_first_paper_is_usage_error(
+        self, capsys, if_fixture_path, tmp_path
+    ):
+        code = main(
+            [
+                "author-index",
+                "--input", str(if_fixture_path),
+                "--evaluation-year", "2004",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "evaluation year 2004" in capsys.readouterr().err
+
+    def test_stray_value_error_is_not_a_usage_error(
+        self, monkeypatch, if_fixture_path, tmp_path
+    ):
+        def broken(args, argv):
+            raise ValueError("a bug, not a usage error")
+
+        monkeypatch.setattr(cli, "cmd_validate", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["validate", "--input", str(if_fixture_path), "--out", str(tmp_path)])
+
     def test_missing_input_file_is_data_error(self, capsys, tmp_path):
         code = main(
             ["validate", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)]
@@ -121,7 +161,9 @@ class TestValidate:
         assert payload["unresolved_references"] == 0
         assert payload["negative_age_edges"] == 0
         assert payload["papers_without_authors"] == 0
-        assert '"edge_count": 6' in capsys.readouterr().out
+        stdout = capsys.readouterr().out
+        assert stdout == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert '"edge_count": 6' in stdout
 
 
 class TestIngest:
@@ -369,6 +411,36 @@ class TestPolicy:
         assert "divergence_vs_citation_counts" in payload
         # alice: p1 solo (IF 1) + p2 half (IF 1) = 1.5; bob: 0.5 + 1 = 1.5
         assert payload["scores"]["alice"]["score"]["exact"] == "3/2"
+        assert payload["scores"]["alice"]["breakdown"] == {
+            "p1": {"exact": "1/1", "decimal": "1.0000"},
+            "p2": {"exact": "1/2", "decimal": "0.5000"},
+        }
+        assert payload["scores"]["bob"]["breakdown"] == {
+            "p2": {"exact": "1/2", "decimal": "0.5000"},
+            "p3": {"exact": "1/1", "decimal": "1.0000"},
+        }
+
+    def test_example3_breakdown_cell_per_value(self, tmp_path):
+        # IF(j1) = 1/1 and IF(j2) = 4/2: two shares with one denominator
+        corpus = build_corpus(
+            rec("p1", journal="j1", year=2006, authors=("alice",)),
+            rec("p2", journal="j2", year=2006, authors=("alice",)),
+            rec("p3", journal="j2", year=2006, authors=("alice", "bob")),
+            rec("c1", journal="src", year=2007, refs=("p1", "p2", "p3")),
+            rec("c2", journal="src", year=2007, refs=("p2", "p3")),
+        )
+        path = tmp_path / "c.jsonl"
+        path.write_text(corpus_to_jsonl(corpus))
+        out = tmp_path / "out"
+        argv = ["policy", "--input", str(path), "--rule", "example3", "--census-year", "2007"]
+        code = main([*argv, "--author", "alice", "--author", "bob", "--out", str(out)])
+        assert code == 0
+        payload = json.loads((out / "policy_breakdown.json").read_text())
+        one = {"exact": "1/1", "decimal": "1.0000"}
+        two = {"exact": "2/1", "decimal": "2.0000"}
+        assert payload["scores"]["alice"]["breakdown"] == {"p1": one, "p2": two, "p3": one}
+        assert payload["scores"]["alice"]["score"] == {"exact": "4/1", "decimal": "4.0000"}
+        assert payload["scores"]["bob"]["breakdown"] == {"p3": one}
 
     def test_example2_five_papers(self, tmp_path):
         records = []
@@ -398,6 +470,39 @@ class TestPolicy:
         assert row["subject"] == "candidate"
         # 3 + 2 + 1 + 3 + 3 (five-* sit in the top-tier journal)
         assert float(row["score"]) == 12.0
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**200) | st.integers(max_value=-(2**200)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=0x1F) | st.sampled_from('"\\/\x7f')),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=500, deadline=None)
+    @given(JSON_VALUES)
+    @example({"b": [1, {"a": ()}, {}], "a": "é\u2028\U0001f600\"\\\n\x00"})
+    @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 10**40, True, None])
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_unserializable_value_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            cli._json_text({"a": {1, 2}})
 
 
 class TestReport:

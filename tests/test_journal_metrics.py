@@ -11,9 +11,11 @@ from citestats import (
     IFQuery,
     InsufficientDataError,
     UnknownIdError,
+    UsageError,
     citation_age_profile,
     if_variability,
     impact_factor,
+    impact_factors,
     self_citation_fraction,
     window_coverage,
 )
@@ -27,15 +29,15 @@ class TestIFQuery:
         assert list(query.window_years) == [2005, 2006]
 
     def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             IFQuery("jnl-a", census_year=2007, window_w=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             IFQuery("jnl-a", census_year=1801, window_w=5)
 
     def test_rejects_unknown_policies(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             IFQuery("jnl-a", 2007, denominator_policy="whatever")
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError):
             IFQuery("jnl-a", 2007, self_citation_policy="whatever")
 
 
@@ -180,6 +182,30 @@ def _random_two_journal_corpus(rng):
     return build_corpus(*records)
 
 
+class TestImpactFactors:
+    @pytest.mark.parametrize("denominator_policy", ["substantive-only", "all-items"])
+    @pytest.mark.parametrize("self_citation_policy", ["include", "exclude-same-journal"])
+    def test_matches_one_query_per_journal(
+        self, editorial_corpus, denominator_policy, self_citation_policy
+    ):
+        values = impact_factors(
+            editorial_corpus,
+            2007,
+            2,
+            denominator_policy=denominator_policy,
+            self_citation_policy=self_citation_policy,
+        )
+        assert list(values) == ["jnl-m", "jnl-x"]
+        for journal_id, value in values.items():
+            query = IFQuery(journal_id, 2007, 2, denominator_policy, self_citation_policy)
+            assert value == impact_factor(editorial_corpus, query).value
+        assert values["jnl-x"] is None
+
+    def test_bad_window_is_a_usage_error(self, if_fixture_corpus):
+        with pytest.raises(UsageError, match="window_w"):
+            impact_factors(if_fixture_corpus, 2007, 0)
+
+
 class TestCitationAgeProfile:
     def test_single_bucket(self):
         corpus = build_corpus(
@@ -259,6 +285,10 @@ class TestWindowCoverage:
                 previous = coverage
             # every cited year lies in 2000..2006, spanned by w = 7
             assert window_coverage(corpus, "jnl-a", 2007, 7) == 1
+
+    def test_bad_window_is_a_usage_error(self, if_fixture_corpus):
+        with pytest.raises(UsageError, match="window_w"):
+            window_coverage(if_fixture_corpus, "jnl-a", 2007, 0)
 
     def test_no_received_citations_is_undefined(self):
         corpus = build_corpus(rec("a", journal="jnl-a", year=2006))
@@ -363,3 +393,7 @@ class TestSelfCitationFraction:
     def test_no_received_citations_is_undefined(self):
         corpus = build_corpus(rec("a", journal="jnl-a", year=2000))
         assert self_citation_fraction(corpus, "jnl-a") is None
+
+    def test_bad_window_is_a_usage_error(self, if_fixture_corpus):
+        with pytest.raises(UsageError, match="window_w"):
+            self_citation_fraction(if_fixture_corpus, "jnl-a", window_w=0)

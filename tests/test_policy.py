@@ -18,6 +18,7 @@ from citestats import (
     score_example2,
     score_example3,
 )
+from citestats.policy import _exact_sum
 
 import reference_metrics as ref
 from conftest import build_corpus, rec
@@ -204,6 +205,72 @@ class TestPolicyScoreInvariant:
                 score=Fraction(5),
                 breakdown=(("p1", Fraction(1)),),
             )
+
+    def test_int_point_breakdown(self):
+        breakdown = (("p1", 15), ("p2", 10), ("p3", 0))
+        assert PolicyScore("s", "example1", Fraction(25), breakdown).score == 25
+        with pytest.raises(ValueError, match="breakdown sum 25"):
+            PolicyScore("s", "example1", Fraction(24), breakdown)
+
+    def test_mismatched_multi_entry_breakdown(self):
+        # 1/4 + 1/6 + 1/3 = 3/4 over the lcm 12; scaling to the largest
+        # denominator, 6, instead would give 2/3
+        breakdown = (("p1", Fraction(1, 4)), ("p2", Fraction(1, 6)), ("p3", Fraction(1, 3)))
+        assert PolicyScore("s", "example3", Fraction(3, 4), breakdown).score == Fraction(3, 4)
+        with pytest.raises(ValueError, match="breakdown sum 3/4$"):
+            PolicyScore("s", "example3", Fraction(2, 3), breakdown)
+        with pytest.raises(ValueError, match="breakdown sum 5/12$"):
+            PolicyScore("s", "example3", Fraction(3, 4), breakdown[:2])
+
+
+POINTS = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(POINTS, max_size=30))
+def test_exact_sum_matches_chained_fraction_sum(values):
+    total = _exact_sum(values)
+    assert isinstance(total, Fraction)
+    assert total == sum(values, Fraction(0))
+
+
+@st.composite
+def example3_cases(draw):
+    """Papers with 1-6 authors over journals whose IFs are ints or Fractions
+    with varied denominators."""
+    impact_factors = {
+        f"j{i}": draw(
+            st.one_of(
+                st.integers(0, 50),
+                st.fractions(min_value=0, max_value=50, max_denominator=997),
+            )
+        )
+        for i in range(draw(st.integers(1, 8)))
+    }
+    papers = [
+        rec(
+            f"p{i}",
+            journal=draw(st.sampled_from(sorted(impact_factors))),
+            authors=[f"a{k}" for k in range(draw(st.integers(1, 6)))],
+        )
+        for i in range(draw(st.integers(0, 25)))
+    ]
+    return papers, impact_factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(example3_cases())
+def test_score_example3_matches_fraction_loop(case):
+    papers, impact_factors = case
+    result = score_example3(papers, impact_factors, subject_id="s")
+    expected = ref.score_example3(papers, impact_factors, subject_id="s")
+    assert result == expected
+    assert result.score == expected.score
+    assert result.breakdown == expected.breakdown
+    assert all(type(points) is Fraction for _, points in result.breakdown)
 
 
 class TestDivergence:
