@@ -69,8 +69,6 @@ def build_tiers(
     Tier sizes differ by at most one; when the count is not divisible by
     three the better tiers take the extra journals.
     """
-    defined: list[tuple[str, Fraction]] = []
-    unindexed: list[str] = []
     values = impact_factors(
         corpus,
         census_year,
@@ -78,11 +76,8 @@ def build_tiers(
         denominator_policy=denominator_policy,
         self_citation_policy=self_citation_policy,
     )
-    for journal_id, value in values.items():
-        if value is None:
-            unindexed.append(journal_id)
-        else:
-            defined.append((journal_id, value))
+    defined = [(journal_id, value) for journal_id, value in values.items() if value is not None]
+    unindexed = [journal_id for journal_id, value in values.items() if value is None]
     if len(defined) < 3:
         raise InsufficientDataError(
             f"tier table needs >= 3 journals with defined impact factors, "
