@@ -17,7 +17,7 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -65,44 +65,8 @@ _POLICY_MAP = {"substantive": "substantive-only", "all": "all-items"}
 _SELF_MAP = {"include": "include", "exclude": "exclude-same-journal"}
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record emitted with every report."""
-
-    command: tuple[str, ...]
-    input_digests: dict[str, str]
-    seeds: tuple[int, ...]
-    tool_version: str
-    timestamp: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": list(self.command),
-            "inputs": dict(sorted(self.input_digests.items())),
-            "seeds": list(self.seeds),
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(
-    out_dir: Path,
-    argv: Sequence[str],
-    inputs: Sequence[Path] = (),
-    seeds: Sequence[int] = (),
-) -> None:
-    manifest = RunManifest(
-        command=("citestats", *argv),
-        input_digests={str(p): _sha256(Path(p)) for p in inputs},
-        seeds=tuple(seeds),
-        tool_version=__version__,
-        timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    )
-    _write_text(out_dir / "manifest.json", json.dumps(manifest.to_dict(), indent=2) + "\n")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -141,8 +105,24 @@ def _json_text(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _write_json(path: Path, payload) -> None:
-    _write_text(path, _json_text(payload) + "\n")
+def _finish(args, argv: Sequence[str], files: dict, stdout: str = "", seeds=()) -> int:
+    """Write ``files`` (name -> CSV text, or a payload written as indented
+    JSON) under ``--out`` and print ``stdout``; then write the run manifest,
+    which digests the file read: ``--input`` or ``--config``."""
+    out = Path(args.out)
+    for name, content in files.items():
+        _write_text(out / name, content if isinstance(content, str) else _json_text(content) + "\n")
+    print(stdout, end="")
+    source = getattr(args, "input", None) or getattr(args, "config", None)
+    manifest = {  # the reproducibility record
+        "command": ["citestats", *argv],
+        "inputs": {str(Path(source)): _sha256(Path(source))} if source else {},
+        "seeds": list(seeds),
+        "tool_version": __version__,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
+    _write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    return EXIT_OK
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -172,6 +152,11 @@ def _cell(value) -> dict:
     return {"exact": _exact(value), "decimal": _fmt(value)}
 
 
+def _comparison_cells(result) -> dict:
+    names = ("p_greater", "p_equal", "p_at_least", "mean_a", "mean_b")
+    return {name: _cell(getattr(result, name)) for name in names}
+
+
 def _year_span(text: str) -> range:
     """Parse 'lo:hi' (inclusive) or a single year into a range."""
     parts = text.split(":")
@@ -199,6 +184,10 @@ def _safe_name(identifier: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in identifier)
 
 
+def _age_profile_csv(profile) -> str:
+    return _csv_text(("age", "citations"), [(age, profile[age]) for age in sorted(profile)])
+
+
 def _load(args) -> Corpus:
     return load_corpus(args.input, strict=args.strict)
 
@@ -224,80 +213,40 @@ def cmd_ingest(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_corpus(corpus, out / "corpus.jsonl")
     report = validate(corpus)
-    _write_json(out / "summary.json", report.to_dict())
-    print(
+    return _finish(args, argv, {"summary.json": report.to_dict()}, (
         f"ingested {report.paper_count} papers, {report.edge_count} edges, "
-        f"{report.unresolved_references} unresolved references -> {out / 'corpus.jsonl'}"
-    )
-    _write_manifest(out, argv, inputs=[Path(args.input)])
-    return EXIT_OK
+        f"{report.unresolved_references} unresolved references -> {out / 'corpus.jsonl'}\n"
+    ))
 
 
 def cmd_validate(args, argv) -> int:
-    corpus = _load(args)
-    report = validate(corpus)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "validation.json", report.to_dict())
-    print(_json_text(report.to_dict()))
-    _write_manifest(out, argv, inputs=[Path(args.input)])
-    return EXIT_OK
+    summary = validate(_load(args)).to_dict()
+    return _finish(args, argv, {"validation.json": summary}, _json_text(summary) + "\n")
 
 
 def cmd_journal_if(args, argv) -> int:
     corpus = _load(args)
     journals = args.journal or sorted(corpus.journal_papers)
     header = (
-        "journal_id",
-        "census_year",
-        "window_w",
-        "numerator",
-        "denominator",
-        "value",
-        "denominator_policy",
-        "self_citation_policy",
+        "journal_id", "census_year", "window_w", "numerator", "denominator", "value",
+        "denominator_policy", "self_citation_policy",
     )
     rows = []
     for journal_id in journals:
-        result = impact_factor(
-            corpus,
-            IFQuery(
-                journal_id=journal_id,
-                census_year=args.census_year,
-                window_w=args.window,
-                denominator_policy=args.denominator,
-                self_citation_policy=args.self_cites,
-            ),
-        )
-        rows.append(
-            (
-                journal_id,
-                args.census_year,
-                args.window,
-                result.numerator,
-                result.denominator,
-                _fmt(result.value),
-                args.denominator,
-                args.self_cites,
-            )
-        )
+        query = IFQuery(journal_id, args.census_year, args.window, args.denominator, args.self_cites)
+        result = impact_factor(corpus, query)
+        rows.append((
+            journal_id, args.census_year, args.window, result.numerator, result.denominator,
+            _fmt(result.value), args.denominator, args.self_cites,
+        ))
     text = _csv_text(header, rows)
-    out = Path(args.out)
-    _write_text(out / "journal_if.csv", text)
-    print(text, end="")
-    _write_manifest(out, argv, inputs=[Path(args.input)])
-    return EXIT_OK
+    return _finish(args, argv, {"journal_if.csv": text}, text)
 
 
 def cmd_journal_profile(args, argv) -> int:
     corpus = _load(args)
     profile = citation_age_profile(corpus, args.census_year, args.journal)
-    text = _csv_text(
-        ("age", "citations"), [(age, profile[age]) for age in sorted(profile)]
-    )
-    out = Path(args.out)
-    _write_text(out / "age_profile.csv", text)
-    print(text, end="")
+    text = _age_profile_csv(profile)
     summary: dict = {
         "census_year": args.census_year,
         "journal": args.journal,
@@ -311,9 +260,7 @@ def cmd_journal_profile(args, argv) -> int:
         summary["self_citation_fraction"] = _cell(
             self_citation_fraction(corpus, args.journal)
         )
-    _write_json(out / "journal_profile.json", summary)
-    _write_manifest(out, argv, inputs=[Path(args.input)])
-    return EXIT_OK
+    return _finish(args, argv, {"age_profile.csv": text, "journal_profile.json": summary}, text)
 
 
 def cmd_author_index(args, argv) -> int:
@@ -321,19 +268,11 @@ def cmd_author_index(args, argv) -> int:
     authors = args.author or sorted(corpus.author_papers)
     evaluation_year = args.evaluation_year
     if evaluation_year is None:
-        if not corpus.papers:
+        if not len(corpus):
             raise CitationStatsError("empty corpus: pass --evaluation-year explicitly")
-        evaluation_year = max(p.year for p in corpus.papers.values())
+        evaluation_year = int(corpus.year.max())
     citing_years = args.citing_years
-    header = (
-        "author_id",
-        "papers",
-        "total_citations",
-        "h",
-        "g",
-        "m",
-        "tail_fraction",
-    )
+    header = ("author_id", "papers", "total_citations", "h", "g", "m", "tail_fraction")
     rows = []
     histograms = {}
     for author_id in authors:
@@ -342,17 +281,10 @@ def cmd_author_index(args, argv) -> int:
         g = g_index(record.counts)
         m = m_index(h, record.first_publication_year, evaluation_year)
         hist = citation_histogram(record.counts)
-        rows.append(
-            (
-                author_id,
-                len(record.counts),
-                sum(record.counts),
-                h,
-                g,
-                _fmt(m),
-                _fmt(hist.tail_fraction),
-            )
-        )
+        rows.append((
+            author_id, len(record.counts), sum(record.counts), h, g, _fmt(m),
+            _fmt(hist.tail_fraction),
+        ))
         if args.histograms:
             histograms[author_id] = {
                 "buckets": {str(k): v for k, v in hist.buckets.items()},
@@ -360,13 +292,10 @@ def cmd_author_index(args, argv) -> int:
                 "tail_fraction": _cell(hist.tail_fraction),
             }
     text = _csv_text(header, rows)
-    out = Path(args.out)
-    _write_text(out / "authors.csv", text)
-    print(text, end="")
+    files = {"authors.csv": text}
     if args.histograms:
-        _write_json(out / "author_histograms.json", histograms)
-    _write_manifest(out, argv, inputs=[Path(args.input)])
-    return EXIT_OK
+        files["author_histograms.json"] = histograms
+    return _finish(args, argv, files, text)
 
 
 def cmd_compare(args, argv) -> int:
@@ -389,24 +318,16 @@ def cmd_compare(args, argv) -> int:
         f"mean B    = {_fmt(result.mean_b)}   [{args.journal_b}]",
         f"mean B/A  = {_fmt(ratio)}",
     ]
-    print("\n".join(lines))
     payload = {
         "journal_a": args.journal_a,
         "journal_b": args.journal_b,
         "publication_years": [args.pub_years[0], args.pub_years[-1]],
         "citing_years": [args.citing_years[0], args.citing_years[-1]],
-        "p_greater": _cell(result.p_greater),
-        "p_equal": _cell(result.p_equal),
-        "p_at_least": _cell(result.p_at_least),
-        "mean_a": _cell(result.mean_a),
-        "mean_b": _cell(result.mean_b),
+        **_comparison_cells(result),
         "histogram_a": {str(k): v for k, v in dist_a.histogram.items()},
         "histogram_b": {str(k): v for k, v in dist_b.histogram.items()},
     }
-    out = Path(args.out)
-    _write_json(out / "comparison.json", payload)
-    _write_manifest(out, argv, inputs=[Path(args.input)])
-    return EXIT_OK
+    return _finish(args, argv, {"comparison.json": payload}, "\n".join(lines) + "\n")
 
 
 def cmd_synth(args, argv) -> int:
@@ -415,14 +336,11 @@ def cmd_synth(args, argv) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_corpus(corpus, out / "corpus.jsonl")
-    _write_text(out / "synth_config.json", config_to_json(config))
-    print(
+    stdout = (
         f"generated {len(corpus)} papers, {len(corpus.edges)} edges "
-        f"(seed {config.seed}) -> {out / 'corpus.jsonl'}"
+        f"(seed {config.seed}) -> {out / 'corpus.jsonl'}\n"
     )
-    inputs = [Path(args.config)] if args.config else []
-    _write_manifest(out, argv, inputs=inputs, seeds=[config.seed])
-    return EXIT_OK
+    return _finish(args, argv, {"synth_config.json": config_to_json(config)}, stdout, [config.seed])
 
 
 def cmd_replicate(args, argv) -> int:
@@ -430,13 +348,8 @@ def cmd_replicate(args, argv) -> int:
     census = args.census_years
     runs = replicate(config, args.runs, census[0], census[-1], args.window)
     header = (
-        "run_index",
-        "seed",
-        "journal_id",
-        "pairs_used",
-        "zero_base_pairs_skipped",
-        "undefined_pairs_skipped",
-        "mean_abs_relative_change",
+        "run_index", "seed", "journal_id", "pairs_used", "zero_base_pairs_skipped",
+        "undefined_pairs_skipped", "mean_abs_relative_change",
     )
     rows = []
     payload_runs = []
@@ -448,17 +361,11 @@ def cmd_replicate(args, argv) -> int:
                 rows.append((run.run_index, run.seed, journal_id, 0, 0, 0, "NA"))
                 run_payload["journals"][journal_id] = None
                 continue
-            rows.append(
-                (
-                    run.run_index,
-                    run.seed,
-                    journal_id,
-                    summary.pairs_used,
-                    summary.zero_base_pairs_skipped,
-                    summary.undefined_pairs_skipped,
-                    _fmt(summary.mean_abs_relative_change),
-                )
-            )
+            rows.append((
+                run.run_index, run.seed, journal_id, summary.pairs_used,
+                summary.zero_base_pairs_skipped, summary.undefined_pairs_skipped,
+                _fmt(summary.mean_abs_relative_change),
+            ))
             run_payload["journals"][journal_id] = {
                 "mean_abs_relative_change": _cell(summary.mean_abs_relative_change),
                 "impact_factors": {
@@ -468,20 +375,9 @@ def cmd_replicate(args, argv) -> int:
             }
         payload_runs.append(run_payload)
     text = _csv_text(header, rows)
-    out = Path(args.out)
-    _write_text(out / "replicate.csv", text)
-    _write_json(
-        out / "replicate.json",
-        {
-            "census_years": [census[0], census[-1]],
-            "window_w": args.window,
-            "runs": payload_runs,
-        },
-    )
-    print(text, end="")
-    inputs = [Path(args.config)] if args.config else []
-    _write_manifest(out, argv, inputs=inputs, seeds=[config.seed])
-    return EXIT_OK
+    payload = {"census_years": [census[0], census[-1]], "window_w": args.window, "runs": payload_runs}
+    files = {"replicate.csv": text, "replicate.json": payload}
+    return _finish(args, argv, files, text, [config.seed])
 
 
 def cmd_policy(args, argv) -> int:
@@ -521,10 +417,8 @@ def cmd_policy(args, argv) -> int:
                 scores.append(score_example3(papers, lookup, subject_id=author_id))
     header = ("subject", "rule", "score")
     rows = [(s.subject_id, s.rule, _fmt(s.score)) for s in scores]
-    text = _csv_text(header, rows)
-    out = Path(args.out)
-    _write_text(out / "policy_scores.csv", text)
-    print(text, end="")
+    stdout = _csv_text(header, rows)
+    files = {"policy_scores.csv": stdout}
     # One cell per distinct points value, shared by the entries that hold it;
     # the (numerator, denominator) key hashes faster than the Fraction.
     cells: dict = {}
@@ -562,16 +456,14 @@ def cmd_policy(args, argv) -> int:
             "discordant_fraction": _cell(result.discordant_fraction),
             "n_subjects": result.n_subjects,
         }
-        print(f"kendall_tau_vs_citations = {_fmt(result.kendall_tau)}")
-    _write_json(out / "policy_breakdown.json", payload)
-    _write_manifest(out, argv, inputs=[Path(args.input)])
-    return EXIT_OK
+        stdout += f"kendall_tau_vs_citations = {_fmt(result.kendall_tau)}\n"
+    files["policy_breakdown.json"] = payload
+    return _finish(args, argv, files, stdout)
 
 
 def cmd_report(args, argv) -> int:
     corpus = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    files: dict = {}
     census = args.census_year
     var_years = args.variability_years or range(census - 4, census + 1)
 
@@ -612,10 +504,7 @@ def cmd_report(args, argv) -> int:
             variability_cell = "NA"
         journal_sections[journal_id] = section
         profile = citation_age_profile(corpus, census, journal_id)
-        _write_text(
-            out / f"age_profile_{_safe_name(journal_id)}.csv",
-            _csv_text(("age", "citations"), [(a, profile[a]) for a in sorted(profile)]),
-        )
+        files[f"age_profile_{_safe_name(journal_id)}.csv"] = _age_profile_csv(profile)
         csv_rows.append(
             (
                 journal_id,
@@ -637,26 +526,11 @@ def cmd_report(args, argv) -> int:
         dist_b = journal_distribution(corpus, journal_b, pub_years, citing_years)
         result = prob_at_least(dist_a, dist_b)
         pair_sections.append(
-            {
-                "journal_a": journal_a,
-                "journal_b": journal_b,
-                "p_greater": _cell(result.p_greater),
-                "p_equal": _cell(result.p_equal),
-                "p_at_least": _cell(result.p_at_least),
-                "mean_a": _cell(result.mean_a),
-                "mean_b": _cell(result.mean_b),
-            }
+            {"journal_a": journal_a, "journal_b": journal_b, **_comparison_cells(result)}
         )
         for name, dist in ((journal_a, dist_a), (journal_b, dist_b)):
-            _write_text(
-                out
-                / f"dist_{_safe_name(journal_a)}__vs__{_safe_name(journal_b)}"
-                f"__{_safe_name(name)}.csv",
-                _csv_text(
-                    ("citations", "articles"),
-                    [(v, n) for v, n in dist.histogram.items()],
-                ),
-            )
+            stem = f"{_safe_name(journal_a)}__vs__{_safe_name(journal_b)}__{_safe_name(name)}"
+            files[f"dist_{stem}.csv"] = _csv_text(("citations", "articles"), dist.histogram.items())
 
     report = {
         "census_year": census,
@@ -664,28 +538,17 @@ def cmd_report(args, argv) -> int:
         "journals": journal_sections,
         "pairs": pair_sections,
     }
-    _write_json(out / "report.json", report)
-    _write_text(
-        out / "journals.csv",
-        _csv_text(
-            (
-                "journal_id",
-                "if_w2",
-                "if_w5",
-                "if_w10",
-                "coverage_w2",
-                "variability",
-                "self_citation_fraction",
-            ),
-            csv_rows,
-        ),
+    files["report.json"] = report
+    files["journals.csv"] = _csv_text(
+        ("journal_id", "if_w2", "if_w5", "if_w10", "coverage_w2", "variability",
+         "self_citation_fraction"),
+        csv_rows,
     )
-    print(
+    stdout = (
         f"report: {len(journal_sections)} journal section(s), "
-        f"{len(pair_sections)} pair section(s) -> {out / 'report.json'}"
+        f"{len(pair_sections)} pair section(s) -> {Path(args.out) / 'report.json'}\n"
     )
-    _write_manifest(out, argv, inputs=[Path(args.input)])
-    return EXIT_OK
+    return _finish(args, argv, files, stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -700,42 +563,32 @@ def _pair(text: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _add_corpus_options(parser) -> None:
-    parser.add_argument("--input", required=True, help="JSON-lines corpus file")
-    parser.add_argument(
-        "--strict", action="store_true", help="reject records with unknown fields"
-    )
-
-
-def _add_out_option(parser) -> None:
-    parser.add_argument("--out", default=".", help="output directory (default: .)")
-
-
-def _add_config_options(parser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--config", help="synthetic-corpus config (JSON file)")
-    group.add_argument("--preset", choices=sorted(PRESETS), help="shipped preset")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="citestats", description=__doc__)
     parser.add_argument("--version", action="version", version=f"citestats {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("ingest", help="load, normalize and re-emit a corpus")
-    _add_corpus_options(p)
-    _add_out_option(p)
-    p.set_defaults(func=cmd_ingest)
+    def command(name, func, help, synthetic=False):
+        """A subcommand's parser with its input options and ``--out``."""
+        p = sub.add_parser(name, help=help)
+        if synthetic:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--config", help="synthetic-corpus config (JSON file)")
+            group.add_argument("--preset", choices=sorted(PRESETS), help="shipped preset")
+            p.add_argument("--seed", type=int, help="override the config seed")
+        else:
+            p.add_argument("--input", required=True, help="JSON-lines corpus file")
+            p.add_argument(
+                "--strict", action="store_true", help="reject records with unknown fields"
+            )
+        p.add_argument("--out", default=".", help="output directory (default: .)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="report data anomalies")
-    _add_corpus_options(p)
-    _add_out_option(p)
-    p.set_defaults(func=cmd_validate)
+    command("ingest", cmd_ingest, "load, normalize and re-emit a corpus")
+    command("validate", cmd_validate, "report data anomalies")
 
-    p = sub.add_parser("journal-if", help="windowed impact factors")
-    _add_corpus_options(p)
-    _add_out_option(p)
+    p = command("journal-if", cmd_journal_if, "windowed impact factors")
     p.add_argument("--census-year", type=int, required=True)
     p.add_argument("--window", type=int, default=2)
     p.add_argument(
@@ -748,49 +601,33 @@ def build_parser() -> _Parser:
         "--self-cites", choices=_SELF_MAP, action=_StoreMapped, default=_SELF_MAP["include"]
     )
     p.add_argument("--journal", action="append", help="restrict to a journal (repeatable)")
-    p.set_defaults(func=cmd_journal_if)
 
-    p = sub.add_parser("journal-profile", help="citation-age profile")
-    _add_corpus_options(p)
-    _add_out_option(p)
+    p = command("journal-profile", cmd_journal_profile, "citation-age profile")
     p.add_argument("--census-year", type=int, required=True)
     p.add_argument("--journal", help="restrict cited side to a journal")
-    p.set_defaults(func=cmd_journal_profile)
 
-    p = sub.add_parser("author-index", help="per-author h/g/m indices")
-    _add_corpus_options(p)
-    _add_out_option(p)
+    p = command("author-index", cmd_author_index, "per-author h/g/m indices")
     p.add_argument("--author", action="append", help="restrict to an author (repeatable)")
     p.add_argument("--citing-years", type=_year_span, help="LO:HI citing-year window")
     p.add_argument("--evaluation-year", type=int, help="m-index evaluation year")
     p.add_argument("--histograms", action="store_true", help="dump JSON histograms")
-    p.set_defaults(func=cmd_author_index)
 
-    p = sub.add_parser("compare", help="misranking probability between two journals")
-    _add_corpus_options(p)
-    _add_out_option(p)
+    p = command("compare", cmd_compare, "misranking probability between two journals")
     p.add_argument("--journal-a", required=True)
     p.add_argument("--journal-b", required=True)
     p.add_argument("--pub-years", type=_year_span, required=True, help="LO:HI publication years")
     p.add_argument("--citing-years", type=_year_span, required=True, help="LO:HI citing years")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    _add_config_options(p)
-    _add_out_option(p)
-    p.set_defaults(func=cmd_synth)
+    command("synth", cmd_synth, "generate a synthetic corpus", synthetic=True)
 
-    p = sub.add_parser("replicate", help="repeated synthetic runs with metric summaries")
-    _add_config_options(p)
-    _add_out_option(p)
+    p = command(
+        "replicate", cmd_replicate, "repeated synthetic runs with metric summaries", synthetic=True
+    )
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--census-years", type=_year_span, required=True, help="LO:HI census years")
     p.add_argument("--window", type=int, default=2)
-    p.set_defaults(func=cmd_replicate)
 
-    p = sub.add_parser("policy", help="institutional scoring rules")
-    _add_corpus_options(p)
-    _add_out_option(p)
+    p = command("policy", cmd_policy, "institutional scoring rules")
     p.add_argument("--rule", choices=("example1", "example2", "example3"), required=True)
     p.add_argument("--census-year", type=int, default=None)
     p.add_argument("--window", type=int, default=2)
@@ -804,11 +641,8 @@ def build_parser() -> _Parser:
         action="store_true",
         help="also report rank divergence vs raw citation counts",
     )
-    p.set_defaults(func=cmd_policy)
 
-    p = sub.add_parser("report", help="multi-section journal report")
-    _add_corpus_options(p)
-    _add_out_option(p)
+    p = command("report", cmd_report, "multi-section journal report")
     p.add_argument("--census-year", type=int, required=True)
     p.add_argument("--variability-years", type=_year_span, help="LO:HI census years")
     p.add_argument(
@@ -820,7 +654,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--pub-years", type=_year_span, help="pair publication years LO:HI")
     p.add_argument("--citing-years", type=_year_span, help="pair citing years LO:HI")
-    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -834,17 +667,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, argv)
-    except UsageError as exc:
-        # argument values that survive argparse but violate a query contract,
-        # e.g. --window 0
+    except (CitationStatsError, OSError) as exc:
         print(f"citestats: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CitationStatsError as exc:
-        print(f"citestats: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"citestats: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        # UsageError: argument values that survive argparse but violate a
+        # query contract, e.g. --window 0
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_DATA
 
 
 def entrypoint() -> None:

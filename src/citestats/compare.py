@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .corpus import SUBSTANTIVE_KINDS, Corpus
-from .errors import InsufficientDataError, UnknownIdError
+import numpy as np
+
+from .corpus import SUBSTANTIVE_CODES, Corpus
+from .errors import InsufficientDataError
 
 
 @dataclass(frozen=True)
@@ -128,24 +130,21 @@ def journal_distribution(
     """Per-article citation distribution of a journal's substantive articles
     published in ``publication_years``, counting citations from
     ``citing_years`` only."""
-    try:
-        paper_ids = corpus.journal_papers[journal_id]
-    except KeyError:
-        raise UnknownIdError(f"unknown journal {journal_id!r}") from None
+    _, rows = corpus.journal_rows(journal_id)
     pub_years = frozenset(publication_years)
     cit_years = frozenset(citing_years)
-    articles = [
-        corpus.papers[pid]
-        for pid in paper_ids
-        if corpus.papers[pid].year in pub_years
-        and corpus.papers[pid].kind in SUBSTANTIVE_KINDS
+    rows = rows[
+        np.isin(corpus.year[rows], list(pub_years))
+        & np.isin(corpus.kind_code[rows], SUBSTANTIVE_CODES)
     ]
-    if not articles:
+    if not len(rows):
         raise InsufficientDataError(
             f"journal {journal_id!r} has no substantive articles published "
             f"in {sorted(pub_years)}"
         )
-    counts = corpus.citation_counts([p.id for p in articles], cit_years)
+    owner, citing = corpus.incoming(rows)
+    counted = np.isin(corpus.year[citing], list(cit_years))
+    counts = np.bincount(owner[counted], minlength=len(rows)).tolist()
     return EmpiricalDistribution.from_counts(
         counts,
         journal_id=journal_id,

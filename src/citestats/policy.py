@@ -201,7 +201,10 @@ def score_example3(
             raise PolicyError(
                 f"journal {paper.journal_id!r} has no defined impact factor"
             )
-        breakdown.append((paper.id, Fraction(value) / len(paper.author_ids)))
+        # from the two ints: Fraction(value) takes the slow numbers.Rational path
+        breakdown.append(
+            (paper.id, Fraction(value.numerator, value.denominator * len(paper.author_ids)))
+        )
     return _score(subject_id, "example3", breakdown)
 
 

@@ -20,6 +20,15 @@ def build_corpus(*records):
     return Corpus.from_records(records)
 
 
+class NoRecords:
+    """Stands in for ``citestats.corpus.PaperRecord`` to show that no record
+    is built; ``__new__``, so that records built without ``__init__`` are
+    caught too."""
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a PaperRecord was built")
+
+
 @pytest.fixture
 def if_fixture_corpus():
     """4 substantive articles in the 2005-2006 window of jnl-a, receiving 6

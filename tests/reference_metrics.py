@@ -9,17 +9,30 @@ pair loop that ``policy.divergence`` ran before Knight's algorithm,
 tuples and records before ``synth.generate`` built columns, and
 ``score_example3`` is the chained-``Fraction`` scoring that
 ``policy.score_example3`` did before it summed over one common denominator.
+``iter_records``, ``from_records`` and ``load_corpus`` are the
+record-at-a-time loader that built and checked one :class:`PaperRecord` per
+line before the columnar loader.
 """
 
+import json
 import math
+import warnings
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
+from itertools import chain, repeat
+from typing import Any, Union
 
 import numpy as np
 
-from citestats.corpus import Corpus, PaperRecord, ValidationReport
-from citestats.errors import PolicyError, SynthConfigError, UnknownIdError
+from citestats.corpus import KIND_CODES, Corpus, PaperRecord, ValidationReport
+from citestats.errors import (
+    DuplicateIdError,
+    PolicyError,
+    RecordError,
+    SynthConfigError,
+    UnknownIdError,
+)
 from citestats.journal_metrics import IFResult
 from citestats.policy import DivergenceResult, PolicyScore
 from citestats.synth import SynthConfig, _rng
@@ -271,4 +284,146 @@ def generate(config: SynthConfig) -> Corpus:
         )
         for i in range(total)
     ]
-    return Corpus.from_records(records)
+    return from_records(records)
+
+
+_RECORD_FIELDS = ("id", "journal", "year", "kind", "authors", "references")
+
+
+def _record_from_obj(
+    obj: Any, line_number: int, strict: bool, warned: set, memo: dict
+) -> PaperRecord:
+    if not isinstance(obj, Mapping):
+        raise RecordError(
+            f"line {line_number}: record must be a JSON object", line_number
+        )
+    missing = [f for f in _RECORD_FIELDS if f not in obj]
+    if missing:
+        raise RecordError(
+            f"line {line_number}: missing field(s) {', '.join(missing)}", line_number
+        )
+    unknown = sorted(set(obj) - set(_RECORD_FIELDS))
+    if unknown:
+        if strict:
+            raise RecordError(
+                f"line {line_number}: unknown field(s) {', '.join(unknown)}",
+                line_number,
+            )
+        for name in unknown:
+            if name not in warned:
+                warned.add(name)
+                warnings.warn(
+                    f"ignoring unknown record field {name!r} "
+                    f"(first seen on line {line_number})",
+                    stacklevel=3,
+                )
+    for field, kind in (("id", str), ("journal", str), ("year", int), ("kind", str)):
+        if not isinstance(obj[field], kind) or isinstance(obj[field], bool):
+            raise RecordError(
+                f"line {line_number}: {field!r} must be of type {kind.__name__}", line_number
+            )
+    for field, value in (("authors", obj["authors"]), ("references", obj["references"])):
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise RecordError(
+                f"line {line_number}: {field!r} must be an array of strings",
+                line_number,
+            )
+    authors, references = obj["authors"], obj["references"]
+    try:
+        return PaperRecord(
+            id=memo.setdefault(obj["id"], obj["id"]),
+            journal_id=obj["journal"],
+            year=obj["year"],
+            kind=obj["kind"],
+            author_ids=tuple(map(memo.setdefault, authors, authors)),
+            reference_ids=tuple(map(memo.setdefault, references, references)),
+        )
+    except ValueError as exc:
+        raise RecordError(f"line {line_number}: {exc}", line_number) from exc
+
+
+def iter_records(
+    source: Iterable[Union[str, bytes, Mapping, PaperRecord]], strict: bool = False
+) -> Iterator[PaperRecord]:
+    """Yield :class:`PaperRecord` from JSON lines, dicts or ready-made records.
+
+    Blank lines are skipped.  Malformed items raise :class:`RecordError`
+    carrying the 1-based line number.  Equal id, author and reference
+    strings decoded in one call share one object, so a loaded corpus holds
+    each distinct id once however often it is cited.
+    """
+    warned: set = set()
+    memo: dict[str, str] = {}
+    for line_number, item in enumerate(source, 1):
+        if isinstance(item, PaperRecord):
+            yield item
+            continue
+        if isinstance(item, bytes):
+            try:
+                item = item.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise RecordError(
+                    f"line {line_number}: invalid UTF-8 ({exc.reason})", line_number
+                ) from exc
+        if isinstance(item, str):
+            if not item.strip():
+                continue
+            try:
+                obj = json.loads(item)
+            except (ValueError, RecursionError) as exc:
+                # ValueError also covers integers longer than Python's digit limit
+                raise RecordError(
+                    f"line {line_number}: invalid JSON ({getattr(exc, 'msg', exc)})",
+                    line_number,
+                ) from exc
+            yield _record_from_obj(obj, line_number, strict, warned, memo)
+            continue
+        yield _record_from_obj(item, line_number, strict, warned, memo)
+
+
+def _codes(references, ids):
+    names = {name: code for code, name in enumerate(dict.fromkeys(chain(ids, *references)))}
+    codes = np.array([names[r] for refs in references for r in refs], dtype=np.int64)
+    return list(names), codes, [len(refs) for refs in references]
+
+
+def from_records(records: Iterable[PaperRecord]) -> Corpus:
+    """Build a corpus, indexing edges for in-corpus references only."""
+    papers: dict[str, PaperRecord] = {}
+    for record in records:
+        if record.id in papers:
+            raise DuplicateIdError(f"duplicate paper id {record.id!r}")
+        papers[record.id] = record
+
+    n = len(papers)
+    values = papers.values()
+    row = {paper_id: i for i, paper_id in enumerate(papers)}
+    journals: dict[str, int] = {}  # codes in order of first appearance
+    journal_code = np.fromiter(
+        (journals.setdefault(p.journal_id, len(journals)) for p in values), np.int32, n
+    )
+    ref_counts = np.fromiter((len(p.reference_ids) for p in values), np.int64, n)
+    refs = chain.from_iterable(p.reference_ids for p in values)
+    cited = np.fromiter(map(row.get, refs, repeat(-1)), np.int64, int(ref_counts.sum()))
+    citing = np.repeat(np.arange(n, dtype=np.int32), ref_counts)
+    resolved = cited >= 0
+    unresolved = len(cited) - int(np.count_nonzero(resolved))
+    cited, citing = cited[resolved], citing[resolved]
+    return Corpus._from_columns(
+        tuple(papers),
+        tuple(journals),
+        np.fromiter((p.year for p in values), np.int32, n),
+        journal_code,
+        np.fromiter((KIND_CODES[p.kind] for p in values), np.int8, n),
+        citing,
+        cited,
+        unresolved=unresolved,
+        # the one change: the records' references handed over as codes into
+        # the paper ids plus the unresolved references
+        authors=[p.author_ids for p in values],
+        references=_codes([p.reference_ids for p in values], papers),
+    )
+
+
+def load_corpus(source, strict: bool = False) -> Corpus:
+    return from_records(iter_records(source, strict=strict))

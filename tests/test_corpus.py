@@ -2,7 +2,9 @@
 
 import json
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,8 @@ from citestats import (
     write_corpus,
 )
 
+import reference_metrics as ref
+from citestats.corpus import _trusted_records
 from conftest import build_corpus, rec
 
 
@@ -373,3 +377,139 @@ class TestSerialization:
     def test_record_line_has_canonical_field_order(self):
         line = record_to_json(rec("p1", refs=()))
         assert line.index('"id"') < line.index('"journal"') < line.index('"year"')
+
+
+# ---------------------------------------------------------------------------
+# the columnar loader against the record-at-a-time loader it replaced
+# ---------------------------------------------------------------------------
+
+_BAD_VALUES = {
+    "id": ["", 7, None, ["p"], True],
+    "journal": ["", 5, {}, False],
+    "year": ["2000", True, 2000.5, 1799, 2101, None, [2000]],
+    "kind": ["preprint", ["x"], 3, ""],
+    "authors": ["au", [1], [[]], None, [True], {"a": 1}],
+    "references": ["p0", [None], [{}], [[]], 3],
+}
+
+
+@st.composite
+def mutated_corpora(draw):
+    """JSON lines of a valid corpus with one or two lines broken."""
+    n = draw(st.integers(1, 6))
+    records = []
+    for i in range(n):
+        pool = [f"p{j}" for j in range(n) if j != i] + ["ghost-1", "ghost-2"]
+        records.append({
+            "id": f"p{i}",
+            "journal": draw(st.sampled_from(["ja", "jb"])),
+            "year": draw(st.integers(1990, 2010)),
+            "kind": draw(st.sampled_from(sorted(KINDS))),
+            "authors": draw(st.lists(st.sampled_from(["au1", "au2", "au3"]), unique=True, max_size=2)),
+            "references": draw(st.lists(st.sampled_from(pool), unique=True, max_size=3)),
+        })
+    lines = [json.dumps(r) for r in records]
+    blanks = {}
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, n - 1))
+        record = dict(records[at])
+        how = draw(st.sampled_from([
+            "type", "duplicate-ref", "self-ref", "missing", "unknown", "duplicate-id",
+            "blank", "not-object", "bad-json",
+        ]))
+        if how == "type":
+            field = draw(st.sampled_from(sorted(_BAD_VALUES)))
+            record[field] = draw(st.sampled_from(_BAD_VALUES[field]))
+        elif how == "duplicate-ref":
+            record["references"] = [*record["references"], "ghost-3", "ghost-3"][-2:]
+        elif how == "self-ref":
+            record["references"] = [*record["references"], record["id"]]
+        elif how == "missing":
+            del record[draw(st.sampled_from(sorted(record)))]
+        elif how == "unknown":
+            record[draw(st.sampled_from(["doi", "title", "zz"]))] = "x"
+        elif how == "duplicate-id":
+            record["id"] = records[draw(st.integers(0, len(records) - 1))]["id"]
+        if how == "blank":
+            blanks[at] = draw(st.sampled_from(["", "   ", "\n"]))
+        else:
+            lines[at] = {"not-object": "[1, 2]", "bad-json": "{not json"}.get(how, json.dumps(record))
+    return [text for at, line in enumerate(lines) for text in [blanks.get(at), line] if text is not None]
+
+
+def _outcome(load, lines, strict):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = load(lines, strict)
+        except (RecordError, DuplicateIdError) as exc:
+            result = (type(exc), str(exc), getattr(exc, "line_number", None))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _same_corpus(a, b):
+    for column in ("year", "journal_code", "kind_code", "indptr", "citing_idx"):
+        assert np.array_equal(getattr(a, column), getattr(b, column)), column
+        assert getattr(a, column).dtype == getattr(b, column).dtype, column
+    assert a.journal_papers == b.journal_papers
+    assert a.author_papers == b.author_papers
+    assert a.unresolved_reference_count == b.unresolved_reference_count
+    assert validate(a) == validate(b)
+    assert a.papers == b.papers
+    assert corpus_to_jsonl(a) == corpus_to_jsonl(b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_corpora(), st.booleans(), st.booleans())
+def test_columnar_loader_matches_record_loader(lines, strict, as_bytes):
+    if as_bytes:
+        lines = [line.encode() for line in lines]
+    got, got_warnings = _outcome(load_corpus, lines, strict)
+    want, want_warnings = _outcome(ref.load_corpus, lines, strict)
+    assert got_warnings == want_warnings
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _same_corpus(got, want)
+    # iter_records keeps its own contract: no duplicate-id check
+    got, got_warnings = _outcome(lambda s, strict: list(iter_records(s, strict)), lines, strict)
+    want, want_warnings = _outcome(lambda s, strict: list(ref.iter_records(s, strict)), lines, strict)
+    assert (got, got_warnings) == (want, want_warnings)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [jline("p0"), b"{\"id\": \"p\xe9\"}", jline("p0", refs=["p0"])],
+        [jline("p0", refs=["p1", "p1"]), b"\xff"],
+        [jline("p0", year=True), "[1]", jline("p2", kind="x")],
+        [jline("p0"), jline("p0"), "{not json"],
+        [json.dumps({**json.loads(jline("p0")), "doi": 1}), jline("p1", year=1700),
+         json.dumps({**json.loads(jline("p2")), "title": 1})],
+    ],
+    ids=["utf8-after-self-ref", "bad-bytes-after-dup-ref", "bool-year-first",
+         "duplicate-id-before-bad-json", "warning-kept-before-error-only"],
+)
+@pytest.mark.parametrize("strict", [False, True])
+def test_first_bad_line_is_reported_as_before(lines, strict):
+    lines = [line.encode() if isinstance(line, str) else line for line in lines]
+    got = _outcome(load_corpus, lines, strict)
+    assert got == _outcome(ref.load_corpus, lines, strict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.text(min_size=1, max_size=5),
+    st.text(min_size=1, max_size=5),
+    st.integers(1800, 2100),
+    st.sampled_from(sorted(KINDS)),
+    st.lists(st.text(max_size=3), max_size=3),
+    st.lists(st.text(max_size=3), unique=True, max_size=3),
+)
+def test_trusted_record_equals_checked_record(pid, journal, year, kind, authors, refs):
+    refs = [r for r in refs if r != pid]
+    checked = PaperRecord(pid, journal, year, kind, tuple(authors), tuple(refs))
+    [trusted] = _trusted_records([pid], [journal], [year], [kind], [tuple(authors)], [tuple(refs)])
+    assert type(trusted) is PaperRecord
+    assert trusted == checked and hash(trusted) == hash(checked)
+    assert repr(trusted) == repr(checked)

@@ -30,6 +30,7 @@ from citestats import (
 )
 from citestats.cli import main
 
+from conftest import NoRecords
 from test_golden import CONFIG, GOLDEN
 
 ARRAYS = ("year", "journal_code", "kind_code", "indptr", "citing_idx")
@@ -137,13 +138,8 @@ def test_replicate_reports_a_journal_without_papers_as_undefined(tmp_path):
     assert [run["journals"]["a"] for run in payload["runs"]] == [None, None]
 
 
-class _NoRecords:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a PaperRecord was built")
-
-
 def test_replicate_builds_no_records(monkeypatch, tmp_path):
-    monkeypatch.setattr(citestats.corpus, "PaperRecord", _NoRecords)
+    monkeypatch.setattr(citestats.corpus, "PaperRecord", NoRecords)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG))
     out = tmp_path / "replicate"

@@ -12,7 +12,11 @@ pinned by its SHA-256 digest; an intended format change must re-pin them.
 import hashlib
 import json
 
+import pytest
+
+import citestats.corpus
 from citestats.cli import main
+from conftest import NoRecords
 
 CONFIG = {
     "seed": 11,
@@ -141,17 +145,19 @@ def _commands(config, corpus):
     ]
 
 
-def golden_digests(root):
-    """Run every subcommand under ``root``; digests of all outputs except
-    the manifests, keyed by path relative to ``root``."""
+def _golden_inputs(root):
+    """Write the config and the corpus under ``root``."""
+    root.mkdir(parents=True, exist_ok=True)
     config = root / "config.json"
     config.write_text(json.dumps(CONFIG))
     assert main(["synth", "--config", str(config), "--out", str(root / "synth")]) == 0
     corpus = root / "corpus.jsonl"
     extra = "".join(json.dumps(r) + "\n" for r in EXTRA_RECORDS)
     corpus.write_text((root / "synth" / "corpus.jsonl").read_text() + extra)
-    for out, argv in _commands(config, corpus):
-        assert main([*argv, "--out", str(root / out)]) == 0, out
+    return config, corpus
+
+
+def _digests(root):
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(root.rglob("*"))
@@ -159,6 +165,14 @@ def golden_digests(root):
         and path.parent != root
         and path.name != "manifest.json"
     }
+
+
+def golden_digests(root):
+    """Run every subcommand under ``root``; digests of all outputs except
+    the manifests, keyed by path relative to ``root``."""
+    for out, argv in _commands(*_golden_inputs(root)):
+        assert main([*argv, "--out", str(root / out)]) == 0, out
+    return _digests(root)
 
 
 GOLDEN = {
@@ -269,3 +283,20 @@ def test_every_output_matches_its_pinned_digest(tmp_path):
     assert sorted(digests) == sorted(GOLDEN)
     changed = [name for name in GOLDEN if digests[name] != GOLDEN[name]]
     assert not changed, f"outputs changed: {changed}"
+
+
+def test_loaded_corpus_commands_build_no_records(tmp_path, monkeypatch):
+    """report, validate, compare, journal-if and journal-profile read the
+    loaded corpus's columns only; their outputs stay as pinned."""
+    runs = {"report", "validate", "compare", "jif-default", "jif-policies", "profile-all",
+            "profile-alpha"}
+    commands = dict(_commands(*_golden_inputs(tmp_path)))
+    monkeypatch.setattr(citestats.corpus, "PaperRecord", NoRecords)
+    with pytest.raises(AssertionError, match="PaperRecord"):
+        main([*commands["ingest"], "--out", str(tmp_path / "ingest")])
+    for out in runs:
+        assert main([*commands[out], "--out", str(tmp_path / out)]) == 0, out
+    digests = {name: digest for name, digest in _digests(tmp_path).items()
+               if name.split("/")[0] in runs}
+    assert {name.split("/")[0] for name in digests} == runs
+    assert digests == {name: GOLDEN[name] for name in digests}

@@ -267,6 +267,7 @@ def test_score_example3_matches_fraction_loop(case):
     papers, impact_factors = case
     result = score_example3(papers, impact_factors, subject_id="s")
     expected = ref.score_example3(papers, impact_factors, subject_id="s")
+    assert result == expected
     assert result.score == expected.score
     assert result.breakdown == expected.breakdown
     assert all(type(points) is Fraction for _, points in result.breakdown)
