@@ -11,8 +11,9 @@ from collections import Counter
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
-from .corpus import Corpus
+from .corpus import KIND_NAMES, Corpus
 from .errors import InsufficientDataError, UnknownIdError, UsageError
 
 
@@ -41,18 +42,19 @@ def author_record(
         paper_ids = corpus.author_papers[author_id]
     except KeyError:
         raise UnknownIdError(f"unknown author {author_id!r}") from None
-    papers = [corpus.papers[pid] for pid in paper_ids]
+    rows = corpus._rows(paper_ids)
     if kinds is not None:
-        papers = [p for p in papers if p.kind in kinds]
-        if not papers:
+        kept = [KIND_NAMES[code] in kinds for code in corpus.kind_code[rows].tolist()]
+        if not any(kept):
             raise InsufficientDataError(
                 f"author {author_id!r} has no papers of kind {sorted(kinds)}"
             )
-    counts = sorted(corpus.citation_counts([p.id for p in papers], citing_years), reverse=True)
+        paper_ids, rows = list(compress(paper_ids, kept)), rows[kept]
+    counts = sorted(corpus.citation_counts(paper_ids, citing_years), reverse=True)
     return AuthorRecord(
         author_id=author_id,
         counts=tuple(counts),
-        first_publication_year=min(p.year for p in papers),
+        first_publication_year=int(corpus.year[rows].min()),
     )
 
 

@@ -19,6 +19,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -66,7 +67,12 @@ _SELF_MAP = {"include": "include", "exclude": "exclude-same-journal"}
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    # in 1 MiB chunks: one whole-file read would set a large input's peak memory
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(partial(handle.read, 1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -337,7 +343,7 @@ def cmd_synth(args, argv) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_corpus(corpus, out / "corpus.jsonl")
     stdout = (
-        f"generated {len(corpus)} papers, {len(corpus.edges)} edges "
+        f"generated {len(corpus)} papers, {len(corpus.citing_idx)} edges "
         f"(seed {config.seed}) -> {out / 'corpus.jsonl'}\n"
     )
     return _finish(args, argv, {"synth_config.json": config_to_json(config)}, stdout, [config.seed])

@@ -6,16 +6,15 @@ the papers citing it are ``citing_idx[indptr[i]:indptr[i + 1]]``, in record
 order, the CSR layout of ``scipy.sparse.csr_matrix``.  Metrics are numpy
 reductions over these arrays, and counts become Python ints before any
 ratio is formed.  Every corpus, loaded or generated, keeps its papers as
-columns and builds its :class:`PaperRecord` objects only when ``papers``,
-``paper()`` or an edge is first asked for.  The loader decodes each line
-into the columns and runs the field checks once per column; only when one
-fails does it check record by record, so that the error names the first
-bad line, as a line-by-line loader would.  ``edges`` and ``incoming_edges``
-are lazy :class:`EdgeView` sequences of :class:`CitationEdge` for tests and
-API callers; their length is O(1).  References pointing outside the corpus
-are *counted* (``unresolved_reference_count``) rather than dropped silently,
-so coverage gaps in the underlying database stay visible in every
-downstream statistic.
+columns and builds its :class:`PaperRecord` objects only when ``papers``
+or ``paper()`` is first asked for.  The loader decodes each line into the
+columns and runs the field checks once per column; only when one fails
+does it check record by record, so that the error names the first bad
+line, as a line-by-line loader would.  ``edges`` gives the same citations
+as an array of (citing row, cited row) pairs.  References pointing outside
+the corpus are *counted* (``unresolved_reference_count``) rather than
+dropped silently, so coverage gaps in the underlying database stay visible
+in every downstream statistic.
 
 Input format (JSON lines, one record per line)::
 
@@ -34,7 +33,7 @@ import math
 import warnings
 from array import array
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from itertools import chain, repeat
@@ -101,70 +100,6 @@ class PaperRecord:
         return self.kind in SUBSTANTIVE_KINDS
 
 
-@dataclass(frozen=True, slots=True)
-class CitationEdge:
-    """One resolved citation: ``citing_id`` (published in ``citing_year``)
-    cites ``cited_id`` (published in ``cited_year``)."""
-
-    citing_id: str
-    cited_id: str
-    citing_year: int
-    cited_year: int
-
-    @property
-    def age(self) -> int:
-        """Citation age; negative for in-press anomalies."""
-        return self.citing_year - self.cited_year
-
-
-class EdgeView(Sequence):
-    """Read-only sequence of :class:`CitationEdge` with an O(1) ``len``; the
-    edges are built on first element access.  Library code never iterates one."""
-
-    __slots__ = ("_length", "_build", "_edges")
-
-    def __init__(self, length: int, build: Callable[[], tuple[CitationEdge, ...]]):
-        self._length, self._build, self._edges = length, build, None
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index):
-        if self._edges is None:
-            self._edges = self._build()
-        return self._edges[index]
-
-
-class _Records:
-    """A corpus's id -> :class:`PaperRecord` mapping, built on first call.
-
-    The corpus and its edge view share one; it refers to neither, since a
-    reference cycle would keep every corpus alive until the cyclic garbage
-    collector runs (``replicate`` builds one corpus per run).
-    """
-
-    __slots__ = ("_build", "_papers")
-
-    def __init__(self, build: Callable[[], dict[str, PaperRecord]]):
-        self._build, self._papers = build, None
-
-    def __call__(self) -> Mapping[str, PaperRecord]:
-        if self._papers is None:
-            self._papers = MappingProxyType(self._build())
-            self._build = None
-        return self._papers
-
-
-def _edges_in_record_order(records: _Records) -> tuple[CitationEdge, ...]:
-    papers = records()
-    return tuple(
-        CitationEdge(p.id, ref, p.year, papers[ref].year)
-        for p in papers.values()
-        for ref in p.reference_ids
-        if ref in papers
-    )
-
-
 _FIELD_SETTERS = tuple(PaperRecord.__dict__[f.name].__set__ for f in fields(PaperRecord))
 
 
@@ -210,8 +145,8 @@ class Corpus:
     """
 
     __slots__ = (
-        "_records", "_ids", "_row", "_journal_codes", "_year", "_journal_code", "_kind_code",
-        "_authors", "_indptr", "_citing_idx", "_edges", "_journal_papers", "_author_papers",
+        "_ids", "_row", "_journal_codes", "_year", "_journal_code", "_kind_code", "_authors",
+        "_indptr", "_citing_idx", "_build_papers", "_papers", "_journal_papers", "_author_papers",
         "_unresolved",
     )
 
@@ -287,12 +222,13 @@ class Corpus:
         for array in (year, journal_code, kind_code, corpus._indptr, corpus._citing_idx):
             array.setflags(write=False)
 
-        records = _Records(partial(
+        # refers to the columns, not the corpus: a reference cycle would keep
+        # each corpus alive until the cyclic collector runs (replicate makes many)
+        corpus._build_papers = partial(
             _records_from_columns, ids, journals, year, journal_code, kind_code,
             authors, references, corpus._indptr, corpus._citing_idx,
-        ))
-        corpus._records = records
-        corpus._edges = EdgeView(len(cited), partial(_edges_in_record_order, records))
+        )
+        corpus._papers = None
         journal_papers: dict[str, list[str]] = {jid: [] for jid in journals}
         for paper_id, code in zip(ids, journal_code.tolist()):
             journal_papers[journals[code]].append(paper_id)
@@ -305,12 +241,18 @@ class Corpus:
 
     @property
     def papers(self) -> Mapping[str, PaperRecord]:
-        return self._records()
+        if self._papers is None:
+            build = self._build_papers  # None once another thread has built them
+            if build is not None:
+                self._papers = MappingProxyType(build())
+                self._build_papers = None
+        return self._papers
 
     @property
-    def edges(self) -> EdgeView:
-        """Every resolved citation, in record order."""
-        return self._edges
+    def edges(self) -> np.ndarray:
+        """A new ``(m, 2)`` array of (citing row, cited row) pairs, in ``citing_idx`` order."""
+        cited = np.repeat(np.arange(len(self._ids)), np.diff(self._indptr))
+        return np.column_stack((self._citing_idx, cited))
 
     @property
     def journal_papers(self) -> Mapping[str, tuple[str, ...]]:
@@ -382,21 +324,12 @@ class Corpus:
         counted = np.isin(self._year[citing], list(citing_years))
         return np.bincount(owner[counted], minlength=len(rows)).tolist()
 
-    def incoming_edges(self, paper_id: str) -> EdgeView:
-        """Edges citing the given paper, in record order."""
-        i = int(self._rows([paper_id])[0])
-        ids, year, cited_year = self._ids, self._year, int(self._year[i])
-        citing = self._citing_idx[self._indptr[i] : self._indptr[i + 1]].tolist()
-        return EdgeView(len(citing), lambda: tuple(
-            CitationEdge(ids[c], paper_id, int(year[c]), cited_year) for c in citing
-        ))
-
     def __len__(self) -> int:
         return len(self._ids)
 
     def __repr__(self) -> str:
         return (
-            f"<Corpus papers={len(self._ids)} edges={len(self._edges)} "
+            f"<Corpus papers={len(self._ids)} edges={len(self._citing_idx)} "
             f"journals={len(self._journal_papers)} "
             f"unresolved={self._unresolved}>"
         )

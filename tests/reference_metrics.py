@@ -1,14 +1,19 @@
 """Object-model reference implementations of the corpus metrics.
 
-These are the per-edge loops the library used before the columnar index:
-each walks :class:`CitationEdge` objects from the corpus's lazy edge views.
-They are slow and obviously correct, and the property tests compare the
-numpy implementations with them.  ``divergence_pairs`` is the O(n^2)
-pair loop that ``policy.divergence`` ran before Knight's algorithm,
-``generate`` is the synthetic generator that built string ids, reference
-tuples and records before ``synth.generate`` built columns, and
-``score_example3`` is the chained-``Fraction`` scoring that
-``policy.score_example3`` did before it summed over one common denominator.
+These are the per-edge loops the library used before the columnar index.
+Each walks :class:`CitationEdge` objects, which ``edges`` and
+``incoming_edges`` build from the records' reference tuples in record
+order, never from the CSR arrays they are checked against.  They are slow
+and obviously correct, and the property tests compare the numpy
+implementations with them.  ``CitationEdge`` and the edge views were the
+library's own until the corpus kept only the index; ``author_record`` is
+the version that read each paper's kind and year from its record.
+``divergence_pairs`` is the O(n^2) pair loop that ``policy.divergence``
+ran before Knight's algorithm, ``generate`` is the synthetic generator
+that built string ids, reference tuples and records before
+``synth.generate`` built columns, and ``score_example3`` is the
+chained-``Fraction`` scoring that ``policy.score_example3`` did before it
+summed over one common denominator.
 ``iter_records``, ``from_records`` and ``load_corpus`` are the
 record-at-a-time loader that built and checked one :class:`PaperRecord` per
 line before the columnar loader.
@@ -18,16 +23,19 @@ import json
 import math
 import warnings
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from typing import Any, Union
 
 import numpy as np
 
+from citestats.author_metrics import AuthorRecord
 from citestats.corpus import KIND_CODES, Corpus, PaperRecord, ValidationReport
 from citestats.errors import (
     DuplicateIdError,
+    InsufficientDataError,
     PolicyError,
     RecordError,
     SynthConfigError,
@@ -36,6 +44,46 @@ from citestats.errors import (
 from citestats.journal_metrics import IFResult
 from citestats.policy import DivergenceResult, PolicyScore
 from citestats.synth import SynthConfig, _rng
+
+
+@dataclass(frozen=True, slots=True)
+class CitationEdge:
+    """One resolved citation: ``citing_id`` (published in ``citing_year``)
+    cites ``cited_id`` (published in ``cited_year``)."""
+
+    citing_id: str
+    cited_id: str
+    citing_year: int
+    cited_year: int
+
+    @property
+    def age(self) -> int:
+        """Citation age; negative for in-press anomalies."""
+        return self.citing_year - self.cited_year
+
+
+def edges(corpus):
+    """Every resolved citation, in record order."""
+    papers = corpus.papers
+    return [
+        CitationEdge(p.id, ref, p.year, papers[ref].year)
+        for p in papers.values()
+        for ref in p.reference_ids
+        if ref in papers
+    ]
+
+
+def incoming_edges(corpus, paper_id):
+    """Edges citing the given paper, in record order."""
+    papers = corpus.papers
+    if paper_id not in papers:
+        raise UnknownIdError(f"unknown paper id {paper_id!r}")
+    cited_year = papers[paper_id].year
+    return [
+        CitationEdge(p.id, paper_id, p.year, cited_year)
+        for p in papers.values()
+        if paper_id in p.reference_ids
+    ]
 
 
 def _require_journal(corpus, journal_id):
@@ -56,7 +104,7 @@ def impact_factor(corpus, query):
             continue
         if query.denominator_policy == "all-items" or paper.is_substantive:
             denominator += 1
-        for edge in corpus.incoming_edges(pid):
+        for edge in incoming_edges(corpus, pid):
             if edge.citing_year != query.census_year:
                 continue
             if (
@@ -73,7 +121,7 @@ def citation_age_profile(corpus, census_year, journal_id=None):
     if journal_id is not None:
         _require_journal(corpus, journal_id)
     profile = Counter()
-    for edge in corpus.edges:
+    for edge in edges(corpus):
         if edge.citing_year != census_year:
             continue
         if journal_id is not None and corpus.papers[edge.cited_id].journal_id != journal_id:
@@ -88,7 +136,7 @@ def window_coverage(corpus, journal_id, census_year, window_w):
     received = 0
     inside = 0
     for pid in paper_ids:
-        for edge in corpus.incoming_edges(pid):
+        for edge in incoming_edges(corpus, pid):
             if edge.citing_year != census_year:
                 continue
             received += 1
@@ -104,7 +152,7 @@ def self_citation_fraction(corpus, journal_id, window_w=None):
     received = 0
     internal = 0
     for pid in paper_ids:
-        for edge in corpus.incoming_edges(pid):
+        for edge in incoming_edges(corpus, pid):
             if window_w is not None and not 1 <= edge.age <= window_w:
                 continue
             received += 1
@@ -118,19 +166,50 @@ def self_citation_fraction(corpus, journal_id, window_w=None):
 def validate(corpus):
     return ValidationReport(
         paper_count=len(corpus.papers),
-        edge_count=sum(1 for _ in corpus.edges),
+        edge_count=sum(1 for _ in edges(corpus)),
         unresolved_references=corpus.unresolved_reference_count,
-        negative_age_edges=sum(1 for e in corpus.edges if e.age < 0),
+        negative_age_edges=sum(1 for e in edges(corpus) if e.age < 0),
         papers_without_authors=sum(1 for p in corpus.papers.values() if not p.author_ids),
     )
 
 
 def citations_to(corpus, paper_id, citing_years=None):
-    edges = corpus.incoming_edges(paper_id)
+    incoming = incoming_edges(corpus, paper_id)
     if citing_years is None:
-        return sum(1 for _ in edges)
+        return sum(1 for _ in incoming)
     years = frozenset(citing_years)
-    return sum(1 for e in edges if e.citing_year in years)
+    return sum(1 for e in incoming if e.citing_year in years)
+
+
+def author_record(
+    corpus: Corpus,
+    author_id: str,
+    citing_years: Iterable[int] | None = None,
+    kinds: Collection[str] | None = None,
+) -> AuthorRecord:
+    """Citation counts for each of the author's papers.
+
+    ``citing_years`` restricts the counting to citations from those source
+    years.  ``kinds`` restricts which of the author's items are counted as
+    papers; the default keeps every kind, books included.
+    """
+    try:
+        paper_ids = corpus.author_papers[author_id]
+    except KeyError:
+        raise UnknownIdError(f"unknown author {author_id!r}") from None
+    papers = [corpus.papers[pid] for pid in paper_ids]
+    if kinds is not None:
+        papers = [p for p in papers if p.kind in kinds]
+        if not papers:
+            raise InsufficientDataError(
+                f"author {author_id!r} has no papers of kind {sorted(kinds)}"
+            )
+    counts = sorted(corpus.citation_counts([p.id for p in papers], citing_years), reverse=True)
+    return AuthorRecord(
+        author_id=author_id,
+        counts=tuple(counts),
+        first_publication_year=min(p.year for p in papers),
+    )
 
 
 def divergence_pairs(ranking_a, ranking_b):

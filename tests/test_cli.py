@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, file outputs, reproducibility."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import citestats
-from citestats import cli, corpus_to_jsonl
+from citestats import Corpus, PaperRecord, cli, corpus_to_jsonl, load_corpus, validate
 from citestats.cli import main
 
 from conftest import build_corpus, rec
@@ -313,7 +314,7 @@ class TestSynthAndReplicate:
         "references_per_paper": 6.0,
     }
 
-    def test_synth_writes_corpus_and_config(self, tmp_path):
+    def test_synth_writes_corpus_and_config(self, capsys, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(self.CONFIG))
         out = tmp_path / "out"
@@ -324,6 +325,8 @@ class TestSynthAndReplicate:
         assert echoed["seed"] == 99
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seeds"] == [99]
+        edge_count = validate(load_corpus(out / "corpus.jsonl")).edge_count
+        assert f" papers, {edge_count} edges (seed 99) " in capsys.readouterr().out
 
     def test_seed_override_and_determinism(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -617,6 +620,21 @@ class TestReproducibility:
         assert manifest_a["tool_version"]
         assert list(manifest_a["inputs"].values())[0]  # sha256 of the input
 
+    def test_manifest_hashes_an_input_larger_than_one_read(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": f"p{i:05d}", "journal": "j", "year": 2000, "kind": "review",
+                        "authors": [f"author-{i:05d}-{k:02d}" for k in range(20)],
+                        "references": [f"p{j:05d}" for j in range(max(0, i - 5), i)]}) + "\n"
+            for i in range(4500)
+        ))
+        assert path.stat().st_size > 2 * (1 << 20)  # more than two 1 MiB chunks
+        out = tmp_path / "out"
+        assert main(["validate", "--input", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert manifest["inputs"] == {str(path): expected}
+
 
 class TestModuleEntry:
     @pytest.mark.parametrize("module", ["citestats", "citestats.cli"])
@@ -631,3 +649,23 @@ class TestModuleEntry:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: citestats")
+
+
+def test_benchmark_hooks_find_every_patched_name(monkeypatch):
+    """The benchmark's traced run patches library names by hand; entering
+    its hooks raises KeyError when one of them is gone, and its edge count
+    is ``len(corpus.edges)``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import layers
+
+    from_records = Corpus.__dict__["from_records"]
+    tracer = layers.Tracer()
+    with layers.installed(tracer):
+        corpus = Corpus.from_records([
+            PaperRecord("a", "j", 2001, "research-article"),
+            PaperRecord("b", "j", 2002, "review", (), ("a", "ghost")),
+            PaperRecord("c", "k", 2003, "letter", (), ("a", "b")),
+        ])
+    assert Corpus.__dict__["from_records"] is from_records
+    assert tracer.counts["corpus.records"] == len(corpus) == 3
+    assert tracer.counts["corpus.edges"] == validate(corpus).edge_count == 3

@@ -19,9 +19,11 @@ import citestats.corpus
 import reference_metrics as ref
 from citestats import (
     KINDS,
+    CitationStatsError,
     Corpus,
     IFQuery,
     PaperRecord,
+    author_record,
     citation_age_profile,
     citations_to,
     impact_factor,
@@ -30,8 +32,6 @@ from citestats import (
     window_coverage,
 )
 from citestats.journal_metrics import DENOMINATOR_POLICIES, SELF_CITATION_POLICIES
-
-from test_golden import GOLDEN, golden_digests
 
 JOURNALS = ("j0", "j1", "j2")
 CENSUS_YEARS = st.integers(2000, 2010)
@@ -124,33 +124,45 @@ def test_validate_and_citations_to_match_reference(corpus, citing_years):
             assert type(count) is int
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    corpora(),
+    st.none() | st.sets(CENSUS_YEARS, max_size=4),
+    st.none() | st.sets(st.sampled_from((*sorted(KINDS), "preprint")), max_size=3),
+)
+def test_author_record_matches_reference(corpus, citing_years, kinds):
+    for author_id in ("a0", "a1", "a2"):
+        try:
+            expected = ref.author_record(corpus, author_id, citing_years, kinds)
+        except CitationStatsError as exc:
+            with pytest.raises(type(exc)) as raised:
+                author_record(corpus, author_id, citing_years, kinds)
+            assert str(raised.value) == str(exc)
+        else:
+            record = author_record(corpus, author_id, citing_years, kinds)
+            assert record == expected
+            assert type(record.first_publication_year) is int
+            assert all(type(count) is int for count in record.counts)
+
+
 @settings(max_examples=100, deadline=None)
 @given(corpora())
-def test_edge_views_follow_record_order(corpus):
-    papers = corpus.papers
-    expected = [
-        (p.id, r, p.year, papers[r].year)
-        for p in papers.values()
-        for r in p.reference_ids
-        if r in papers
-    ]
-    edges = [(e.citing_id, e.cited_id, e.citing_year, e.cited_year) for e in corpus.edges]
-    assert edges == expected
-    assert len(corpus.edges) == len(expected)
-    for paper_id in papers:
-        incoming = corpus.incoming_edges(paper_id)
-        assert [e for e in corpus.edges if e.cited_id == paper_id] == list(incoming)
-        assert len(incoming) == sum(1 for e in expected if e[1] == paper_id)
+def test_edges_array_follows_record_order(corpus):
+    row = {paper_id: i for i, paper_id in enumerate(corpus.papers)}
+    edges = ref.edges(corpus)
+    expected = sorted((row[e.cited_id], row[e.citing_id]) for e in edges)
+    array = corpus.edges
+    assert array.tolist() == [[citing, cited] for cited, citing in expected]
+    assert array.shape == (len(expected), 2)
+    assert len(array) == validate(corpus).edge_count
+    array[:] = -1  # a new array each time
+    assert corpus.edges.tolist() == [[citing, cited] for cited, citing in expected]
+    for paper_id in corpus.papers:
+        incoming = ref.incoming_edges(corpus, paper_id)
+        assert [e for e in edges if e.cited_id == paper_id] == incoming
 
 
-class _NoEdges:
-    def __init__(self, *args, **kwargs):
-        raise AssertionError("a CitationEdge was built")
-
-
-def test_metrics_build_no_citation_edges(monkeypatch, tmp_path):
-    monkeypatch.setattr(citestats.corpus, "CitationEdge", _NoEdges)
-    assert golden_digests(tmp_path) == GOLDEN
+def test_edges_array_of_a_small_corpus():
     corpus = Corpus.from_records(
         [
             PaperRecord("a", "j", 2001, "research-article", ("x",)),
@@ -160,9 +172,11 @@ def test_metrics_build_no_citation_edges(monkeypatch, tmp_path):
     assert citations_to(corpus, "a", [2002]) == 1
     assert validate(corpus).unresolved_references == 1
     assert self_citation_fraction(corpus, "j", 1) == Fraction(1)
-    assert len(corpus.edges) == len(corpus.incoming_edges("a")) == 1
-    with pytest.raises(AssertionError, match="CitationEdge"):
-        corpus.edges[0]
+    assert corpus.edges.tolist() == [[1, 0]]
+    assert Corpus.from_records([]).edges.shape == (0, 2)
+    assert Corpus.from_records([PaperRecord("a", "j", 2001, "book")]).edges.shape == (0, 2)
+    assert not hasattr(citestats, "CitationEdge")
+    assert not hasattr(citestats.corpus, "CitationEdge")
 
 
 def test_corpus_is_freed_without_the_cycle_collector():
@@ -174,7 +188,8 @@ def test_corpus_is_freed_without_the_cycle_collector():
         corpus = Corpus.from_records(
             [PaperRecord("a", "j", 2001, "letter"), PaperRecord("b", "j", 2002, "book", (), ("a",))]
         )
-        assert corpus.edges[0].cited_id == corpus.incoming_edges("a")[0].cited_id == "a"
+        assert corpus.edges.tolist() == [[1, 0]]
+        assert ref.edges(corpus)[0].cited_id == ref.incoming_edges(corpus, "a")[0].cited_id == "a"
         del corpus
         assert gc.collect() == 0
     finally:

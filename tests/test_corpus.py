@@ -82,8 +82,8 @@ class TestLoadCorpus:
         corpus = load_corpus(
             [jline("p1", year=2000), jline("p2", year=2003, refs=["p1"])]
         )
-        assert len(corpus.edges) == 1
-        edge = corpus.edges[0]
+        assert corpus.edges.tolist() == [[1, 0]]
+        [edge] = ref.edges(corpus)
         assert (edge.citing_id, edge.cited_id) == ("p2", "p1")
         assert edge.age == 3
 
@@ -243,7 +243,8 @@ class TestValidate:
         corpus = build_corpus(rec("late", year=2005), rec("early", year=2003, refs=("late",)))
         report = validate(corpus)
         assert report.negative_age_edges == 1
-        assert corpus.edges[0].age == -2  # edge retained, only flagged
+        assert corpus.edges.tolist() == [[1, 0]]
+        assert ref.edges(corpus)[0].age == -2  # edge retained, only flagged
 
     def test_unresolved_reference_count_matches_load(self):
         records = [rec("p0")]
@@ -338,9 +339,11 @@ class TestCorpusInvariants:
     def test_every_edge_endpoint_resolves(self):
         rng = random.Random(17)
         corpus = self._random_corpus(rng)
-        for edge in corpus.edges:
-            assert edge.citing_id in corpus.papers
-            assert edge.cited_id in corpus.papers
+        ids = list(corpus.papers)
+        rows = corpus.edges.tolist()
+        assert all(0 <= row < len(ids) for pair in rows for row in pair)
+        pairs = sorted((ids[citing], ids[cited]) for citing, cited in rows)
+        assert pairs == sorted((e.citing_id, e.cited_id) for e in ref.edges(corpus))
 
     def test_corpus_is_immutable(self):
         corpus = build_corpus(rec("p1"))

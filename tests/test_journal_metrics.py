@@ -20,6 +20,7 @@ from citestats import (
     window_coverage,
 )
 
+import reference_metrics as ref
 from conftest import build_corpus, rec
 
 
@@ -228,7 +229,7 @@ class TestCitationAgeProfile:
         profile = citation_age_profile(corpus, 2003)
         # oracle: enumerate census-year edges by hand
         expected = Counter()
-        for edge in corpus.edges:
+        for edge in ref.edges(corpus):
             if edge.citing_year == 2003:
                 expected[edge.age] += 1
         assert profile == expected == Counter({8: 1, 4: 1, 2: 1, 1: 2})

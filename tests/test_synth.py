@@ -20,6 +20,8 @@ from citestats import (
     zero_inflated_pair,
 )
 
+import reference_metrics as ref
+
 
 def small_config(seed=5):
     return SynthConfig(
@@ -100,7 +102,7 @@ class TestGenerate:
         corpus = generate(small_config())
         assert corpus.unresolved_reference_count == 0
         # references point strictly backwards in time
-        for edge in corpus.edges:
+        for edge in ref.edges(corpus):
             assert edge.age >= 1
 
     def test_references_unique_within_paper(self):
@@ -154,7 +156,7 @@ class TestGenerate:
                 for pid in corpus.journal_papers[journal_id]
                 if corpus.papers[pid].year == year
             ]
-            return sum(len(corpus.incoming_edges(pid)) for pid in cohort) / len(cohort)
+            return sum(corpus.citation_counts(cohort)) / len(cohort)
 
         for year in (2000, 2001, 2002):
             ratio = mean_citations("boosted", year) / mean_citations("plain", year)
@@ -174,7 +176,9 @@ class TestGenerate:
             half_life_years=5.0,
         )
         corpus = generate(config)
-        ages = [e.age for e in corpus.edges if e.citing_year == 2010]
+        citing, cited = corpus.edges.T
+        census = corpus.year[citing] == 2010
+        ages = (corpus.year[citing] - corpus.year[cited])[census].tolist()
         mass_first = sum(1 for a in ages if 1 <= a <= 5)
         mass_second = sum(1 for a in ages if 6 <= a <= 10)
         assert mass_second == pytest.approx(mass_first / 2, rel=0.15)
