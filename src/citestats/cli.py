@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Every subcommand reads plain files, writes CSV/JSON outputs into ``--out``
-and drops a run manifest next to them, so a report can be reproduced from
-its manifest alone.  Outputs are byte-identical for identical inputs and
-seeds; the only timestamp lives in the manifest.
+Every subcommand is a pure function of its arguments and one source, the
+``--input`` corpus or a synthetic config, that returns its outputs.  ``main``
+writes them into ``--out`` with a run manifest, so a report can be
+reproduced from its manifest alone, and writes nothing when a command fails.
+Outputs are byte-identical for identical inputs and seeds; the only
+timestamp lives in the manifest.
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -25,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .author_metrics import author_record, citation_histogram, g_index, h_index, m_index
-from .compare import journal_distribution, mean, prob_at_least
+from .compare import journal_distribution, prob_at_least
 from .corpus import Corpus, load_corpus, validate, write_corpus
 from .errors import CitationStatsError, InsufficientDataError, UnknownIdError, UsageError
 from .journal_metrics import (
@@ -75,11 +77,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
 _json_string = json.encoder.encode_basestring_ascii
 
 
@@ -111,13 +108,19 @@ def _json_text(value, indent: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _finish(args, argv: Sequence[str], files: dict, stdout: str = "", seeds=()) -> int:
-    """Write ``files`` (name -> CSV text, or a payload written as indented
-    JSON) under ``--out`` and print ``stdout``; then write the run manifest,
-    which digests the file read: ``--input`` or ``--config``."""
+def _finish(args, argv: Sequence[str], files: dict, stdout: str, seeds) -> int:
+    """Write ``files`` (name -> CSV text, a ``Corpus`` written as JSON lines,
+    or a payload written as indented JSON) under ``--out`` and print
+    ``stdout``; then write the run manifest, which digests the file read:
+    ``--input`` or ``--config``.  The CLI's only writer."""
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, content in files.items():
-        _write_text(out / name, content if isinstance(content, str) else _json_text(content) + "\n")
+        if isinstance(content, Corpus):
+            write_corpus(content, out / name)
+        else:
+            text = content if isinstance(content, str) else _json_text(content) + "\n"
+            (out / name).write_text(text, encoding="utf-8")
     print(stdout, end="")
     source = getattr(args, "input", None) or getattr(args, "config", None)
     manifest = {  # the reproducibility record
@@ -127,7 +130,7 @@ def _finish(args, argv: Sequence[str], files: dict, stdout: str = "", seeds=()) 
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -194,8 +197,10 @@ def _age_profile_csv(profile) -> str:
     return _csv_text(("age", "citations"), [(age, profile[age]) for age in sorted(profile)])
 
 
-def _load(args) -> Corpus:
-    return load_corpus(args.input, strict=args.strict)
+def _comparison(corpus, journal_a, journal_b, pub_years, citing_years):
+    dist_a = journal_distribution(corpus, journal_a, pub_years, citing_years)
+    dist_b = journal_distribution(corpus, journal_b, pub_years, citing_years)
+    return dist_a, dist_b, prob_at_least(dist_a, dist_b)
 
 
 def _resolve_config(args):
@@ -213,25 +218,21 @@ def _resolve_config(args):
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(args, argv) -> int:
-    corpus = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_corpus(corpus, out / "corpus.jsonl")
+def cmd_ingest(args, corpus: Corpus) -> tuple[dict, str]:
     report = validate(corpus)
-    return _finish(args, argv, {"summary.json": report.to_dict()}, (
+    target = Path(args.out) / "corpus.jsonl"
+    return {"corpus.jsonl": corpus, "summary.json": report.to_dict()}, (
         f"ingested {report.paper_count} papers, {report.edge_count} edges, "
-        f"{report.unresolved_references} unresolved references -> {out / 'corpus.jsonl'}\n"
-    ))
+        f"{report.unresolved_references} unresolved references -> {target}\n"
+    )
 
 
-def cmd_validate(args, argv) -> int:
-    summary = validate(_load(args)).to_dict()
-    return _finish(args, argv, {"validation.json": summary}, _json_text(summary) + "\n")
+def cmd_validate(args, corpus: Corpus) -> tuple[dict, str]:
+    summary = validate(corpus).to_dict()
+    return {"validation.json": summary}, _json_text(summary) + "\n"
 
 
-def cmd_journal_if(args, argv) -> int:
-    corpus = _load(args)
+def cmd_journal_if(args, corpus: Corpus) -> tuple[dict, str]:
     journals = args.journal or sorted(corpus.journal_papers)
     header = (
         "journal_id", "census_year", "window_w", "numerator", "denominator", "value",
@@ -246,11 +247,10 @@ def cmd_journal_if(args, argv) -> int:
             _fmt(result.value), args.denominator, args.self_cites,
         ))
     text = _csv_text(header, rows)
-    return _finish(args, argv, {"journal_if.csv": text}, text)
+    return {"journal_if.csv": text}, text
 
 
-def cmd_journal_profile(args, argv) -> int:
-    corpus = _load(args)
+def cmd_journal_profile(args, corpus: Corpus) -> tuple[dict, str]:
     profile = citation_age_profile(corpus, args.census_year, args.journal)
     text = _age_profile_csv(profile)
     summary: dict = {
@@ -266,11 +266,10 @@ def cmd_journal_profile(args, argv) -> int:
         summary["self_citation_fraction"] = _cell(
             self_citation_fraction(corpus, args.journal)
         )
-    return _finish(args, argv, {"age_profile.csv": text, "journal_profile.json": summary}, text)
+    return {"age_profile.csv": text, "journal_profile.json": summary}, text
 
 
-def cmd_author_index(args, argv) -> int:
-    corpus = _load(args)
+def cmd_author_index(args, corpus: Corpus) -> tuple[dict, str]:
     authors = args.author or sorted(corpus.author_papers)
     evaluation_year = args.evaluation_year
     if evaluation_year is None:
@@ -301,18 +300,13 @@ def cmd_author_index(args, argv) -> int:
     files = {"authors.csv": text}
     if args.histograms:
         files["author_histograms.json"] = histograms
-    return _finish(args, argv, files, text)
+    return files, text
 
 
-def cmd_compare(args, argv) -> int:
-    corpus = _load(args)
-    dist_a = journal_distribution(
-        corpus, args.journal_a, args.pub_years, args.citing_years
+def cmd_compare(args, corpus: Corpus) -> tuple[dict, str]:
+    dist_a, dist_b, result = _comparison(
+        corpus, args.journal_a, args.journal_b, args.pub_years, args.citing_years
     )
-    dist_b = journal_distribution(
-        corpus, args.journal_b, args.pub_years, args.citing_years
-    )
-    result = prob_at_least(dist_a, dist_b)
     ratio = None
     if result.mean_a > 0:
         ratio = result.mean_b / result.mean_a
@@ -333,24 +327,19 @@ def cmd_compare(args, argv) -> int:
         "histogram_a": {str(k): v for k, v in dist_a.histogram.items()},
         "histogram_b": {str(k): v for k, v in dist_b.histogram.items()},
     }
-    return _finish(args, argv, {"comparison.json": payload}, "\n".join(lines) + "\n")
+    return {"comparison.json": payload}, "\n".join(lines) + "\n"
 
 
-def cmd_synth(args, argv) -> int:
-    config = _resolve_config(args)
+def cmd_synth(args, config) -> tuple[dict, str]:
     corpus = generate(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_corpus(corpus, out / "corpus.jsonl")
     stdout = (
         f"generated {len(corpus)} papers, {len(corpus.citing_idx)} edges "
-        f"(seed {config.seed}) -> {out / 'corpus.jsonl'}\n"
+        f"(seed {config.seed}) -> {Path(args.out) / 'corpus.jsonl'}\n"
     )
-    return _finish(args, argv, {"synth_config.json": config_to_json(config)}, stdout, [config.seed])
+    return {"corpus.jsonl": corpus, "synth_config.json": config_to_json(config)}, stdout
 
 
-def cmd_replicate(args, argv) -> int:
-    config = _resolve_config(args)
+def cmd_replicate(args, config) -> tuple[dict, str]:
     census = args.census_years
     runs = replicate(config, args.runs, census[0], census[-1], args.window)
     header = (
@@ -382,22 +371,18 @@ def cmd_replicate(args, argv) -> int:
         payload_runs.append(run_payload)
     text = _csv_text(header, rows)
     payload = {"census_years": [census[0], census[-1]], "window_w": args.window, "runs": payload_runs}
-    files = {"replicate.csv": text, "replicate.json": payload}
-    return _finish(args, argv, files, text, [config.seed])
+    return {"replicate.csv": text, "replicate.json": payload}, text
 
 
-def cmd_policy(args, argv) -> int:
+def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
     if args.rule in ("example2", "example3") and args.census_year is None:
-        print(
-            f"citestats policy: error: --census-year is required for {args.rule}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    corpus = _load(args)
+        raise UsageError(f"--census-year is required for {args.rule}")
+    if args.rule == "example2" and len(args.papers or ()) != 5:
+        raise UsageError("--papers must list exactly 5 paper ids")
+    if args.rule == "example2" and args.with_divergence:
+        raise UsageError("--with-divergence needs an author-level rule")
     scores = []
     if args.rule == "example2":
-        if not args.papers or len(args.papers) != 5:
-            raise CitationStatsError("--papers must list exactly 5 paper ids")
         tiers = build_tiers(corpus, args.census_year, args.window)
         papers = [corpus.paper(pid) for pid in args.papers]
         scores.append(score_example2(papers, tiers, subject_id=args.subject))
@@ -447,10 +432,8 @@ def cmd_policy(args, argv) -> int:
         },
     }
     if args.with_divergence:
-        if args.rule == "example2" or len(scores) < 2:
-            raise CitationStatsError(
-                "--with-divergence needs an author-level rule and >= 2 subjects"
-            )
+        if len(scores) < 2:
+            raise CitationStatsError("--with-divergence needs >= 2 subjects")
         by_policy = {s.subject_id: s.score for s in scores}
         by_citations = {
             s.subject_id: sum(corpus.citation_counts(corpus.author_papers[s.subject_id]))
@@ -464,11 +447,10 @@ def cmd_policy(args, argv) -> int:
         }
         stdout += f"kendall_tau_vs_citations = {_fmt(result.kendall_tau)}\n"
     files["policy_breakdown.json"] = payload
-    return _finish(args, argv, files, stdout)
+    return files, stdout
 
 
-def cmd_report(args, argv) -> int:
-    corpus = _load(args)
+def cmd_report(args, corpus: Corpus) -> tuple[dict, str]:
     files: dict = {}
     census = args.census_year
     var_years = args.variability_years or range(census - 4, census + 1)
@@ -528,9 +510,7 @@ def cmd_report(args, argv) -> int:
     pub_years = args.pub_years or range(census - 5, census)
     citing_years = args.citing_years or range(census, census + 1)
     for journal_a, journal_b in args.pair:
-        dist_a = journal_distribution(corpus, journal_a, pub_years, citing_years)
-        dist_b = journal_distribution(corpus, journal_b, pub_years, citing_years)
-        result = prob_at_least(dist_a, dist_b)
+        dist_a, dist_b, result = _comparison(corpus, journal_a, journal_b, pub_years, citing_years)
         pair_sections.append(
             {"journal_a": journal_a, "journal_b": journal_b, **_comparison_cells(result)}
         )
@@ -554,7 +534,7 @@ def cmd_report(args, argv) -> int:
         f"report: {len(journal_sections)} journal section(s), "
         f"{len(pair_sections)} pair section(s) -> {Path(args.out) / 'report.json'}\n"
     )
-    return _finish(args, argv, files, stdout)
+    return files, stdout
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +568,7 @@ def build_parser() -> _Parser:
                 "--strict", action="store_true", help="reject records with unknown fields"
             )
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, synthetic=synthetic)
         return p
 
     command("ingest", cmd_ingest, "load, normalize and re-emit a corpus")
@@ -672,7 +652,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, argv)
+        if args.synthetic:
+            source = _resolve_config(args)
+            seeds = [source.seed]
+        else:
+            source, seeds = load_corpus(args.input, strict=args.strict), []
+        files, stdout = args.func(args, source)
+        return _finish(args, argv, files, stdout, seeds)
     except (CitationStatsError, OSError) as exc:
         print(f"citestats: error: {exc}", file=sys.stderr)
         # UsageError: argument values that survive argparse but violate a

@@ -108,7 +108,7 @@ class TestExitCodes:
     def test_stray_value_error_is_not_a_usage_error(
         self, monkeypatch, if_fixture_path, tmp_path
     ):
-        def broken(args, argv):
+        def broken(args, source):
             raise ValueError("a bug, not a usage error")
 
         monkeypatch.setattr(cli, "cmd_validate", broken)
@@ -357,6 +357,28 @@ class TestSynthAndReplicate:
         payload = json.loads((out / "replicate.json").read_text())
         assert len(payload["runs"]) == 2
 
+    @pytest.mark.parametrize("case", ["report-unknown-pair-journal", "synth-zero-papers"])
+    def test_failing_command_writes_nothing(self, capsys, tmp_path, case):
+        # one fails after the corpus is loaded, the other inside generate
+        if case == "report-unknown-pair-journal":
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(self.CONFIG))
+            assert main(["synth", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+            argv = [
+                "report", "--input", str(tmp_path / "corpus.jsonl"), "--census-year", "2005",
+                "--pair", "alpha:no-such-journal",
+            ]
+        else:
+            journals = [dict(j, articles_per_year=0) for j in self.CONFIG["journals"]]
+            config_path = tmp_path / "zero.json"
+            config_path.write_text(json.dumps(dict(self.CONFIG, journals=journals)))
+            argv = ["synth", "--config", str(config_path)]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("citestats: error: ")
+        assert not out.exists()  # no manifest, no partial CSV
+
 
 class TestPolicy:
     def _author_corpus_path(self, tmp_path):
@@ -390,9 +412,41 @@ class TestPolicy:
 
     def test_example3_requires_census_year(self, capsys, tmp_path):
         path = self._author_corpus_path(tmp_path)
-        code = main(["policy", "--input", str(path), "--rule", "example3"])
+        out = tmp_path / "out"
+        code = main(["policy", "--input", str(path), "--rule", "example3", "--out", str(out)])
         assert code == 1
-        assert "census-year" in capsys.readouterr().err
+        assert capsys.readouterr().err == "citestats: error: --census-year is required for example3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (
+                ["--rule", "example2", "--census-year", "2007", "--papers", "p1,p2"],
+                "--papers must list exactly 5 paper ids",
+            ),
+            (
+                ["--rule", "example2", "--census-year", "2007", "--papers", "p1,p2,p3,c1,p1",
+                 "--with-divergence"],
+                "--with-divergence needs an author-level rule",
+            ),
+        ],
+        ids=["papers-count", "divergence-example2"],
+    )
+    def test_argument_errors_are_usage_errors(self, capsys, tmp_path, extra, message):
+        path = self._author_corpus_path(tmp_path)
+        out = tmp_path / "out"
+        assert main(["policy", "--input", str(path), *extra, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"citestats: error: {message}\n"
+        assert not out.exists()
+
+    def test_divergence_over_one_subject_is_data_error(self, capsys, tmp_path):
+        path = self._author_corpus_path(tmp_path)
+        out = tmp_path / "out"
+        argv = ["policy", "--input", str(path), "--rule", "example1", "--author", "alice"]
+        assert main([*argv, "--with-divergence", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "citestats: error: --with-divergence needs >= 2 subjects\n"
+        assert not out.exists()
 
     def test_example3_with_divergence(self, tmp_path):
         path = self._author_corpus_path(tmp_path)
@@ -669,3 +723,34 @@ def test_benchmark_hooks_find_every_patched_name(monkeypatch):
     assert Corpus.__dict__["from_records"] is from_records
     assert tracer.counts["corpus.records"] == len(corpus) == 3
     assert tracer.counts["corpus.edges"] == validate(corpus).edge_count == 3
+
+
+def test_benchmark_spans_fire_on_traced_commands(monkeypatch, tmp_path):
+    """Every layer the benchmark times is still looked up through the names
+    its hooks patch: each span below must record at least one call."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import layers
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TestSynthAndReplicate.CONFIG))
+    corpus = str(tmp_path / "out0" / "corpus.jsonl")
+    argvs = [
+        ["synth", "--config", str(config)],
+        ["report", "--input", corpus, "--census-year", "2005", "--pair", "alpha:beta"],
+        ["policy", "--input", corpus, "--rule", "example3", "--census-year", "2005",
+         "--with-divergence"],
+        ["replicate", "--config", str(config), "--runs", "1", "--census-years", "2003:2005"],
+    ]
+    tracer = layers.Tracer()
+    with layers.installed(tracer):
+        codes = [main([*argv, "--out", str(tmp_path / f"out{i}")]) for i, argv in enumerate(argvs)]
+    assert codes == [0, 0, 0, 0]
+    _, calls = tracer.self_times()
+    spans = [
+        "corpus.serialize", "synth.generate",
+        *(f"journal_metrics.{name}" for name in (
+            "impact_factor", "window_coverage", "self_citation", "if_variability", "age_profile",
+        )),
+        "compare.distribution", "compare.prob", "policy.score", "policy.divergence",
+    ]
+    assert [name for name in spans if not calls[name]] == []
