@@ -16,7 +16,12 @@ resolves; experiments see no unresolved-reference noise).
 
 All randomness flows from a single 64-bit seed through numpy's
 SeedSequence counter scheme, so replicate runs are mutually independent
-yet byte-for-byte reproducible.
+yet byte-for-byte reproducible.  Every paper's authors come from one
+replay of the stream that per-paper ``Generator.choice`` calls would draw,
+read from the PCG64's raw words and its buffered uint32 half, so that
+stream depends on the bit generator alone and not on numpy's ``choice``
+code; ``tests/test_generate.py`` compares the replay with ``choice`` draw
+by draw and fails on any drift between them.
 
 :func:`generate` hands the corpus its columns and (citing, cited) row pairs
 directly; the string reference tuples and :class:`~citestats.corpus.PaperRecord`
@@ -216,6 +221,70 @@ def zero_inflated_pair(
     )
 
 
+def _sorted_choices(
+    rng: np.random.Generator, pool_sizes: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Row ``i`` ends in ``sorted(rng.choice(pool_sizes[i], counts[i],
+    replace=False))`` and is padded in front with -1, for ``counts`` in 1..3,
+    all rows in one pass; ``rng``'s state afterwards equals that after the
+    per-row calls.
+
+    It replays numpy's ``Generator.choice(pop, k, replace=False,
+    shuffle=True)``: Floyd's selection (for ``j`` from ``pop - k`` to
+    ``pop - 1`` draw ``v`` in ``[0, j]`` and take ``j`` if ``v`` is taken),
+    then ``_shuffle_int`` (draws in ``[0, i]``, ``i`` from ``k - 1`` down to
+    1), each a 32-bit Lemire draw on ``next_uint32``; a bound of 0 draws
+    nothing.  numpy's tail-shuffle branch instead needs ``pop > 10_000`` and
+    ``k > pop // 50``, which ``k <= 3`` never meets.  Pools of 2**32 or more
+    names, far beyond memory, would take numpy's 64-bit path and are out of
+    scope.  Operands stay uint64: numpy < 2 makes uint64 mixed with a Python
+    int float64.
+    """
+    k = counts[:, None]
+    column = np.arange(3)
+    floyd = np.where(column < k, pool_sizes[:, None] - k + column, 0)
+    bounds = np.hstack([floyd, np.maximum(k - 1 - column[:2], 0)]).ravel().astype(np.uint64)
+    drawn = np.flatnonzero(bounds)
+    excl = bounds[drawn] + np.uint64(1)
+    threshold = np.uint64(2**32) % excl
+    # next_uint32 hands out a pending high half first, then each raw word's
+    # low and high halves; a rejection moves every later draw one half on
+    bg = rng.bit_generator
+    state = bg.state
+    pending = state["has_uint32"]
+    halves = np.append(
+        np.full(pending, state["uinteger"], np.uint64),
+        bg.random_raw((drawn.size - pending + 1) // 2).astype("<u8").view("<u4"),
+    )
+    position = np.arange(drawn.size)
+    start = 0
+    while True:
+        low = (halves[position[start:]] * excl[start:]) & np.uint64(0xFFFFFFFF)
+        rejected = np.flatnonzero(low < threshold[start:])
+        if not rejected.size:
+            break
+        start += int(rejected[0])
+        position[start:] += 1
+        if position[-1] == halves.size:
+            halves = np.append(halves, bg.random_raw(1).astype("<u8").view("<u4"))
+    if drawn.size:
+        # numpy leaves the last word's high half in ``uinteger`` even after
+        # handing it out
+        state = bg.state
+        state["has_uint32"] = halves.size - 1 - int(position[-1])
+        state["uinteger"] = int(halves[-1])
+        bg.state = state
+    values = np.zeros(bounds.size, dtype=np.uint64)
+    values[drawn] = (halves[position] * excl) >> np.uint64(32)
+    picks = values.reshape(-1, 5)[:, :3].astype(np.int64)
+    for c in (1, 2):
+        taken = (picks[:, :c] == picks[:, c : c + 1]).any(axis=1)
+        picks[:, c] = np.where(taken, floyd[:, c], picks[:, c])
+    picks[column >= k] = -1
+    picks.sort(axis=1)
+    return picks
+
+
 def generate(config: SynthConfig) -> Corpus:
     """Generate a corpus; deterministic function of ``config``.
 
@@ -250,11 +319,13 @@ def generate(config: SynthConfig) -> Corpus:
         [f"{j.journal_id}-au{a:03d}" for a in range(max(3, j.articles_per_year))] for j in specs
     ]
     n_authors = rng.integers(1, 4, size=total)
-    authors: list[tuple[str, ...]] = []
-    for code, k in zip(journal_code.tolist(), n_authors.tolist()):
-        pool = pools[code]
-        picks = rng.choice(len(pool), size=min(k, len(pool)), replace=False)
-        authors.append(tuple(pool[a] for a in sorted(picks.tolist())))
+    picks = _sorted_choices(rng, np.array(list(map(len, pools)))[journal_code], n_authors)
+    # zip the columns: a list for every row, all alive beside the tuples,
+    # would raise replicate's peak memory
+    authors = [
+        tuple(map(pools[code].__getitem__, row[3 - k :]))
+        for code, k, row in zip(journal_code.tolist(), n_authors.tolist(), zip(*picks.T.tolist()))
+    ]
 
     # references: per census year, weighted draw over strictly earlier papers
     decay = math.log(2.0) / config.half_life_years

@@ -3,7 +3,10 @@
 ``reference_metrics.generate`` is the generator as it was before it built
 columns: string ids, string reference tuples and eager records, indexed by
 ``Corpus.from_records``.  Both must give the same corpus for any config,
-and the replicate path must never build a :class:`PaperRecord`.
+and the replicate path must never build a :class:`PaperRecord`.  The
+reference keeps numpy's per-paper ``Generator.choice`` author draws, and
+``synth._sorted_choices``, which replays them in one pass, is also checked
+draw by draw against ``choice``, generator state included.
 """
 
 import gc
@@ -13,7 +16,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import citestats.corpus
@@ -26,10 +29,13 @@ from citestats import (
     corpus_to_jsonl,
     generate,
     load_corpus,
+    math_calibrated_config,
     replicate,
     validate,
+    volatility_config,
 )
 from citestats.cli import main
+from citestats.synth import _sorted_choices
 
 from conftest import NoRecords
 from test_golden import CONFIG, GOLDEN
@@ -88,10 +94,46 @@ def test_generate_matches_reference(config):
 
 
 def test_generate_matches_reference_on_the_volatility_preset():
-    from citestats import volatility_config
+    for seed in (1, 77, 2009, 12_345):
+        config = volatility_config(seed)
+        assert corpus_to_jsonl(generate(config)) == corpus_to_jsonl(ref.generate(config)), seed
 
-    config = volatility_config(2009)
+
+def test_generate_matches_reference_on_the_math_preset():
+    config = math_calibrated_config(31)
     assert corpus_to_jsonl(generate(config)) == corpus_to_jsonl(ref.generate(config))
+
+
+# pools of 3 (k = 3 makes a draw with bound 0), small pools, pools where
+# numpy's tail-shuffle branch would apply were k larger, and pools of 2**31
+# to just under 2**32, where up to half of the 32-bit Lemire draws are
+# rejected
+POOL_SIZES = st.one_of(
+    st.just(3), st.integers(4, 300), st.integers(10_001, 10**9), st.integers(2**31, 2**32 - 2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    rows=st.lists(st.tuples(POOL_SIZES, st.integers(1, 3)), max_size=40),
+    pending=st.booleans(),
+)
+@example(seed=0, rows=[(3, 3)], pending=True)
+@example(seed=1, rows=[(2**31 + 3, 1)] * 20, pending=False)
+def test_sorted_choices_replays_generator_choice(seed, rows, pending):
+    oracle, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if pending:  # leaves the high half of a raw word buffered
+        for generator in (oracle, rng):
+            generator.integers(0, 5, dtype=np.uint32)
+    want = [sorted(oracle.choice(pop, k, replace=False).tolist()) for pop, k in rows]
+    pools = np.array([pop for pop, _ in rows], dtype=np.int64)
+    counts = np.array([k for _, k in rows], dtype=np.int64)
+    picks = _sorted_choices(rng, pools, counts).tolist()
+    assert [row[3 - k :] for row, k in zip(picks, counts.tolist())] == want
+    assert all(row[: 3 - k] == [-1] * (3 - k) for row, k in zip(picks, counts.tolist()))
+    assert rng.bit_generator.state == oracle.bit_generator.state
+    assert rng.random() == oracle.random()
 
 
 def test_journal_without_papers_is_not_in_the_corpus(tmp_path):
