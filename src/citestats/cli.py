@@ -22,8 +22,11 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .author_metrics import author_record, citation_histogram, g_index, h_index, m_index
@@ -80,32 +83,44 @@ def _sha256(path: Path) -> str:
 _json_string = json.encoder.encode_basestring_ascii
 
 
-def _json_text(value, indent: str = "\n") -> str:
+def _json_text(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for string-keyed values.
 
     ``json`` uses its C encoder only without ``indent``; this recursion does
-    the indented layout itself and leaves the scalars to ``json``.
+    the indented layout itself and leaves the scalars to ``json``.  A dict
+    of scalars is rendered once per object and depth: payloads share such
+    cells.  Larger values are not kept, as their texts would raise the
+    peak memory.
     """
-    if isinstance(value, str):
-        return _json_string(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = ("," + inner).join([_json_text(item, inner) for item in value])
-        return "[" + inner + items + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        items = ("," + inner).join(
-            [
-                _json_string(key) + ": " + _json_text(item, inner)
-                for key, item in sorted(value.items())
-            ]
-        )
-        return "{" + inner + items + indent + "}"
-    return json.dumps(value)
+    leaves: dict[tuple[int, str], str] = {}  # (id, indent) -> text; the value keeps the ids alive
+
+    def text(value, indent):
+        if isinstance(value, str):
+            return _json_string(value)
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner = indent + "  "
+            items = ("," + inner).join([text(item, inner) for item in value])
+            return "[" + inner + items + indent + "]"
+        if isinstance(value, dict):
+            key = (id(value), indent)
+            cached = leaves.get(key)
+            if cached is not None:
+                return cached
+            if not value:
+                return "{}"
+            inner = indent + "  "
+            items = ("," + inner).join(
+                [_json_string(k) + ": " + text(item, inner) for k, item in sorted(value.items())]
+            )
+            rendered = "{" + inner + items + indent + "}"
+            if not any(isinstance(item, (dict, list, tuple)) for item in value.values()):
+                leaves[key] = rendered
+            return rendered
+        return json.dumps(value)
+
+    return text(value, "\n")
 
 
 def _finish(args, argv: Sequence[str], files: dict, stdout: str, seeds) -> int:
@@ -381,31 +396,22 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
         raise UsageError("--papers must list exactly 5 paper ids")
     if args.rule == "example2" and args.with_divergence:
         raise UsageError("--with-divergence needs an author-level rule")
-    scores = []
     if args.rule == "example2":
         tiers = build_tiers(corpus, args.census_year, args.window)
         papers = [corpus.paper(pid) for pid in args.papers]
-        scores.append(score_example2(papers, tiers, subject_id=args.subject))
+        scores = [score_example2(papers, tiers, subject_id=args.subject)]
     else:
-        authors = args.author or sorted(corpus.author_papers)
-        lookup = None
-        if args.rule == "example3":
-            lookup = impact_factors(corpus, args.census_year, args.window)
-        for author_id in authors:
-            if author_id not in corpus.author_papers:
+        author_papers = corpus.author_papers
+        subjects = {}
+        for author_id in args.author or sorted(author_papers):
+            if author_id not in author_papers:
                 raise UnknownIdError(f"unknown author {author_id!r}")
-            papers = [corpus.papers[pid] for pid in corpus.author_papers[author_id]]
-            if args.rule == "example1":
-                scores.append(
-                    score_example1(
-                        papers,
-                        args.core_journals,
-                        args.indexed_journals,
-                        subject_id=author_id,
-                    )
-                )
-            else:
-                scores.append(score_example3(papers, lookup, subject_id=author_id))
+            subjects[author_id] = author_papers[author_id]
+        if args.rule == "example1":
+            scores = score_example1(corpus, args.core_journals, args.indexed_journals, subjects)
+        else:
+            lookup = impact_factors(corpus, args.census_year, args.window)
+            scores = score_example3(corpus, lookup, subjects)
     header = ("subject", "rule", "score")
     rows = [(s.subject_id, s.rule, _fmt(s.score)) for s in scores]
     stdout = _csv_text(header, rows)
@@ -435,10 +441,11 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
         if len(scores) < 2:
             raise CitationStatsError("--with-divergence needs >= 2 subjects")
         by_policy = {s.subject_id: s.score for s in scores}
-        by_citations = {
-            s.subject_id: sum(corpus.citation_counts(corpus.author_papers[s.subject_id]))
-            for s in scores
-        }
+        counts = corpus.citation_counts(chain.from_iterable(subjects.values()))
+        # each author's papers are one run of counts; no run is empty, the
+        # case that reduceat gets wrong
+        starts = np.cumsum([0, *map(len, subjects.values())])[:-1]
+        by_citations = dict(zip(subjects, np.add.reduceat(counts, starts).tolist()))
         result = divergence(by_policy, by_citations)
         payload["divergence_vs_citation_counts"] = {
             "kendall_tau": None if result.kendall_tau is None else round(result.kendall_tau, 4),

@@ -1,20 +1,21 @@
 """Citation corpus: data model, JSON-lines ingestion, validation.
 
 A corpus is an immutable columnar index of papers.  Paper ``i`` (its *row*,
-in record order) has ``year[i]``, ``journal_code[i]`` and ``kind_code[i]``;
-the papers citing it are ``citing_idx[indptr[i]:indptr[i + 1]]``, in record
-order, the CSR layout of ``scipy.sparse.csr_matrix``.  Metrics are numpy
-reductions over these arrays, and counts become Python ints before any
-ratio is formed.  Every corpus, loaded or generated, keeps its papers as
-columns and builds its :class:`PaperRecord` objects only when ``papers``
-or ``paper()`` is first asked for.  The loader decodes each line into the
-columns and runs the field checks once per column; only when one fails
-does it check record by record, so that the error names the first bad
-line, as a line-by-line loader would.  ``edges`` gives the same citations
-as an array of (citing row, cited row) pairs.  References pointing outside
-the corpus are *counted* (``unresolved_reference_count``) rather than
-dropped silently, so coverage gaps in the underlying database stay visible
-in every downstream statistic.
+in record order) has ``year[i]``, ``journal_code[i]``, ``kind_code[i]`` and
+``authors[i]``, the tuple of its author ids; the papers citing it are
+``citing_idx[indptr[i]:indptr[i + 1]]``, in record order, the CSR layout of
+``scipy.sparse.csr_matrix``.  Metrics are numpy reductions over these
+arrays, and counts become Python ints before any ratio is formed.  Every
+corpus, loaded or generated, keeps its papers as columns and builds its
+:class:`PaperRecord` objects only when ``papers`` or ``paper()`` is first
+asked for.  The loader decodes each line into the columns and runs the
+field checks once per column; only when one fails does it check record by
+record, so that the error names the first bad line, as a line-by-line
+loader would.  ``edges`` gives the same citations as an array of (citing
+row, cited row) pairs.  References pointing outside the corpus are
+*counted* (``unresolved_reference_count``) rather than dropped silently, so
+coverage gaps in the underlying database stay visible in every downstream
+statistic.
 
 Input format (JSON lines, one record per line)::
 
@@ -196,7 +197,7 @@ class Corpus:
     ) -> "Corpus":
         """Index papers given as columns in row order: ``ids``, ``year``,
         ``journal_code`` (into ``journals``, each of which has a paper),
-        ``kind_code`` and ``authors`` (one tuple a row), plus the resolved
+        ``kind_code`` and ``authors`` (a tuple of row tuples), plus the resolved
         citations as (``citing``, ``cited``) row pairs in any order.  Records
         are built on first use.  Their references are given, in input order,
         as ``references``: ``(names, codes, counts)``, row ``i``'s being the
@@ -256,7 +257,8 @@ class Corpus:
 
     @property
     def journal_papers(self) -> Mapping[str, tuple[str, ...]]:
-        """Journal id -> ids of every paper published in that journal."""
+        """Journal id -> ids of every paper published in that journal, in
+        ``journal_code`` order."""
         return self._journal_papers
 
     @property
@@ -280,6 +282,7 @@ class Corpus:
     year = property(lambda self: self._year)
     journal_code = property(lambda self: self._journal_code)
     kind_code = property(lambda self: self._kind_code)
+    authors = property(lambda self: self._authors)
     indptr = property(lambda self: self._indptr)
     citing_idx = property(lambda self: self._citing_idx)
 
@@ -368,7 +371,7 @@ def validate(corpus: Corpus) -> ValidationReport:
         edge_count=len(corpus.citing_idx),
         unresolved_references=corpus.unresolved_reference_count,
         negative_age_edges=int(np.count_nonzero(corpus.year[corpus.citing_idx] < cited_year)),
-        papers_without_authors=list(map(len, corpus._authors)).count(0),
+        papers_without_authors=list(map(len, corpus.authors)).count(0),
     )
 
 

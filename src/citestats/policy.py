@@ -4,14 +4,21 @@ Implements three scoring rules in active institutional use (flat points
 for indexed-journal publication, tercile points for five selected papers,
 author-share-weighted impact factors) plus a rank-correlation diagnostic
 for how far such scores drift from the citation record they stand in for.
+
+The two author rules score every subject of a corpus in one call.  They
+read each paper's journal and author count from the corpus columns, build
+no :class:`PaperRecord`, and memoize a paper's points (for example3, its
+author share of the impact factor) per distinct (journal, author count), so
+the papers of one pair share one ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
@@ -142,14 +149,46 @@ def _score(subject_id: str, rule: str, breakdown: list[tuple[str, Fraction]]) ->
     )
 
 
+def _author_rule(
+    corpus: Corpus,
+    subjects: Mapping[str, Sequence[str]],
+    rule: str,
+    points: Callable[[str, int, str], Fraction],
+) -> list[PolicyScore]:
+    """One ``rule`` score a subject, in ``subjects`` order.  A paper scores
+    ``points(journal id, author count, paper id)``, called once per distinct
+    pair with the first paper in subject order that has it, the paper an
+    error names.  Every id is looked up, an unknown one raising
+    :class:`UnknownIdError`, before any paper is scored."""
+    journals = tuple(corpus.journal_papers)  # in journal-code order
+    journal_code = corpus.journal_code.tolist()
+    authors = corpus.authors
+    rows = iter(corpus._rows(chain.from_iterable(subjects.values())).tolist())
+    memo: dict[tuple[int, int], Fraction] = {}
+    scores = []
+    for subject_id, paper_ids in subjects.items():
+        breakdown = []
+        for paper_id in paper_ids:
+            row = next(rows)
+            key = (journal_code[row], len(authors[row]))
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = points(journals[key[0]], key[1], paper_id)
+            breakdown.append((paper_id, value))
+        scores.append(_score(subject_id, rule, breakdown))
+    return scores
+
+
 def score_example1(
-    papers: Iterable[PaperRecord],
+    corpus: Corpus,
     core_journals: Iterable[str],
     indexed_journals: Iterable[str],
-    subject_id: str = "paper-set",
-) -> PolicyScore:
+    subjects: Mapping[str, Sequence[str]],
+) -> list[PolicyScore]:
     """Flat points per publication: 15 for a core-list journal, 10 for any
-    other indexed journal, 0 otherwise.  The two lists must be disjoint."""
+    other indexed journal, 0 otherwise.  The two lists must be disjoint.
+    ``subjects`` maps each subject id to its paper ids, in order; one score
+    a subject, in that order."""
     core = frozenset(core_journals)
     indexed = frozenset(indexed_journals)
     overlap = core & indexed
@@ -157,16 +196,13 @@ def score_example1(
         raise PolicyError(
             f"core and indexed journal lists overlap: {sorted(overlap)}"
         )
-    breakdown = []
-    for paper in papers:
-        if paper.journal_id in core:
-            points = CORE_POINTS
-        elif paper.journal_id in indexed:
-            points = INDEXED_POINTS
-        else:
-            points = 0
-        breakdown.append((paper.id, Fraction(points)))
-    return _score(subject_id, "example1", breakdown)
+
+    def points(journal_id, author_count, paper_id):
+        if journal_id in core:
+            return Fraction(CORE_POINTS)
+        return Fraction(INDEXED_POINTS if journal_id in indexed else 0)
+
+    return _author_rule(corpus, subjects, "example1", points)
 
 
 def score_example2(
@@ -186,26 +222,24 @@ def score_example2(
 
 
 def score_example3(
-    papers: Iterable[PaperRecord],
+    corpus: Corpus,
     impact_factors: Mapping[str, Fraction | None],
-    subject_id: str = "paper-set",
-) -> PolicyScore:
+    subjects: Mapping[str, Sequence[str]],
+) -> list[PolicyScore]:
     """Author-share-weighted impact factors: each paper contributes
-    ``(1 / author count) * IF(journal)``."""
-    breakdown = []
-    for paper in papers:
-        if not paper.author_ids:
-            raise PolicyError(f"paper {paper.id!r} has no authors")
-        value = impact_factors.get(paper.journal_id)
+    ``(1 / author count) * IF(journal)``.  ``subjects`` maps each subject
+    id to its paper ids, in order; one score a subject, in that order."""
+
+    def points(journal_id, author_count, paper_id):
+        if not author_count:
+            raise PolicyError(f"paper {paper_id!r} has no authors")
+        value = impact_factors.get(journal_id)
         if value is None:
-            raise PolicyError(
-                f"journal {paper.journal_id!r} has no defined impact factor"
-            )
+            raise PolicyError(f"journal {journal_id!r} has no defined impact factor")
         # from the two ints: Fraction(value) takes the slow numbers.Rational path
-        breakdown.append(
-            (paper.id, Fraction(value.numerator, value.denominator * len(paper.author_ids)))
-        )
-    return _score(subject_id, "example3", breakdown)
+        return Fraction(value.numerator, value.denominator * author_count)
+
+    return _author_rule(corpus, subjects, "example3", points)
 
 
 @dataclass(frozen=True, slots=True)

@@ -322,10 +322,10 @@ def generate(config: SynthConfig) -> Corpus:
     picks = _sorted_choices(rng, np.array(list(map(len, pools)))[journal_code], n_authors)
     # zip the columns: a list for every row, all alive beside the tuples,
     # would raise replicate's peak memory
-    authors = [
+    authors = tuple(
         tuple(map(pools[code].__getitem__, row[3 - k :]))
         for code, k, row in zip(journal_code.tolist(), n_authors.tolist(), zip(*picks.T.tolist()))
-    ]
+    )
 
     # references: per census year, weighted draw over strictly earlier papers
     decay = math.log(2.0) / config.half_life_years
@@ -404,6 +404,7 @@ def replicate(
                 # UnknownIdError: a journal with no papers has no impact factors
                 summaries[spec.journal_id] = None
         runs.append(ReplicateRun(run_index=run_index, seed=run_seed, journals=summaries))
+        del corpus  # before the next run's is built, not after: both alive set the peak
     return runs
 
 

@@ -11,9 +11,11 @@ the version that read each paper's kind and year from its record.
 ``divergence_pairs`` is the O(n^2) pair loop that ``policy.divergence``
 ran before Knight's algorithm, ``generate`` is the synthetic generator
 that built string ids, reference tuples and records before
-``synth.generate`` built columns, and ``score_example3`` is the
-chained-``Fraction`` scoring that ``policy.score_example3`` did before it
-summed over one common denominator.
+``synth.generate`` built columns, and ``score_example1`` and
+``score_example3`` are the record-at-a-time, one-subject rules that
+``policy`` had before its rules scored every subject from the columns;
+``score_example3`` also keeps the chained-``Fraction`` sum that came
+before the sum over one common denominator.
 ``iter_records``, ``from_records`` and ``load_corpus`` are the
 record-at-a-time loader that built and checked one :class:`PaperRecord` per
 line before the columnar loader.
@@ -259,6 +261,33 @@ def _score(subject_id: str, rule: str, breakdown: list[tuple[str, Fraction]]) ->
         score=sum((points for _, points in breakdown), Fraction(0)),
         breakdown=tuple(breakdown),
     )
+
+
+def score_example1(
+    papers: Iterable[PaperRecord],
+    core_journals: Iterable[str],
+    indexed_journals: Iterable[str],
+    subject_id: str = "paper-set",
+) -> PolicyScore:
+    """Flat points per publication: 15 for a core-list journal, 10 for any
+    other indexed journal, 0 otherwise.  The two lists must be disjoint."""
+    core = frozenset(core_journals)
+    indexed = frozenset(indexed_journals)
+    overlap = core & indexed
+    if overlap:
+        raise PolicyError(
+            f"core and indexed journal lists overlap: {sorted(overlap)}"
+        )
+    breakdown = []
+    for paper in papers:
+        if paper.journal_id in core:
+            points = 15
+        elif paper.journal_id in indexed:
+            points = 10
+        else:
+            points = 0
+        breakdown.append((paper.id, Fraction(points)))
+    return _score(subject_id, "example1", breakdown)
 
 
 def score_example3(

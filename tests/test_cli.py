@@ -538,15 +538,32 @@ JSON_SCALARS = st.one_of(
     st.text(),
     st.text(alphabet=st.characters(max_codepoint=0x1F) | st.sampled_from('"\\/\x7f')),
 )
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda children: (
+
+
+def _nested(children):
+    return (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
         | st.dictionaries(st.text(max_size=6), children, max_size=4)
-    ),
-    max_leaves=30,
-)
+    )
+
+
+JSON_VALUES = st.recursive(JSON_SCALARS, _nested, max_leaves=30)
+
+
+@st.composite
+def shared_leaf_payloads(draw):
+    """Values in which the same dict-of-scalars objects recur, at one depth
+    and at several."""
+    cells = draw(
+        st.lists(
+            st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=3), min_size=1, max_size=3
+        )
+    )
+    return draw(st.recursive(st.sampled_from(cells) | JSON_SCALARS, _nested, max_leaves=40))
+
+
+SHARED_CELL = {"decimal": "0.5000", "exact": "1/2", "é": None}
 
 
 class TestJsonText:
@@ -556,6 +573,13 @@ class TestJsonText:
     @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 10**40, True, None])
     def test_matches_json_dumps(self, value):
         assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @settings(max_examples=500, deadline=None)
+    @given(shared_leaf_payloads())
+    @example({"a": SHARED_CELL, "b": [SHARED_CELL, {"c": SHARED_CELL}], "d": (SHARED_CELL, {})})
+    @example([SHARED_CELL, [SHARED_CELL, [SHARED_CELL]], SHARED_CELL, [], {}])
+    def test_shared_leaf_dicts_match_json_dumps(self, value):
+        assert cli._json_text(value) + "\n" == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
     def test_unserializable_value_is_a_type_error(self):
         with pytest.raises(TypeError):

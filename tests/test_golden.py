@@ -286,10 +286,12 @@ def test_every_output_matches_its_pinned_digest(tmp_path):
 
 
 def test_loaded_corpus_commands_build_no_records(tmp_path, monkeypatch):
-    """report, validate, compare, journal-if, journal-profile and author-index
-    read the loaded corpus's columns only; their outputs stay as pinned."""
+    """report, validate, compare, journal-if, journal-profile, author-index
+    and the author policy rules (example1, example3 with divergence) read
+    the loaded corpus's columns only; their outputs stay as pinned."""
     runs = {"report", "validate", "compare", "jif-default", "jif-policies", "profile-all",
-            "profile-alpha", "authors-all", "authors-window"}
+            "profile-alpha", "authors-all", "authors-window", "policy-example1",
+            "policy-example3"}
     commands = dict(_commands(*_golden_inputs(tmp_path)))
     monkeypatch.setattr(citestats.corpus, "PaperRecord", NoRecords)
     with pytest.raises(AssertionError, match="PaperRecord"):

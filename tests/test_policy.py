@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
 from citestats import (
+    CitationStatsError,
     InsufficientDataError,
     PolicyError,
     PolicyScore,
@@ -88,12 +90,18 @@ class TestBuildTiers:
             assert max(sizes) - min(sizes) <= 1
 
 
+def score_papers(rule, papers, *rule_args):
+    """``rule``'s score of ``papers`` as one subject, on a corpus of them."""
+    [score] = rule(build_corpus(*papers), *rule_args, {"paper-set": [p.id for p in papers]})
+    return score
+
+
 class TestScoreExample1:
     CORE = {"core-j"}
     INDEXED = {"indexed-j", "other-indexed"}
 
     def test_no_publications(self):
-        score = score_example1([], self.CORE, self.INDEXED)
+        score = score_papers(score_example1, [], self.CORE, self.INDEXED)
         assert score.score == 0
         assert score.breakdown == ()
 
@@ -103,17 +111,17 @@ class TestScoreExample1:
             rec("p2", journal="indexed-j"),
             rec("p3", journal="other-indexed"),
         ]
-        score = score_example1(papers, self.CORE, self.INDEXED)
+        score = score_papers(score_example1, papers, self.CORE, self.INDEXED)
         assert score.score == 35
         assert dict(score.breakdown) == {"p1": 15, "p2": 10, "p3": 10}
 
     def test_unindexed_only(self):
         papers = [rec("p1", journal="obscure"), rec("p2", journal="nowhere")]
-        assert score_example1(papers, self.CORE, self.INDEXED).score == 0
+        assert score_papers(score_example1, papers, self.CORE, self.INDEXED).score == 0
 
     def test_overlapping_lists_rejected(self):
         with pytest.raises(PolicyError, match="overlap"):
-            score_example1([], {"j1"}, {"j1", "j2"})
+            score_papers(score_example1, [], {"j1"}, {"j1", "j2"})
 
 
 class TestScoreExample2:
@@ -165,35 +173,35 @@ class TestScoreExample3:
 
     def test_solo_author(self):
         papers = [rec("p1", journal="j-two", authors=("a",))]
-        assert score_example3(papers, self.IF_LOOKUP).score == 2
+        assert score_papers(score_example3, papers, self.IF_LOOKUP).score == 2
 
     def test_three_authors_share(self):
         papers = [rec("p1", journal="j-three", authors=("a", "b", "c"))]
-        assert score_example3(papers, self.IF_LOOKUP).score == 1
+        assert score_papers(score_example3, papers, self.IF_LOOKUP).score == 1
 
     def test_additivity(self):
         papers = [
             rec("p1", journal="j-two", authors=("a",)),
             rec("p2", journal="j-three", authors=("a", "b", "c")),
         ]
-        assert score_example3(papers, self.IF_LOOKUP).score == 3
+        assert score_papers(score_example3, papers, self.IF_LOOKUP).score == 3
 
     def test_undefined_if_names_the_journal(self):
         papers = [rec("p1", journal="j-undefined", authors=("a",))]
         with pytest.raises(PolicyError, match="j-undefined"):
-            score_example3(papers, self.IF_LOOKUP)
+            score_papers(score_example3, papers, self.IF_LOOKUP)
 
     def test_reorder_invariance_and_duplication_linearity(self):
         papers = [
             rec("p1", journal="j-two", authors=("a", "b")),
             rec("p2", journal="j-three", authors=("a",)),
         ]
-        forward = score_example3(papers, self.IF_LOOKUP).score
-        backward = score_example3(list(reversed(papers)), self.IF_LOOKUP).score
+        forward = score_papers(score_example3, papers, self.IF_LOOKUP).score
+        backward = score_papers(score_example3, list(reversed(papers)), self.IF_LOOKUP).score
         assert forward == backward
         # a paper listed twice contributes exactly twice
         doubled = papers + [rec("p3", journal="j-two", authors=("a", "b"))]
-        assert score_example3(doubled, self.IF_LOOKUP).score == forward + 1
+        assert score_papers(score_example3, doubled, self.IF_LOOKUP).score == forward + 1
 
 
 class TestPolicyScoreInvariant:
@@ -237,40 +245,83 @@ def test_exact_sum_matches_chained_fraction_sum(values):
     assert total == sum(values, Fraction(0))
 
 
+IMPACT_FACTORS = st.one_of(
+    st.integers(0, 50),
+    st.fractions(min_value=0, max_value=50, max_denominator=997),
+)
+
+
 @st.composite
-def example3_cases(draw):
-    """Papers with 1-6 authors over journals whose IFs are ints or Fractions
-    with varied denominators."""
-    impact_factors = {
-        f"j{i}": draw(
-            st.one_of(
-                st.integers(0, 50),
-                st.fractions(min_value=0, max_value=50, max_denominator=997),
-            )
-        )
-        for i in range(draw(st.integers(1, 8)))
-    }
+def author_rule_cases(draw):
+    """A corpus of papers with 0-6 authors, journals whose IFs are ints,
+    Fractions with varied denominators or undefined, and subjects that
+    repeat paper ids and may name a paper outside the corpus."""
+    journals = [f"j{i}" for i in range(draw(st.integers(1, 8)))]
+    impact_factors = {j: draw(IMPACT_FACTORS) for j in journals}
+    for journal_id in draw(st.sets(st.sampled_from([*journals, "j-missing"]), max_size=2)):
+        impact_factors[journal_id] = None  # an undefined IF
+    impact_factors.pop("j-missing", None)  # a journal the lookup lacks
     papers = [
         rec(
             f"p{i}",
-            journal=draw(st.sampled_from(sorted(impact_factors))),
-            authors=[f"a{k}" for k in range(draw(st.integers(1, 6)))],
+            journal=draw(st.sampled_from([*journals, "j-missing"])),
+            authors=[f"a{k}" for k in range(draw(st.integers(0, 6)))],
         )
         for i in range(draw(st.integers(0, 25)))
     ]
-    return papers, impact_factors
+    ids = [paper.id for paper in papers] + ["ghost"] * draw(st.integers(0, 1))
+    paper_ids = st.lists(st.sampled_from(ids), max_size=12) if ids else st.just([])
+    subjects = {f"s{i}": draw(paper_ids) for i in range(draw(st.integers(1, 5)))}
+    core = draw(st.sets(st.sampled_from(journals)))
+    indexed = draw(st.sets(st.sampled_from(journals))) - core
+    return build_corpus(*papers), impact_factors, subjects, core, indexed
 
 
-@settings(max_examples=300, deadline=None)
-@given(example3_cases())
-def test_score_example3_matches_fraction_loop(case):
-    papers, impact_factors = case
-    result = score_example3(papers, impact_factors, subject_id="s")
-    expected = ref.score_example3(papers, impact_factors, subject_id="s")
-    assert result == expected
-    assert result.score == expected.score
-    assert result.breakdown == expected.breakdown
-    assert all(type(points) is Fraction for _, points in result.breakdown)
+def _outcome(score, *args):
+    """The scores, or the type and message of the error raised."""
+    try:
+        return score(*args)
+    except CitationStatsError as exc:
+        return type(exc), str(exc)
+
+
+def _record_loop(corpus, subjects, rule, *rule_args):
+    """``rule`` of each subject's records; every id is looked up first."""
+    records = {pid: corpus.paper(pid) for pid in chain.from_iterable(subjects.values())}
+    return [
+        rule([records[pid] for pid in pids], *rule_args, subject_id=subject_id)
+        for subject_id, pids in subjects.items()
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(author_rule_cases())
+@example((  # a repeated paper, and a paper without authors
+    build_corpus(rec("p0", journal="j0", authors=()), rec("p1", journal="j0")),
+    {"j0": Fraction(1, 3)}, {"s0": ["p1", "p1"], "s1": ["p0"]}, {"j0"}, set(),
+))
+@example((  # an unknown id is reported before the earlier paper without authors
+    build_corpus(rec("p0", journal="j0", authors=()), rec("p1", journal="j0")),
+    {"j0": Fraction(1, 3)}, {"s0": ["p1", "p0"], "s1": ["ghost"]}, set(), set(),
+))
+def test_author_rules_match_record_loops(case):
+    corpus, impact_factors, subjects, core, indexed = case
+    for result, expected in (
+        (
+            _outcome(score_example3, corpus, impact_factors, subjects),
+            _outcome(_record_loop, corpus, subjects, ref.score_example3, impact_factors),
+        ),
+        (
+            _outcome(score_example1, corpus, core, indexed, subjects),
+            _outcome(_record_loop, corpus, subjects, ref.score_example1, core, indexed),
+        ),
+    ):
+        assert result == expected
+        if isinstance(expected, list):
+            assert [s.breakdown for s in result] == [s.breakdown for s in expected]
+            assert [s.subject_id for s in result] == list(subjects)
+            assert all(type(s.score) is Fraction for s in result)
+            assert all(type(points) is Fraction for s in result for _, points in s.breakdown)
 
 
 class TestDivergence:
