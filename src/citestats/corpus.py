@@ -36,7 +36,6 @@ from array import array
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
@@ -114,27 +113,11 @@ def _trusted_records(*columns: Iterable) -> list[PaperRecord]:
     return records
 
 
-def _reference_tuples(names, codes, counts) -> list[tuple[str, ...]]:
-    """Each row's references: the next ``counts[i]`` of ``codes`` into ``names``."""
+def _per_row(names, codes, counts, join: Callable = tuple) -> list:
+    """Row ``i``'s ``join`` of the next ``counts[i]`` of ``codes`` into ``names``."""
     refs = np.array(names, dtype=object)[codes].tolist()
     ends = np.cumsum(counts).tolist()
-    return [tuple(refs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
-
-
-def _records_from_columns(
-    ids, journals, year, journal_code, kind_code, authors, references, indptr, citing_idx
-) -> dict[str, PaperRecord]:
-    """A corpus's records.  Without a ``references`` column (a generated
-    corpus) each paper's references are the rows it cites, ascending."""
-    if references is None:
-        n = len(ids)
-        cited = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-        by_citing = np.sort(citing_idx.astype(np.int64) * n + cited) % n
-        references = (ids, by_citing, np.bincount(citing_idx, minlength=n))
-    return dict(zip(ids, _trusted_records(
-        ids, map(journals.__getitem__, journal_code.tolist()), year.tolist(),
-        map(KIND_NAMES.__getitem__, kind_code.tolist()), authors, _reference_tuples(*references),
-    )))
+    return [join(refs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
 class Corpus:
@@ -147,7 +130,7 @@ class Corpus:
 
     __slots__ = (
         "_ids", "_row", "_journal_codes", "_year", "_journal_code", "_kind_code", "_authors",
-        "_indptr", "_citing_idx", "_build_papers", "_papers", "_journal_papers", "_author_papers",
+        "_indptr", "_citing_idx", "_references", "_papers", "_journal_papers", "_author_papers",
         "_unresolved",
     )
 
@@ -198,11 +181,9 @@ class Corpus:
         """Index papers given as columns in row order: ``ids``, ``year``,
         ``journal_code`` (into ``journals``, each of which has a paper),
         ``kind_code`` and ``authors`` (a tuple of row tuples), plus the resolved
-        citations as (``citing``, ``cited``) row pairs in any order.  Records
-        are built on first use.  Their references are given, in input order,
-        as ``references``: ``(names, codes, counts)``, row ``i``'s being the
-        next ``counts[i]`` of ``codes`` into ``names``.  Without it, each
-        paper's references are its cited rows, ascending."""
+        citations as (``citing``, ``cited``) row pairs in any order.  The
+        papers' references in input order, if known, are ``references`` (see
+        :meth:`_reference_columns`).  Records are built on first use."""
         corpus = object.__new__(cls)
         n = len(ids)
         corpus._ids = ids
@@ -223,12 +204,7 @@ class Corpus:
         for array in (year, journal_code, kind_code, corpus._indptr, corpus._citing_idx):
             array.setflags(write=False)
 
-        # refers to the columns, not the corpus: a reference cycle would keep
-        # each corpus alive until the cyclic collector runs (replicate makes many)
-        corpus._build_papers = partial(
-            _records_from_columns, ids, journals, year, journal_code, kind_code,
-            authors, references, corpus._indptr, corpus._citing_idx,
-        )
+        corpus._references = references
         corpus._papers = None
         journal_papers: dict[str, list[str]] = {jid: [] for jid in journals}
         for paper_id, code in zip(ids, journal_code.tolist()):
@@ -243,11 +219,23 @@ class Corpus:
     @property
     def papers(self) -> Mapping[str, PaperRecord]:
         if self._papers is None:
-            build = self._build_papers  # None once another thread has built them
-            if build is not None:
-                self._papers = MappingProxyType(build())
-                self._build_papers = None
+            self._papers = MappingProxyType(dict(zip(self._ids, _trusted_records(
+                self._ids, map(tuple(self._journal_codes).__getitem__, self._journal_code.tolist()),
+                self._year.tolist(), map(KIND_NAMES.__getitem__, self._kind_code.tolist()),
+                self._authors, _per_row(*self._reference_columns()),
+            ))))
         return self._papers
+
+    def _reference_columns(self) -> tuple:
+        """Every paper's references as ``(names, codes, counts)``, row ``i``'s
+        being the next ``counts[i]`` of ``codes`` into ``names``: in input
+        order for a loaded corpus, the cited rows ascending for a generated one."""
+        if self._references is not None:
+            return self._references
+        n = len(self._ids)
+        cited = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
+        by_citing = np.sort(self._citing_idx.astype(np.int64) * n + cited) % n
+        return self._ids, by_citing, np.bincount(self._citing_idx, minlength=n)
 
     @property
     def edges(self) -> np.ndarray:
@@ -426,10 +414,22 @@ def _check_fields(line_number: int, *values: Any) -> None:
                 f"line {line_number}: {field!r} must be an array of strings",
                 line_number,
             )
+    for field, value in zip(_RECORD_FIELDS, values):
+        if field != "year" and not utf8_encodable([value] if isinstance(value, str) else value):
+            raise RecordError(f"line {line_number}: {field!r} holds a lone surrogate", line_number)
     try:
         PaperRecord(*values)
     except ValueError as exc:
         raise RecordError(f"line {line_number}: {exc}", line_number) from exc
+
+
+def utf8_encodable(strings: Iterable[str]) -> bool:
+    """Whether UTF-8 can encode the strings: not if one holds a lone surrogate."""
+    try:
+        "".join(strings).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _settle(records: Iterable[tuple], pending: list, line_number: float, unique_ids: bool) -> None:
@@ -481,7 +481,8 @@ def _read_rows(source: Iterable, strict: bool, unique_ids: bool, build: Callable
     rows: list[tuple] = []  # line number, id code, journal, year, kind, authors, reference count
     codes = array("q")  # every row's reference codes, in order
     code_of = (memo := _Codes()).__getitem__
-    intern = {}.setdefault
+    interned: dict[str, str] = {}  # the distinct authors
+    intern = interned.setdefault
     pending: list[tuple[int, str]] = []  # unknown-field warnings, emitted once checked
     warned: set[str] = set()
 
@@ -554,11 +555,12 @@ def _read_rows(source: Iterable, strict: bool, unique_ids: bool, build: Callable
     if not checked:
         _settle(read_so_far(zip(*columns), names), pending, math.inf, unique_ids)
     built = build(ids, journal_ids, years, kinds, authors, names, id_codes, ref_codes, counts)
-    # after the build: freed before it, this check's large temporaries raise
+    # after the build: freed before it, these checks' large temporaries raise
     # glibc's mmap threshold, and the build's arrays then fragment the heap
     # (peak RSS of a report on the 40 % math preset 56 -> 64 MB)
     if checked:
         checked = _distinct_references(id_codes, len(names), ref_codes, counts)
+        checked = checked and utf8_encodable(chain(names, set(journal_ids), interned))
         _settle(() if checked else read_so_far(zip(*columns), names), pending, math.inf, unique_ids)
     return built
 
@@ -588,9 +590,8 @@ def iter_records(
     ids, journal_ids, years, kinds, authors, names, _, codes, counts = _read_rows(
         source, strict, unique_ids=False, build=lambda *columns: columns
     )
-    yield from _trusted_records(
-        ids, journal_ids, years, kinds, authors, _reference_tuples(names, codes, counts)
-    )
+    references = _per_row(names, codes, counts)
+    yield from _trusted_records(ids, journal_ids, years, kinds, authors, references)
 
 
 def load_corpus(
@@ -608,28 +609,37 @@ def load_corpus(
     return _read_rows(source, strict, unique_ids=True, build=Corpus._from_rows)
 
 
+_quote = json.encoder.encode_basestring  # json.dumps's quoting with ensure_ascii=False
+_ROW = '{"id":%s,"journal":%s,"year":%d,"kind":%s,"authors":[%s],"references":[%s]}'
+_LINE = _ROW + "\n"
+_KIND_TEXTS = tuple(map(_quote, KIND_NAMES))
+
+
 def record_to_json(record: PaperRecord) -> str:
     """Serialize one record to its canonical (byte-stable) JSON line."""
-    return json.dumps(
-        {
-            "id": record.id,
-            "journal": record.journal_id,
-            "year": record.year,
-            "kind": record.kind,
-            "authors": list(record.author_ids),
-            "references": list(record.reference_ids),
-        },
-        separators=(",", ":"),
-        ensure_ascii=False,
+    return _ROW % (
+        _quote(record.id), _quote(record.journal_id), record.year, _quote(record.kind),
+        ",".join(map(_quote, record.author_ids)), ",".join(map(_quote, record.reference_ids)),
     )
 
 
 def corpus_to_jsonl(corpus: Corpus) -> str:
-    """Canonical JSON-lines serialization; round-trips through load_corpus."""
-    return "".join(record_to_json(p) + "\n" for p in corpus.papers.values())
+    """One :func:`record_to_json` line a paper, rendered from the columns with each
+    distinct string quoted once; round-trips through load_corpus."""
+    names, codes, counts = corpus._reference_columns()
+    references = _per_row(list(map(_quote, names)), codes, counts, ",".join)
+    journals = tuple(map(_quote, corpus._journal_codes))
+    author = {aid: _quote(aid) for aid in set(chain.from_iterable(corpus.authors))}.__getitem__
+    return "".join(map(_LINE.__mod__, zip(
+        map(_quote, corpus._ids), map(journals.__getitem__, corpus.journal_code.tolist()),
+        corpus.year.tolist(), map(_KIND_TEXTS.__getitem__, corpus.kind_code.tolist()),
+        [",".join(map(author, row)) for row in corpus.authors], references,
+    )))
 
 
 def write_corpus(corpus: Corpus, target: Union[str, Path, IO[str]]) -> None:
+    """Write :func:`corpus_to_jsonl` of ``corpus`` to a path (as UTF-8) or
+    an open text file."""
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8") as handle:
             handle.write(corpus_to_jsonl(corpus))

@@ -41,7 +41,7 @@ from typing import Union
 import numpy as np
 
 from .compare import EmpiricalDistribution
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, utf8_encodable
 from .errors import InsufficientDataError, SynthConfigError, UnknownIdError
 from .journal_metrics import VariabilityResult, if_variability
 
@@ -76,6 +76,8 @@ class JournalSpec:
             raise SynthConfigError(
                 f"journal_id must be a nonempty string, got {self.journal_id!r}"
             )
+        if not utf8_encodable([self.journal_id]):
+            raise SynthConfigError(f"journal_id {self.journal_id!r} holds a lone surrogate")
         _check_types(
             self, ("articles_per_year", "start_year", "end_year"), ("quality_scale",),
             f"journal {self.journal_id!r}: ",

@@ -1,8 +1,20 @@
 """Shared fixtures: small hand-built corpora with known citation structure."""
 
 import pytest
+from hypothesis import strategies as st
 
 from citestats import Corpus, PaperRecord
+
+#: Characters a JSON writer must escape or could mishandle: the quote, the
+#: backslash, every control character, DEL, U+2028/U+2029, non-ASCII and astral.
+AWKWARD_CHARS = ('"', "\\", "/", *map(chr, range(0x20)), "\x7f", "\u2028", "\u2029", "\xe9",
+                 "\U0001f600")
+
+
+def awkward_text(min_size=1, max_size=4):
+    """Strings mixing :data:`AWKWARD_CHARS` with any other non-surrogate character."""
+    chars = st.one_of(st.sampled_from(AWKWARD_CHARS), st.characters(blacklist_categories=("Cs",)))
+    return st.text(chars, min_size=min_size, max_size=max_size)
 
 
 def rec(pid, journal="jnl-a", year=2000, kind="research-article", authors=("au-1",), refs=()):

@@ -437,6 +437,14 @@ def _record_from_obj(
                 line_number,
             )
     authors, references = obj["authors"], obj["references"]
+    for field in ("id", "journal", "kind", "authors", "references"):
+        value = obj[field]
+        try:
+            "".join([value] if isinstance(value, str) else value).encode("utf-8")
+        except UnicodeEncodeError:
+            raise RecordError(
+                f"line {line_number}: {field!r} holds a lone surrogate", line_number
+            ) from None
     try:
         return PaperRecord(
             id=memo.setdefault(obj["id"], obj["id"]),

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 import citestats
 from citestats import Corpus, PaperRecord, cli, corpus_to_jsonl, load_corpus, validate
 from citestats.cli import main
+from citestats.corpus import KIND_NAMES
 
-from conftest import build_corpus, rec
+from conftest import awkward_text, build_corpus, rec
 
 
 @pytest.fixture
@@ -152,6 +154,38 @@ class TestExitCodes:
         with pytest.warns(UserWarning, match="doi"):
             assert main(["validate", "--input", str(path), "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize(
+        ("command", "field"),
+        [("ingest", "id"), ("ingest", "journal"), ("ingest", "references"),
+         ("author-index", "authors"), ("synth", "journal_id")],
+    )
+    def test_lone_surrogate_is_data_error_and_writes_nothing(
+        self, capsys, tmp_path, command, field
+    ):
+        """A JSON escape of a lone surrogate decodes to a string UTF-8 cannot
+        encode; it is reported with its line (or config field), not raised
+        from the writer after --out is half written."""
+        good = {"id": "p1", "journal": "j", "year": 2000, "kind": "review", "authors": ["a"],
+                "references": []}
+        if command == "synth":
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"seed": 1, "journals": [
+                {"journal_id": "j\ud800", "articles_per_year": 2, "start_year": 2000,
+                 "end_year": 2001}]}))
+            argv = ["synth", "--config", str(path)]
+        else:
+            lone = "x\ud800" if field in ("id", "journal") else ["p1", "\udfff"]
+            bad = {**good, "id": "p2", field: lone}
+            path = tmp_path / "bad.jsonl"
+            path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+            argv = [command, "--input", str(path)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("citestats: error: ")
+        assert ("journal_id" if command == "synth" else f"line 2: {field!r}") in err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_clean_corpus(self, capsys, if_fixture_path, tmp_path):
@@ -173,6 +207,56 @@ class TestIngest:
         assert main(["ingest", "--input", str(if_fixture_path), "--out", str(out)]) == 0
         assert (out / "corpus.jsonl").read_text() == if_fixture_path.read_text()
         assert json.loads((out / "summary.json").read_text())["paper_count"] == 7
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(awkward_text(), min_size=1, max_size=3, unique=True),
+        st.integers(0, 2**32),
+        st.sampled_from(["\n", "\r\n"]),
+        st.data(),
+    )
+    def test_ingest_is_a_byte_level_fixed_point(self, journals, seed, newline, data):
+        """synth -> ingest reproduces synth's corpus.jsonl, and re-ingesting
+        ingest's output of any valid input gives the same bytes."""
+        config = {"seed": seed, "references_per_paper": 3.0, "journals": [
+            {"journal_id": jid, "articles_per_year": data.draw(st.integers(i == 0, 3)),
+             "start_year": 2000, "end_year": data.draw(st.integers(2000, 2003))}
+            for i, jid in enumerate(journals)]}  # 1-36 papers
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            config_path = tmp / "config.json"
+            config_path.write_text(json.dumps(config))
+            assert main(["synth", "--config", str(config_path), "--out", str(tmp / "a")]) == 0
+            synthesized = (tmp / "a" / "corpus.jsonl").read_bytes()
+            assert main(["ingest", "--input", str(tmp / "a" / "corpus.jsonl"),
+                         "--out", str(tmp / "b")]) == 0
+            assert (tmp / "b" / "corpus.jsonl").read_bytes() == synthesized
+
+            # a prefix of the same papers (0-40 in all) plus up to 4 of any
+            # kind, with unresolved references, written loosely: CRLF, blank
+            # lines, ASCII escapes
+            records = [json.loads(line) for line in synthesized.decode().split("\n")[:-1]]
+            pool = [r["id"] for r in records] + ["ghost", "gh\u2028ost"]
+            records = records[: data.draw(st.integers(0, len(records)))] + [
+                {"id": f"{i}:{data.draw(awkward_text(0, 4))}", "journal": data.draw(awkward_text()),
+                 "year": data.draw(st.integers(1990, 2010)),
+                 "kind": data.draw(st.sampled_from(KIND_NAMES)),
+                 "authors": data.draw(st.lists(awkward_text(0, 2), max_size=3)),
+                 "references": data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))}
+                for i in range(data.draw(st.integers(0, 4)))
+            ]
+            lines = [json.dumps(r, ensure_ascii=data.draw(st.booleans())) for r in records]
+            for _ in range(data.draw(st.integers(0, 3))):
+                blank = data.draw(st.sampled_from(["", "  "]))
+                lines.insert(data.draw(st.integers(0, len(lines))), blank)
+            (tmp / "loose.jsonl").write_bytes(newline.join(lines).encode() + newline.encode())
+            assert main(["ingest", "--input", str(tmp / "loose.jsonl"),
+                         "--out", str(tmp / "c")]) == 0
+            ingested = (tmp / "c" / "corpus.jsonl").read_bytes()
+            assert [json.loads(line) for line in ingested.decode().split("\n")[:-1]] == records
+            assert main(["ingest", "--input", str(tmp / "c" / "corpus.jsonl"),
+                         "--out", str(tmp / "d")]) == 0
+            assert (tmp / "d" / "corpus.jsonl").read_bytes() == ingested
 
 
 class TestJournalIf:

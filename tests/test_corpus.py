@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citestats import (
@@ -27,7 +27,8 @@ from citestats import (
 
 import reference_metrics as ref
 from citestats.corpus import _trusted_records
-from conftest import build_corpus, rec
+from citestats.synth import JournalSpec, SynthConfig, generate
+from conftest import AWKWARD_CHARS, awkward_text, build_corpus, rec
 
 
 def jline(pid, journal="jnl-a", year=2000, kind="research-article", authors=("au-1",), refs=()):
@@ -382,17 +383,76 @@ class TestSerialization:
         assert line.index('"id"') < line.index('"journal"') < line.index('"year"')
 
 
+@st.composite
+def writable_corpora(draw):
+    """Corpora with awkward strings, loaded from JSON lines or from records,
+    or generated: unresolved references, empty and repeated authors."""
+    how = draw(st.sampled_from(["lines", "records", "generated"]))
+    if how == "generated":
+        journals = draw(st.lists(awkward_text(), min_size=1, max_size=3, unique=True))
+        return generate(SynthConfig(
+            seed=draw(st.integers(0, 2**32)),
+            journals=[
+                JournalSpec(jid, draw(st.integers(i == 0, 3)), 2000, draw(st.integers(2000, 2003)))
+                for i, jid in enumerate(journals)
+            ],
+            references_per_paper=3.0,
+        ))
+    ids = draw(st.lists(awkward_text(), max_size=8, unique=True))
+    pool = [*ids, "ghost", "gh\u2028ost"]
+    records = [
+        PaperRecord(
+            pid, draw(awkward_text()), draw(st.integers(1990, 2010)),
+            draw(st.sampled_from(sorted(KINDS))),
+            draw(st.lists(awkward_text(0, 3), max_size=4)),
+            draw(st.lists(st.sampled_from([r for r in pool if r != pid]), unique=True, max_size=4)),
+        )
+        for pid in ids
+    ]
+    if how == "records":
+        return build_corpus(*records)
+    ensure_ascii = draw(st.booleans())
+    return load_corpus([json.dumps(_record_dict(r), ensure_ascii=ensure_ascii) for r in records])
+
+
+def _record_dict(p):
+    return {"id": p.id, "journal": p.journal_id, "year": p.year, "kind": p.kind,
+            "authors": list(p.author_ids), "references": list(p.reference_ids)}
+
+
+AWKWARD = "".join(AWKWARD_CHARS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(writable_corpora(), st.booleans())
+@example(build_corpus(
+    rec(AWKWARD, journal=AWKWARD, authors=(AWKWARD, "", AWKWARD), refs=(AWKWARD + "!",)),
+    rec("p2", kind="book", authors=(), refs=(AWKWARD,)),
+), True)
+@example(build_corpus(), False)
+def test_columnar_writer_matches_record_json_dumps(corpus, records_first):
+    """corpus_to_jsonl writes each paper's record as json.dumps does,
+    whether or not the records were built before it ran."""
+    if records_first:
+        corpus.papers
+    lines = corpus_to_jsonl(corpus).split("\n")
+    want = [json.dumps(_record_dict(p), separators=(",", ":"), ensure_ascii=False)
+            for p in corpus.papers.values()]
+    assert lines == [*want, ""]
+    assert [record_to_json(p) for p in corpus.papers.values()] == want
+
+
 # ---------------------------------------------------------------------------
 # the columnar loader against the record-at-a-time loader it replaced
 # ---------------------------------------------------------------------------
 
-_BAD_VALUES = {
-    "id": ["", 7, None, ["p"], True],
-    "journal": ["", 5, {}, False],
+_BAD_VALUES = {  # lone surrogates are valid JSON escapes that UTF-8 cannot encode
+    "id": ["", 7, None, ["p"], True, "\ud800"],
+    "journal": ["", 5, {}, False, "j\udfff"],
     "year": ["2000", True, 2000.5, 1799, 2101, None, [2000]],
-    "kind": ["preprint", ["x"], 3, ""],
-    "authors": ["au", [1], [[]], None, [True], {"a": 1}],
-    "references": ["p0", [None], [{}], [[]], 3],
+    "kind": ["preprint", ["x"], 3, "", "\udc00"],
+    "authors": ["au", [1], [[]], None, [True], {"a": 1}, ["au1", "\udbff"]],
+    "references": ["p0", [None], [{}], [[]], 3, ["\ud800\udc00"]],
 }
 
 
