@@ -355,6 +355,8 @@ def cmd_synth(args, config) -> tuple[dict, str]:
 
 
 def cmd_replicate(args, config) -> tuple[dict, str]:
+    if args.runs < 1:
+        raise UsageError("--runs must be >= 1")
     census = args.census_years
     runs = replicate(config, args.runs, census[0], census[-1], args.window)
     header = (
@@ -392,14 +394,13 @@ def cmd_replicate(args, config) -> tuple[dict, str]:
 def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
     if args.rule in ("example2", "example3") and args.census_year is None:
         raise UsageError(f"--census-year is required for {args.rule}")
-    if args.rule == "example2" and len(args.papers or ()) != 5:
-        raise UsageError("--papers must list exactly 5 paper ids")
     if args.rule == "example2" and args.with_divergence:
         raise UsageError("--with-divergence needs an author-level rule")
+    if args.rule == "example2" and (len(args.papers or ()) != 5 or len(set(args.papers)) != 5):
+        raise UsageError("--papers must list exactly 5 distinct paper ids")
     if args.rule == "example2":
         tiers = build_tiers(corpus, args.census_year, args.window)
-        papers = [corpus.paper(pid) for pid in args.papers]
-        scores = [score_example2(papers, tiers, subject_id=args.subject)]
+        scores = [score_example2(corpus, args.papers, tiers, subject_id=args.subject)]
     else:
         author_papers = corpus.author_papers
         subjects = {}

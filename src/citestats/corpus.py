@@ -33,10 +33,9 @@ import json
 import math
 import warnings
 from array import array
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import asdict, dataclass, fields
-from itertools import chain, repeat
+from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Any, Union
@@ -64,7 +63,15 @@ _FIELD_SET = frozenset(_RECORD_FIELDS)
 
 @dataclass(frozen=True, slots=True)
 class PaperRecord:
-    """One published item: journal, year, kind, authors, outgoing references."""
+    """One published item: journal, year, kind, authors, outgoing references.
+
+    Every record passes the loader's field checks, however it is built: the
+    id, journal and kind are nonempty strings, the year an int in
+    [YEAR_MIN, YEAR_MAX], the authors and references lists or tuples of
+    strings (stored as tuples), no string holds a lone surrogate, and the
+    references are distinct and exclude the paper itself.  Errors name the
+    fields as the JSON-lines format does.
+    """
 
     id: str
     journal_id: str
@@ -74,14 +81,24 @@ class PaperRecord:
     reference_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
+        values = (
+            self.id, self.journal_id, self.year, self.kind, self.author_ids, self.reference_ids
+        )
+        for field, value, kind in zip(_RECORD_FIELDS, values, (str, str, int, str)):
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ValueError(f"{field!r} must be of type {kind.__name__}")
+        for field, value in zip(_RECORD_FIELDS[4:], values[4:]):
+            if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+                raise ValueError(f"{field!r} must be an array of strings")
+        for field, value in zip(_RECORD_FIELDS, values):
+            if field != "year" and not utf8_encodable([value] if isinstance(value, str) else value):
+                raise ValueError(f"{field!r} holds a lone surrogate")
         object.__setattr__(self, "author_ids", tuple(self.author_ids))
         object.__setattr__(self, "reference_ids", tuple(self.reference_ids))
-        if not self.id or not isinstance(self.id, str):
+        if not self.id:
             raise ValueError("paper id must be a nonempty string")
-        if not self.journal_id or not isinstance(self.journal_id, str):
+        if not self.journal_id:
             raise ValueError(f"paper {self.id!r}: journal must be a nonempty string")
-        if isinstance(self.year, bool) or not isinstance(self.year, int):
-            raise ValueError(f"paper {self.id!r}: year must be an integer")
         if not YEAR_MIN <= self.year <= YEAR_MAX:
             raise ValueError(
                 f"paper {self.id!r}: year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]"
@@ -100,17 +117,13 @@ class PaperRecord:
         return self.kind in SUBSTANTIVE_KINDS
 
 
-_FIELD_SETTERS = tuple(PaperRecord.__dict__[f.name].__set__ for f in fields(PaperRecord))
-
-
-def _trusted_records(*columns: Iterable) -> list[PaperRecord]:
-    """Records of checked field columns (id, journal, year, kind, author and
-    reference tuples), filled slot by slot: ``__post_init__`` would only
-    repeat the checks the columns passed."""
-    records = list(map(PaperRecord.__new__, repeat(PaperRecord, len(columns[0]))))
-    for set_field, column in zip(_FIELD_SETTERS, columns, strict=True):
-        deque(map(set_field, records, column), maxlen=0)
-    return records
+def utf8_encodable(strings: Iterable[str]) -> bool:
+    """Whether UTF-8 can encode the strings: not if one holds a lone surrogate."""
+    try:
+        "".join(strings).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _per_row(names, codes, counts, join: Callable = tuple) -> list:
@@ -219,8 +232,9 @@ class Corpus:
     @property
     def papers(self) -> Mapping[str, PaperRecord]:
         if self._papers is None:
-            self._papers = MappingProxyType(dict(zip(self._ids, _trusted_records(
-                self._ids, map(tuple(self._journal_codes).__getitem__, self._journal_code.tolist()),
+            self._papers = MappingProxyType(dict(zip(self._ids, map(
+                PaperRecord, self._ids,
+                map(tuple(self._journal_codes).__getitem__, self._journal_code.tolist()),
                 self._year.tolist(), map(KIND_NAMES.__getitem__, self._kind_code.tolist()),
                 self._authors, _per_row(*self._reference_columns()),
             ))))
@@ -403,33 +417,10 @@ def _check_record(obj: Any, line_number: int, strict: bool, warned: set, pending
 
 def _check_fields(line_number: int, *values: Any) -> None:
     """Check one record's field values, given in ``_RECORD_FIELDS`` order."""
-    for field, value, kind in zip(_RECORD_FIELDS, values, (str, str, int, str)):
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise RecordError(
-                f"line {line_number}: {field!r} must be of type {kind.__name__}", line_number
-            )
-    for field, value in zip(_RECORD_FIELDS[4:], values[4:]):
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise RecordError(
-                f"line {line_number}: {field!r} must be an array of strings",
-                line_number,
-            )
-    for field, value in zip(_RECORD_FIELDS, values):
-        if field != "year" and not utf8_encodable([value] if isinstance(value, str) else value):
-            raise RecordError(f"line {line_number}: {field!r} holds a lone surrogate", line_number)
     try:
         PaperRecord(*values)
     except ValueError as exc:
         raise RecordError(f"line {line_number}: {exc}", line_number) from exc
-
-
-def utf8_encodable(strings: Iterable[str]) -> bool:
-    """Whether UTF-8 can encode the strings: not if one holds a lone surrogate."""
-    try:
-        "".join(strings).encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 def _settle(records: Iterable[tuple], pending: list, line_number: float, unique_ids: bool) -> None:
@@ -591,7 +582,7 @@ def iter_records(
         source, strict, unique_ids=False, build=lambda *columns: columns
     )
     references = _per_row(names, codes, counts)
-    yield from _trusted_records(ids, journal_ids, years, kinds, authors, references)
+    yield from map(PaperRecord, ids, journal_ids, years, kinds, authors, references)
 
 
 def load_corpus(

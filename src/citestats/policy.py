@@ -5,25 +5,24 @@ for indexed-journal publication, tercile points for five selected papers,
 author-share-weighted impact factors) plus a rank-correlation diagnostic
 for how far such scores drift from the citation record they stand in for.
 
-The two author rules score every subject of a corpus in one call.  They
-read each paper's journal and author count from the corpus columns, build
-no :class:`PaperRecord`, and memoize a paper's points (for example3, its
-author share of the impact factor) per distinct (journal, author count), so
-the papers of one pair share one ``Fraction``.
+Every rule scores from the corpus columns: it reads each paper's journal
+and author count, builds no ``PaperRecord``, and memoizes a paper's points
+(for example3, its author share of the impact factor) per distinct
+(journal, author count), so the papers of one pair share one ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
 
 import numpy as np
 
-from .corpus import Corpus, PaperRecord
+from .corpus import Corpus
 from .errors import InsufficientDataError, PolicyError
 from .journal_metrics import (
     DEFAULT_DENOMINATOR_POLICY,
@@ -111,19 +110,17 @@ def build_tiers(
 
 @dataclass(frozen=True, slots=True)
 class PolicyScore:
-    """A rule's score for one subject, with its per-paper breakdown."""
+    """A rule's score for one subject, with its per-paper breakdown; the
+    score is the breakdown's exact sum."""
 
     subject_id: str
     rule: str
-    score: Fraction
+    score: Fraction = field(init=False)
     breakdown: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
-        total = _exact_sum(points for _, points in self.breakdown)
-        if total != self.score:
-            raise ValueError(
-                f"score {self.score} does not equal breakdown sum {total}"
-            )
+        object.__setattr__(self, "breakdown", tuple(self.breakdown))
+        object.__setattr__(self, "score", _exact_sum(points for _, points in self.breakdown))
 
 
 def _exact_sum(values: Iterable[Fraction | int]) -> Fraction:
@@ -137,15 +134,6 @@ def _exact_sum(values: Iterable[Fraction | int]) -> Fraction:
     return Fraction(
         sum(value.numerator * (denominator // value.denominator) for value in values),
         denominator,
-    )
-
-
-def _score(subject_id: str, rule: str, breakdown: list[tuple[str, Fraction]]) -> PolicyScore:
-    return PolicyScore(
-        subject_id=subject_id,
-        rule=rule,
-        score=_exact_sum(points for _, points in breakdown),
-        breakdown=tuple(breakdown),
     )
 
 
@@ -175,7 +163,7 @@ def _author_rule(
             if value is None:
                 value = memo[key] = points(journals[key[0]], key[1], paper_id)
             breakdown.append((paper_id, value))
-        scores.append(_score(subject_id, rule, breakdown))
+        scores.append(PolicyScore(subject_id, rule, breakdown))
     return scores
 
 
@@ -206,19 +194,18 @@ def score_example1(
 
 
 def score_example2(
-    papers: Sequence[PaperRecord],
-    tiers: TierTable,
-    subject_id: str = "paper-set",
+    corpus: Corpus, paper_ids: Sequence[str], tiers: TierTable, subject_id: str = "paper-set"
 ) -> PolicyScore:
-    """Tercile points for exactly five selected papers: 3 / 2 / 1 for
-    top / middle / bottom tier journals, 0 for unindexed ones."""
-    if len(papers) != 5:
-        raise PolicyError(f"rule scores exactly 5 papers, got {len(papers)}")
-    breakdown = [
-        (paper.id, Fraction(TIER_POINTS[tiers.tier_of(paper.journal_id)]))
-        for paper in papers
-    ]
-    return _score(subject_id, "example2", breakdown)
+    """Tercile points for exactly five selected papers of ``corpus``: 3 / 2 /
+    1 for top / middle / bottom tier journals, 0 for unindexed ones."""
+    if len(paper_ids) != 5:
+        raise PolicyError(f"rule scores exactly 5 papers, got {len(paper_ids)}")
+
+    def points(journal_id, author_count, paper_id):
+        return Fraction(TIER_POINTS[tiers.tier_of(journal_id)])
+
+    [score] = _author_rule(corpus, {subject_id: paper_ids}, "example2", points)
+    return score
 
 
 def score_example3(

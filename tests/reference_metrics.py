@@ -11,11 +11,12 @@ the version that read each paper's kind and year from its record.
 ``divergence_pairs`` is the O(n^2) pair loop that ``policy.divergence``
 ran before Knight's algorithm, ``generate`` is the synthetic generator
 that built string ids, reference tuples and records before
-``synth.generate`` built columns, and ``score_example1`` and
-``score_example3`` are the record-at-a-time, one-subject rules that
-``policy`` had before its rules scored every subject from the columns;
-``score_example3`` also keeps the chained-``Fraction`` sum that came
-before the sum over one common denominator.
+``synth.generate`` built columns, and ``score_example1``,
+``score_example2`` and ``score_example3`` are the record-at-a-time,
+one-subject rules that ``policy`` had before its rules scored every
+subject from the columns; their ``_score`` also keeps the
+chained-``Fraction`` sum that came before the sum over one common
+denominator, and checks each derived ``PolicyScore.score`` against it.
 ``iter_records``, ``from_records`` and ``load_corpus`` are the
 record-at-a-time loader that built and checked one :class:`PaperRecord` per
 line before the columnar loader.
@@ -25,7 +26,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from collections.abc import Collection, Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -44,7 +45,7 @@ from citestats.errors import (
     UnknownIdError,
 )
 from citestats.journal_metrics import IFResult
-from citestats.policy import DivergenceResult, PolicyScore
+from citestats.policy import TIER_POINTS, DivergenceResult, PolicyScore, TierTable
 from citestats.synth import SynthConfig, _rng
 
 
@@ -255,12 +256,12 @@ def divergence_pairs(ranking_a, ranking_b):
 
 
 def _score(subject_id: str, rule: str, breakdown: list[tuple[str, Fraction]]) -> PolicyScore:
-    return PolicyScore(
-        subject_id=subject_id,
-        rule=rule,
-        score=sum((points for _, points in breakdown), Fraction(0)),
-        breakdown=tuple(breakdown),
-    )
+    """The score of ``breakdown``, whose derived ``score`` must equal the
+    chained ``Fraction`` sum of its points."""
+    score = PolicyScore(subject_id=subject_id, rule=rule, breakdown=tuple(breakdown))
+    total = sum((points for _, points in breakdown), Fraction(0))
+    assert score.score == total, f"score {score.score} != chained sum {total}"
+    return score
 
 
 def score_example1(
@@ -288,6 +289,22 @@ def score_example1(
             points = 0
         breakdown.append((paper.id, Fraction(points)))
     return _score(subject_id, "example1", breakdown)
+
+
+def score_example2(
+    papers: Sequence[PaperRecord],
+    tiers: TierTable,
+    subject_id: str = "paper-set",
+) -> PolicyScore:
+    """Tercile points for exactly five selected papers: 3 / 2 / 1 for
+    top / middle / bottom tier journals, 0 for unindexed ones."""
+    if len(papers) != 5:
+        raise PolicyError(f"rule scores exactly 5 papers, got {len(papers)}")
+    breakdown = [
+        (paper.id, Fraction(TIER_POINTS[tiers.tier_of(paper.journal_id)]))
+        for paper in papers
+    ]
+    return _score(subject_id, "example2", breakdown)
 
 
 def score_example3(

@@ -93,6 +93,13 @@ class TestExitCodes:
         assert code == 1
         assert "window_w" in capsys.readouterr().err
 
+    def test_zero_replicate_runs_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        argv = ["replicate", "--preset", "volatility", "--runs", "0", "--census-years", "2003:2005"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "citestats: error: --runs must be >= 1\n"
+        assert not out.exists()
+
     def test_evaluation_year_before_first_paper_is_usage_error(
         self, capsys, if_fixture_path, tmp_path
     ):
@@ -507,7 +514,11 @@ class TestPolicy:
         [
             (
                 ["--rule", "example2", "--census-year", "2007", "--papers", "p1,p2"],
-                "--papers must list exactly 5 paper ids",
+                "--papers must list exactly 5 distinct paper ids",
+            ),
+            (
+                ["--rule", "example2", "--census-year", "2007", "--papers", "p1,p1,p2,p3,c1"],
+                "--papers must list exactly 5 distinct paper ids",
             ),
             (
                 ["--rule", "example2", "--census-year", "2007", "--papers", "p1,p2,p3,c1,p1",
@@ -515,7 +526,7 @@ class TestPolicy:
                 "--with-divergence needs an author-level rule",
             ),
         ],
-        ids=["papers-count", "divergence-example2"],
+        ids=["papers-count", "papers-repeated", "divergence-example2"],
     )
     def test_argument_errors_are_usage_errors(self, capsys, tmp_path, extra, message):
         path = self._author_corpus_path(tmp_path)

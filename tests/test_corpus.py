@@ -26,7 +26,6 @@ from citestats import (
 )
 
 import reference_metrics as ref
-from citestats.corpus import _trusted_records
 from citestats.synth import JournalSpec, SynthConfig, generate
 from conftest import AWKWARD_CHARS, awkward_text, build_corpus, rec
 
@@ -71,6 +70,58 @@ class TestPaperRecord:
     def test_rejects_self_reference(self):
         with pytest.raises(ValueError, match="references itself"):
             rec("p1", refs=("p1",))
+
+    @pytest.mark.parametrize(
+        "pid, authors, message",
+        [
+            ("p\ud800", (), "'id' holds a lone surrogate"),
+            ("p1", (1,), "'authors' must be an array of strings"),
+            ("p1", "abc", "'authors' must be an array of strings"),
+        ],
+        ids=["lone-surrogate-id", "int-author", "string-authors"],
+    )
+    def test_rejects_what_the_loader_rejects(self, pid, authors, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PaperRecord(pid, "jnl-a", 2000, "research-article", authors)
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+_SURROGATE_TEXT = st.text(st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), min_size=1)
+_WRONG = st.one_of(
+    st.integers(), st.none(), st.booleans(), st.floats(), _TEXT, _SURROGATE_TEXT,
+    st.lists(st.one_of(_TEXT, _SURROGATE_TEXT, st.integers(), st.none()), min_size=1, max_size=3),
+    st.lists(_TEXT, max_size=3).map(tuple),
+)
+
+
+@st.composite
+def record_fields(draw):
+    """PaperRecord arguments; in two draws of three, one of them is
+    replaced by any value, such as a string with a lone surrogate."""
+    values = [
+        draw(_TEXT), draw(_TEXT), draw(st.integers(1790, 2110)),
+        draw(st.sampled_from(sorted(KINDS))),
+        draw(st.lists(_TEXT, max_size=3)), draw(st.lists(_TEXT, max_size=3).map(tuple)),
+    ]
+    if draw(st.integers(0, 2)):
+        values[draw(st.integers(0, 5))] = draw(_WRONG)
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_fields())
+@example(["p1", "j", 2000, "book", ["a\ud800"], ()])
+@example(["p1", "j", 2000, "book", ["\U0001f600", ""], ("\u2028",)])
+def test_every_buildable_record_can_be_written(values):
+    """A record either fails to build with ValueError, or its JSON line
+    encodes as UTF-8 and parses back to its fields."""
+    try:
+        record = PaperRecord(*values)
+    except ValueError:
+        return
+    line = record_to_json(record).encode("utf-8")
+    assert json.loads(line) == _record_dict(record)
+    assert (record.author_ids, record.reference_ids) == tuple(map(tuple, values[4:]))
 
 
 class TestLoadCorpus:
@@ -558,21 +609,3 @@ def test_first_bad_line_is_reported_as_before(lines, strict):
     lines = [line.encode() if isinstance(line, str) else line for line in lines]
     got = _outcome(load_corpus, lines, strict)
     assert got == _outcome(ref.load_corpus, lines, strict)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.text(min_size=1, max_size=5),
-    st.text(min_size=1, max_size=5),
-    st.integers(1800, 2100),
-    st.sampled_from(sorted(KINDS)),
-    st.lists(st.text(max_size=3), max_size=3),
-    st.lists(st.text(max_size=3), unique=True, max_size=3),
-)
-def test_trusted_record_equals_checked_record(pid, journal, year, kind, authors, refs):
-    refs = [r for r in refs if r != pid]
-    checked = PaperRecord(pid, journal, year, kind, tuple(authors), tuple(refs))
-    [trusted] = _trusted_records([pid], [journal], [year], [kind], [tuple(authors)], [tuple(refs)])
-    assert type(trusted) is PaperRecord
-    assert trusted == checked and hash(trusted) == hash(checked)
-    assert repr(trusted) == repr(checked)

@@ -14,13 +14,14 @@ from citestats import (
     InsufficientDataError,
     PolicyError,
     PolicyScore,
+    TierTable,
     build_tiers,
     divergence,
     score_example1,
     score_example2,
     score_example3,
 )
-from citestats.policy import _exact_sum
+from citestats.policy import TIER_POINTS, _exact_sum
 
 import reference_metrics as ref
 from conftest import build_corpus, rec
@@ -124,6 +125,11 @@ class TestScoreExample1:
             score_papers(score_example1, [], {"j1"}, {"j1", "j2"})
 
 
+def score_five(papers, tiers):
+    """example2's score of ``papers``, on a corpus of them."""
+    return score_example2(build_corpus(*papers), [p.id for p in papers], tiers)
+
+
 class TestScoreExample2:
     def _tiers(self):
         corpus = tier_corpus({"t1": 9, "t2": 8, "m1": 5, "m2": 4, "b1": 2, "b2": 1})
@@ -138,12 +144,12 @@ class TestScoreExample2:
             rec("p4", journal="t2"),
             rec("p5", journal="m2"),
         ]
-        assert score_example2(papers, tiers).score == 11
+        assert score_five(papers, tiers).score == 11
 
     def test_all_bottom(self):
         tiers = self._tiers()
         papers = [rec(f"p{i}", journal="b1") for i in range(5)]
-        assert score_example2(papers, tiers).score == 5
+        assert score_five(papers, tiers).score == 5
 
     def test_unindexed_contributes_zero(self):
         tiers = self._tiers()
@@ -154,14 +160,14 @@ class TestScoreExample2:
             rec("p4", journal="m2"),
             rec("p5", journal="never-indexed"),
         ]
-        score = score_example2(papers, tiers)
+        score = score_five(papers, tiers)
         assert dict(score.breakdown)["p5"] == 0
         assert score.score == 10
 
     def test_requires_exactly_five_papers(self):
         tiers = self._tiers()
         with pytest.raises(PolicyError, match="5"):
-            score_example2([rec("p1", journal="t1")], tiers)
+            score_five([rec("p1", journal="t1")], tiers)
 
 
 class TestScoreExample3:
@@ -206,7 +212,8 @@ class TestScoreExample3:
 
 class TestPolicyScoreInvariant:
     def test_breakdown_must_sum_to_score(self):
-        with pytest.raises(ValueError):
+        # the score is derived from the breakdown, so it is not an argument
+        with pytest.raises(TypeError):
             PolicyScore(
                 subject_id="s",
                 rule="example1",
@@ -215,20 +222,21 @@ class TestPolicyScoreInvariant:
             )
 
     def test_int_point_breakdown(self):
-        breakdown = (("p1", 15), ("p2", 10), ("p3", 0))
-        assert PolicyScore("s", "example1", Fraction(25), breakdown).score == 25
-        with pytest.raises(ValueError, match="breakdown sum 25"):
-            PolicyScore("s", "example1", Fraction(24), breakdown)
+        score = PolicyScore("s", "example1", [("p1", 15), ("p2", 10), ("p3", 0)])
+        assert score.score == 25 and type(score.score) is Fraction
+        assert score.breakdown == (("p1", 15), ("p2", 10), ("p3", 0))
+        assert PolicyScore("s", "example1", ()).score == 0
 
-    def test_mismatched_multi_entry_breakdown(self):
+    def test_multi_entry_breakdown_sums_over_the_lcm(self):
         # 1/4 + 1/6 + 1/3 = 3/4 over the lcm 12; scaling to the largest
         # denominator, 6, instead would give 2/3
         breakdown = (("p1", Fraction(1, 4)), ("p2", Fraction(1, 6)), ("p3", Fraction(1, 3)))
-        assert PolicyScore("s", "example3", Fraction(3, 4), breakdown).score == Fraction(3, 4)
-        with pytest.raises(ValueError, match="breakdown sum 3/4$"):
-            PolicyScore("s", "example3", Fraction(2, 3), breakdown)
-        with pytest.raises(ValueError, match="breakdown sum 5/12$"):
-            PolicyScore("s", "example3", Fraction(3, 4), breakdown[:2])
+        assert PolicyScore("s", "example3", breakdown).score == Fraction(3, 4)
+        assert PolicyScore("s", "example3", breakdown[:2]).score == Fraction(5, 12)
+        assert repr(PolicyScore("s", "example3", breakdown[2:])) == (
+            "PolicyScore(subject_id='s', rule='example3', score=Fraction(1, 3), "
+            "breakdown=(('p3', Fraction(1, 3)),))"
+        )
 
 
 POINTS = st.one_of(
@@ -255,7 +263,8 @@ IMPACT_FACTORS = st.one_of(
 def author_rule_cases(draw):
     """A corpus of papers with 0-6 authors, journals whose IFs are ints,
     Fractions with varied denominators or undefined, and subjects that
-    repeat paper ids and may name a paper outside the corpus."""
+    repeat paper ids and may name a paper outside the corpus; and for
+    example2, a tier per journal and five such paper ids."""
     journals = [f"j{i}" for i in range(draw(st.integers(1, 8)))]
     impact_factors = {j: draw(IMPACT_FACTORS) for j in journals}
     for journal_id in draw(st.sets(st.sampled_from([*journals, "j-missing"]), max_size=2)):
@@ -274,7 +283,10 @@ def author_rule_cases(draw):
     subjects = {f"s{i}": draw(paper_ids) for i in range(draw(st.integers(1, 5)))}
     core = draw(st.sets(st.sampled_from(journals)))
     indexed = draw(st.sets(st.sampled_from(journals))) - core
-    return build_corpus(*papers), impact_factors, subjects, core, indexed
+    tier_names = st.sampled_from(sorted(TIER_POINTS))
+    tiers = TierTable({j: draw(tier_names) for j in journals}, 2007, 2, ())
+    five = draw(st.lists(st.sampled_from(ids), min_size=5, max_size=5)) if ids else []
+    return build_corpus(*papers), impact_factors, subjects, core, indexed, tiers, five
 
 
 def _outcome(score, *args):
@@ -294,32 +306,45 @@ def _record_loop(corpus, subjects, rule, *rule_args):
     ]
 
 
+TIERS = TierTable({"j0": "middle"}, 2007, 2, ())
+
+
 @settings(max_examples=400, deadline=None)
 @given(author_rule_cases())
 @example((  # a repeated paper, and a paper without authors
     build_corpus(rec("p0", journal="j0", authors=()), rec("p1", journal="j0")),
     {"j0": Fraction(1, 3)}, {"s0": ["p1", "p1"], "s1": ["p0"]}, {"j0"}, set(),
+    TIERS, ["p1", "p0", "p1", "p1", "p0"],
 ))
 @example((  # an unknown id is reported before the earlier paper without authors
     build_corpus(rec("p0", journal="j0", authors=()), rec("p1", journal="j0")),
     {"j0": Fraction(1, 3)}, {"s0": ["p1", "p0"], "s1": ["ghost"]}, set(), set(),
+    TIERS, ["p1", "p0", "ghost", "p1", "p0"],
 ))
 def test_author_rules_match_record_loops(case):
-    corpus, impact_factors, subjects, core, indexed = case
-    for result, expected in (
+    corpus, impact_factors, subjects, core, indexed, tiers, five = case
+    for result, expected, subject_ids in (
         (
             _outcome(score_example3, corpus, impact_factors, subjects),
             _outcome(_record_loop, corpus, subjects, ref.score_example3, impact_factors),
+            list(subjects),
         ),
         (
             _outcome(score_example1, corpus, core, indexed, subjects),
             _outcome(_record_loop, corpus, subjects, ref.score_example1, core, indexed),
+            list(subjects),
+        ),
+        (
+            _outcome(lambda *args: [score_example2(*args)], corpus, five, tiers, "s"),
+            _outcome(_record_loop, corpus, {"s": five}, ref.score_example2, tiers),
+            ["s"],
         ),
     ):
+        # the reference scores check their derived scores against chained sums
         assert result == expected
         if isinstance(expected, list):
             assert [s.breakdown for s in result] == [s.breakdown for s in expected]
-            assert [s.subject_id for s in result] == list(subjects)
+            assert [s.subject_id for s in result] == subject_ids
             assert all(type(s.score) is Fraction for s in result)
             assert all(type(points) is Fraction for s in result for _, points in s.breakdown)
 
