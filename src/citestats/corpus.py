@@ -68,9 +68,9 @@ class PaperRecord:
     Every record passes the loader's field checks, however it is built: the
     id, journal and kind are nonempty strings, the year an int in
     [YEAR_MIN, YEAR_MAX], the authors and references lists or tuples of
-    strings (stored as tuples), no string holds a lone surrogate, and the
-    references are distinct and exclude the paper itself.  Errors name the
-    fields as the JSON-lines format does.
+    strings (stored as tuples), no string holds a lone surrogate, the
+    authors are distinct, and the references are distinct and exclude the
+    paper itself.  Errors name the fields as the JSON-lines format does.
     """
 
     id: str
@@ -107,6 +107,8 @@ class PaperRecord:
             raise ValueError(
                 f"paper {self.id!r}: kind {self.kind!r} not one of {sorted(KINDS)}"
             )
+        if len(set(self.author_ids)) != len(self.author_ids):
+            raise ValueError(f"paper {self.id!r}: duplicate author ids")
         if len(set(self.reference_ids)) != len(self.reference_ids):
             raise ValueError(f"paper {self.id!r}: duplicate reference ids")
         if self.id in self.reference_ids:
@@ -541,6 +543,7 @@ def _read_rows(source: Iterable, strict: bool, unique_ids: bool, build: Callable
         and set(map(type, years)) <= {int}
         and YEAR_MIN <= min(years, default=YEAR_MIN) and max(years, default=YEAR_MAX) <= YEAR_MAX
         and set(map(type, chain.from_iterable(authors))) <= {str}
+        and sum(map(len, authors)) == sum(map(len, map(frozenset, authors)))
         and (not unique_ids or len(set(id_codes)) == len(ids))
     )
     if not checked:

@@ -316,17 +316,19 @@ def generate(config: SynthConfig) -> Corpus:
     rates = np.where(keep, rng.lognormal(config.latent_mu, config.latent_sigma, total), 0.0)
     rates *= np.repeat([j.quality_scale for j in specs], sizes)
 
-    # authors: 1-3 names from a small per-journal pool
-    pools = [
-        [f"{j.journal_id}-au{a:03d}" for a in range(max(3, j.articles_per_year))] for j in specs
-    ]
+    # authors: 1-3 names from a small per-journal pool, all pools in one array
+    pool_sizes = np.array([max(3, j.articles_per_year) for j in specs])
+    names = np.array(
+        [f"{j.journal_id}-au{a:03d}" for j, n in zip(specs, pool_sizes.tolist()) for a in range(n)],
+        dtype=object,
+    )
     n_authors = rng.integers(1, 4, size=total)
-    picks = _sorted_choices(rng, np.array(list(map(len, pools)))[journal_code], n_authors)
-    # zip the columns: a list for every row, all alive beside the tuples,
-    # would raise replicate's peak memory
+    picks = _sorted_choices(rng, pool_sizes[journal_code], n_authors)
+    picks += (np.cumsum(pool_sizes) - pool_sizes)[journal_code][:, None]
+    # zip the gathered columns and slice off the -1 padding's names: a list
+    # for every row, all alive beside the tuples, would raise replicate's peak memory
     authors = tuple(
-        tuple(map(pools[code].__getitem__, row[3 - k :]))
-        for code, k, row in zip(journal_code.tolist(), n_authors.tolist(), zip(*picks.T.tolist()))
+        row[3 - k :] for k, row in zip(n_authors.tolist(), zip(*names[picks.T].tolist()))
     )
 
     # references: per census year, weighted draw over strictly earlier papers
@@ -344,14 +346,17 @@ def generate(config: SynthConfig) -> Corpus:
             continue
         cumulative = np.cumsum(weights)
         budget = ref_budget[citing]
-        draws = np.searchsorted(
-            cumulative, rng.random(int(budget.sum())) * total_weight, side="right"
-        )
+        needles = rng.random(int(budget.sum())) * total_weight
+        # searched in ascending order, which with the argsort takes half the
+        # time of a search in draw order (cache-friendly bisection); the
+        # owners follow the same order, and the keys are sorted below anyway
+        order = np.argsort(needles)
+        draws = np.searchsorted(cumulative, needles[order], side="right")
         draws = np.minimum(draws, targets.size - 1)  # float-edge guard
         # duplicates within one paper collapse to a single reference: one
         # sort of (paper, target) keys; np.unique would hash them first and
         # take ~20x longer
-        owner = np.repeat(np.arange(citing.size, dtype=np.int64), budget)
+        owner = np.repeat(np.arange(citing.size, dtype=np.int64), budget)[order]
         keys = np.sort(owner * targets.size + draws)
         keys = keys[np.diff(keys, prepend=-1) != 0]
         citing_rows.append(citing[keys // targets.size])

@@ -462,6 +462,8 @@ def _record_from_obj(
             raise RecordError(
                 f"line {line_number}: {field!r} holds a lone surrogate", line_number
             ) from None
+    # PaperRecord checks the rest: nonempty strings, the year range, the kind,
+    # distinct authors, distinct references and no self-reference
     try:
         return PaperRecord(
             id=memo.setdefault(obj["id"], obj["id"]),

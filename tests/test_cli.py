@@ -193,6 +193,29 @@ class TestExitCodes:
         assert ("journal_id" if command == "synth" else f"line 2: {field!r}") in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["author-index"], ["policy", "--rule", "example1", "--core-journals", "j1"]],
+        ids=["author-index", "policy-example1"],
+    )
+    def test_duplicate_author_is_data_error_and_writes_nothing(self, capsys, tmp_path, argv):
+        """An author listed twice on one paper would be counted twice for it."""
+        lines = [
+            {"id": "p1", "journal": "j1", "year": 2000, "kind": "research-article",
+             "authors": ["a", "a"], "references": []},
+            {"id": "p2", "journal": "j2", "year": 2001, "kind": "research-article",
+             "authors": ["a"], "references": ["p1"]},
+            {"id": "p3", "journal": "j1", "year": 2001, "kind": "research-article",
+             "authors": ["b"], "references": []},
+        ]
+        path = tmp_path / "dup.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        out = tmp_path / "out"
+        assert main([*argv, "--input", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "citestats: error: line 1: paper 'p1': duplicate author ids\n"
+        assert not out.exists()
+
 
 class TestValidate:
     def test_clean_corpus(self, capsys, if_fixture_path, tmp_path):
@@ -248,7 +271,7 @@ class TestIngest:
                 {"id": f"{i}:{data.draw(awkward_text(0, 4))}", "journal": data.draw(awkward_text()),
                  "year": data.draw(st.integers(1990, 2010)),
                  "kind": data.draw(st.sampled_from(KIND_NAMES)),
-                 "authors": data.draw(st.lists(awkward_text(0, 2), max_size=3)),
+                 "authors": data.draw(st.lists(awkward_text(0, 2), unique=True, max_size=3)),
                  "references": data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))}
                 for i in range(data.draw(st.integers(0, 4)))
             ]

@@ -63,6 +63,10 @@ class TestPaperRecord:
         with pytest.raises(ValueError, match="kind"):
             rec("p1", kind="preprint")
 
+    def test_rejects_duplicate_authors(self):
+        with pytest.raises(ValueError, match="^paper 'p1': duplicate author ids$"):
+            rec("p1", authors=("a", "b", "a"))
+
     def test_rejects_duplicate_references(self):
         with pytest.raises(ValueError, match="duplicate reference"):
             rec("p1", refs=("p0", "p0"))
@@ -357,7 +361,9 @@ class TestCorpusInvariants:
                     pid,
                     journal=f"j{rng.randrange(3)}",
                     year=2000 + rng.randrange(8),
-                    authors=tuple(f"au{rng.randrange(5)}" for _ in range(rng.randrange(1, 3))),
+                    authors=tuple(dict.fromkeys(
+                        f"au{rng.randrange(5)}" for _ in range(rng.randrange(1, 3))
+                    )),
                     refs=tuple(refs),
                 )
             )
@@ -437,7 +443,7 @@ class TestSerialization:
 @st.composite
 def writable_corpora(draw):
     """Corpora with awkward strings, loaded from JSON lines or from records,
-    or generated: unresolved references, empty and repeated authors."""
+    or generated: unresolved references, empty authors and authors shared by papers."""
     how = draw(st.sampled_from(["lines", "records", "generated"]))
     if how == "generated":
         journals = draw(st.lists(awkward_text(), min_size=1, max_size=3, unique=True))
@@ -455,7 +461,7 @@ def writable_corpora(draw):
         PaperRecord(
             pid, draw(awkward_text()), draw(st.integers(1990, 2010)),
             draw(st.sampled_from(sorted(KINDS))),
-            draw(st.lists(awkward_text(0, 3), max_size=4)),
+            draw(st.lists(awkward_text(0, 3), unique=True, max_size=4)),
             draw(st.lists(st.sampled_from([r for r in pool if r != pid]), unique=True, max_size=4)),
         )
         for pid in ids
@@ -477,8 +483,9 @@ AWKWARD = "".join(AWKWARD_CHARS)
 @settings(max_examples=100, deadline=None)
 @given(writable_corpora(), st.booleans())
 @example(build_corpus(
-    rec(AWKWARD, journal=AWKWARD, authors=(AWKWARD, "", AWKWARD), refs=(AWKWARD + "!",)),
+    rec(AWKWARD, journal=AWKWARD, authors=(AWKWARD, ""), refs=(AWKWARD + "!",)),
     rec("p2", kind="book", authors=(), refs=(AWKWARD,)),
+    rec("p3", authors=("", AWKWARD)),
 ), True)
 @example(build_corpus(), False)
 def test_columnar_writer_matches_record_json_dumps(corpus, records_first):
@@ -502,7 +509,7 @@ _BAD_VALUES = {  # lone surrogates are valid JSON escapes that UTF-8 cannot enco
     "journal": ["", 5, {}, False, "j\udfff"],
     "year": ["2000", True, 2000.5, 1799, 2101, None, [2000]],
     "kind": ["preprint", ["x"], 3, "", "\udc00"],
-    "authors": ["au", [1], [[]], None, [True], {"a": 1}, ["au1", "\udbff"]],
+    "authors": ["au", [1], [[]], None, [True], {"a": 1}, ["au1", "\udbff"], ["au1", "au1"]],
     "references": ["p0", [None], [{}], [[]], 3, ["\ud800\udc00"]],
 }
 
@@ -600,9 +607,11 @@ def test_columnar_loader_matches_record_loader(lines, strict, as_bytes):
         [jline("p0"), jline("p0"), "{not json"],
         [json.dumps({**json.loads(jline("p0")), "doi": 1}), jline("p1", year=1700),
          json.dumps({**json.loads(jline("p2")), "title": 1})],
+        [jline("p0"), jline("p1", authors=["a", "b", "a"]), jline("p2")],
     ],
     ids=["utf8-after-self-ref", "bad-bytes-after-dup-ref", "bool-year-first",
-         "duplicate-id-before-bad-json", "warning-kept-before-error-only"],
+         "duplicate-id-before-bad-json", "warning-kept-before-error-only",
+         "duplicate-author"],
 )
 @pytest.mark.parametrize("strict", [False, True])
 def test_first_bad_line_is_reported_as_before(lines, strict):

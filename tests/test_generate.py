@@ -104,6 +104,26 @@ def test_generate_matches_reference_on_the_math_preset():
     assert corpus_to_jsonl(generate(config)) == corpus_to_jsonl(ref.generate(config))
 
 
+def test_generate_matches_reference_over_many_journals():
+    """The benchmark's field model, with journals that publish nothing or
+    fewer than 3 papers a year among them: the author names of journal codes
+    past the presets' two, and of pools that skip an empty journal."""
+    sizes = (6, 0, 8, 2, 10, 12, 15, 20, 25, 30, 40, 50, 60, 80)
+    config = SynthConfig(
+        seed=4242,
+        journals=tuple(
+            JournalSpec(f"field-{i:02d}", sizes[i % len(sizes)], 2001, 2010, 0.5 + 1.5 * i / 63)
+            for i in range(64)
+        ),
+        half_life_years=6.0,
+        references_per_paper=15.0,
+        zero_inflation=0.3,
+    )
+    # compared as lines: pytest's diff of two multi-megabyte strings takes minutes
+    got, want = (corpus_to_jsonl(build(config)).split("\n") for build in (generate, ref.generate))
+    assert got == want
+
+
 # pools of 3 (k = 3 makes a draw with bound 0), small pools, pools where
 # numpy's tail-shuffle branch would apply were k larger, and pools of 2**31
 # to just under 2**32, where up to half of the 32-bit Lemire draws are
