@@ -60,13 +60,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _StoreMapped(argparse.Action):
-    """Store the policy name that a ``choices`` mapping gives the CLI word."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, self.choices[values])
-
-
 _POLICY_MAP = {"substantive": "substantive-only", "all": "all-items"}
 _SELF_MAP = {"include": "include", "exclude": "exclude-same-journal"}
 
@@ -253,13 +246,14 @@ def cmd_journal_if(args, corpus: Corpus) -> tuple[dict, str]:
         "journal_id", "census_year", "window_w", "numerator", "denominator", "value",
         "denominator_policy", "self_citation_policy",
     )
+    policies = _POLICY_MAP[args.denominator], _SELF_MAP[args.self_cites]
     rows = []
     for journal_id in journals:
-        query = IFQuery(journal_id, args.census_year, args.window, args.denominator, args.self_cites)
+        query = IFQuery(journal_id, args.census_year, args.window, *policies)
         result = impact_factor(corpus, query)
         rows.append((
             journal_id, args.census_year, args.window, result.numerator, result.denominator,
-            _fmt(result.value), args.denominator, args.self_cites,
+            _fmt(result.value), *policies,
         ))
     text = _csv_text(header, rows)
     return {"journal_if.csv": text}, text
@@ -460,6 +454,14 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
 
 def cmd_report(args, corpus: Corpus) -> tuple[dict, str]:
     files: dict = {}
+    owners: dict[str, str] = {}  # file name -> the journal it was written for
+
+    def put(name, owner, text):
+        """``files[name] = text``; a name claimed for two journals is a data error."""
+        if owners.setdefault(name, owner) != owner:
+            raise CitationStatsError(f"{owners[name]} and {owner} both map to file {name!r}")
+        files[name] = text
+
     census = args.census_year
     var_years = args.variability_years or range(census - 4, census + 1)
 
@@ -500,7 +502,8 @@ def cmd_report(args, corpus: Corpus) -> tuple[dict, str]:
             variability_cell = "NA"
         journal_sections[journal_id] = section
         profile = citation_age_profile(corpus, census, journal_id)
-        files[f"age_profile_{_safe_name(journal_id)}.csv"] = _age_profile_csv(profile)
+        put(f"age_profile_{_safe_name(journal_id)}.csv", f"journal {journal_id!r}",
+            _age_profile_csv(profile))
         csv_rows.append(
             (
                 journal_id,
@@ -524,7 +527,8 @@ def cmd_report(args, corpus: Corpus) -> tuple[dict, str]:
         )
         for name, dist in ((journal_a, dist_a), (journal_b, dist_b)):
             stem = f"{_safe_name(journal_a)}__vs__{_safe_name(journal_b)}__{_safe_name(name)}"
-            files[f"dist_{stem}.csv"] = _csv_text(("citations", "articles"), dist.histogram.items())
+            put(f"dist_{stem}.csv", f"journal {name!r} of pair {journal_a}:{journal_b}",
+                _csv_text(("citations", "articles"), dist.histogram.items()))
 
     report = {
         "census_year": census,
@@ -585,15 +589,8 @@ def build_parser() -> _Parser:
     p = command("journal-if", cmd_journal_if, "windowed impact factors")
     p.add_argument("--census-year", type=int, required=True)
     p.add_argument("--window", type=int, default=2)
-    p.add_argument(
-        "--denominator",
-        choices=_POLICY_MAP,
-        action=_StoreMapped,
-        default=_POLICY_MAP["substantive"],
-    )
-    p.add_argument(
-        "--self-cites", choices=_SELF_MAP, action=_StoreMapped, default=_SELF_MAP["include"]
-    )
+    p.add_argument("--denominator", choices=_POLICY_MAP, default="substantive")
+    p.add_argument("--self-cites", choices=_SELF_MAP, default="include")
     p.add_argument("--journal", action="append", help="restrict to a journal (repeatable)")
 
     p = command("journal-profile", cmd_journal_profile, "citation-age profile")

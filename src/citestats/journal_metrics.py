@@ -23,9 +23,6 @@ from .errors import InsufficientDataError, UsageError
 DENOMINATOR_POLICIES = ("substantive-only", "all-items")
 SELF_CITATION_POLICIES = ("include", "exclude-same-journal")
 
-DEFAULT_DENOMINATOR_POLICY = "substantive-only"
-DEFAULT_SELF_CITATION_POLICY = "include"
-
 
 @dataclass(frozen=True, slots=True)
 class IFQuery:
@@ -38,8 +35,8 @@ class IFQuery:
     journal_id: str
     census_year: int
     window_w: int = 2
-    denominator_policy: str = DEFAULT_DENOMINATOR_POLICY
-    self_citation_policy: str = DEFAULT_SELF_CITATION_POLICY
+    denominator_policy: str = "substantive-only"
+    self_citation_policy: str = "include"
 
     def __post_init__(self):
         if self.window_w < 1:
@@ -67,14 +64,12 @@ class IFResult:
 
     ``value`` is ``numerator / denominator`` as an exact fraction, or
     ``None`` when the journal published nothing countable in the window.
-    The numerator counts citations from census-year papers of *every* kind;
-    ``citing_kinds`` records that choice.
+    The numerator counts citations from census-year papers of *every* kind.
     """
 
     numerator: int
     denominator: int
     query: IFQuery
-    citing_kinds: str = "all-kinds"
 
     @property
     def is_defined(self) -> bool:
@@ -117,26 +112,13 @@ def impact_factor(corpus: Corpus, query: IFQuery) -> IFResult:
 
 
 def impact_factors(
-    corpus: Corpus,
-    census_year: int,
-    window_w: int = 2,
-    *,
-    denominator_policy: str = DEFAULT_DENOMINATOR_POLICY,
-    self_citation_policy: str = DEFAULT_SELF_CITATION_POLICY,
+    corpus: Corpus, census_year: int, window_w: int = 2
 ) -> dict[str, Fraction | None]:
-    """Impact factor of every corpus journal, by journal id in sorted order;
-    ``None`` where it is undefined."""
+    """Default-policy impact factor of every corpus journal, by journal id in
+    sorted order; ``None`` where it is undefined.  Under another policy, call
+    :func:`impact_factor` with an :class:`IFQuery` per journal."""
     return {
-        journal_id: impact_factor(
-            corpus,
-            IFQuery(
-                journal_id=journal_id,
-                census_year=census_year,
-                window_w=window_w,
-                denominator_policy=denominator_policy,
-                self_citation_policy=self_citation_policy,
-            ),
-        ).value
+        journal_id: impact_factor(corpus, IFQuery(journal_id, census_year, window_w)).value
         for journal_id in sorted(corpus.journal_papers)
     }
 
@@ -203,27 +185,18 @@ def if_variability(
     start_year: int,
     end_year: int,
     window_w: int = 2,
-    *,
-    denominator_policy: str = DEFAULT_DENOMINATOR_POLICY,
-    self_citation_policy: str = DEFAULT_SELF_CITATION_POLICY,
 ) -> VariabilityResult:
-    """Mean absolute relative change of the impact factor over census years
-    ``start_year`` .. ``end_year``."""
+    """Mean absolute relative change of the default-policy impact factor over
+    census years ``start_year`` .. ``end_year``."""
     if end_year <= start_year:
         raise InsufficientDataError(
             "variability needs at least two census years "
             f"(got {start_year}..{end_year})"
         )
-    values: dict[int, Fraction | None] = {}
-    for year in range(start_year, end_year + 1):
-        query = IFQuery(
-            journal_id=journal_id,
-            census_year=year,
-            window_w=window_w,
-            denominator_policy=denominator_policy,
-            self_citation_policy=self_citation_policy,
-        )
-        values[year] = impact_factor(corpus, query).value
+    values = {
+        year: impact_factor(corpus, IFQuery(journal_id, year, window_w)).value
+        for year in range(start_year, end_year + 1)
+    }
     if sum(1 for v in values.values() if v is not None) < 2:
         raise InsufficientDataError(
             f"journal {journal_id!r}: fewer than 2 defined impact factors "

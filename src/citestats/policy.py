@@ -24,12 +24,9 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import InsufficientDataError, PolicyError
-from .journal_metrics import (
-    DEFAULT_DENOMINATOR_POLICY,
-    DEFAULT_SELF_CITATION_POLICY,
-    impact_factor,  # noqa: F401  kept importable as policy.impact_factor
-    impact_factors,
-)
+# impact_factor is unused here, but perfbench/layers.py patches policy.impact_factor
+# and test_benchmark_hooks_find_every_patched_name fails without the import
+from .journal_metrics import impact_factor, impact_factors  # noqa: F401
 
 TIER_NAMES = ("top", "middle", "bottom")
 UNINDEXED = "unindexed"
@@ -62,26 +59,14 @@ class TierTable:
         return self.tiers.get(journal_id, UNINDEXED)
 
 
-def build_tiers(
-    corpus: Corpus,
-    census_year: int,
-    window_w: int = 2,
-    *,
-    denominator_policy: str = DEFAULT_DENOMINATOR_POLICY,
-    self_citation_policy: str = DEFAULT_SELF_CITATION_POLICY,
-) -> TierTable:
-    """Rank every corpus journal by impact factor and split into thirds.
+def build_tiers(corpus: Corpus, census_year: int, window_w: int = 2) -> TierTable:
+    """Rank every corpus journal by default-policy impact factor and split
+    into thirds.
 
     Tier sizes differ by at most one; when the count is not divisible by
     three the better tiers take the extra journals.
     """
-    values = impact_factors(
-        corpus,
-        census_year,
-        window_w,
-        denominator_policy=denominator_policy,
-        self_citation_policy=self_citation_policy,
-    )
+    values = impact_factors(corpus, census_year, window_w)
     defined = [(journal_id, value) for journal_id, value in values.items() if value is not None]
     unindexed = [journal_id for journal_id, value in values.items() if value is None]
     if len(defined) < 3:

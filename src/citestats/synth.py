@@ -146,13 +146,13 @@ def config_from_json(source: Union[str, Path, Mapping]) -> SynthConfig:
     if isinstance(source, Mapping):
         payload = dict(source)
     else:
-        if isinstance(source, Path) or (
-            isinstance(source, str) and not source.lstrip().startswith("{")
-        ):
-            source = Path(source).read_text(encoding="utf-8")
         try:
+            if isinstance(source, Path) or (
+                isinstance(source, str) and not source.lstrip().startswith("{")
+            ):
+                source = Path(source).read_text(encoding="utf-8")
             payload = json.loads(source)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError covers invalid UTF-8
             raise SynthConfigError(f"invalid synth config: {exc}") from exc
         if not isinstance(payload, dict):
             raise SynthConfigError("invalid synth config: expected a JSON object")

@@ -755,6 +755,52 @@ class TestReport:
         )
         assert code == 2
 
+    @staticmethod
+    def _report(tmp_path, papers, *extra):
+        """Run ``report`` at census year 2001 on ``(id, journal, year,
+        references)`` papers; return the exit code and the output directory."""
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": pid, "journal": journal, "year": year,
+                        "kind": "research-article", "authors": ["x"], "references": refs})
+            + "\n"
+            for pid, journal, year, refs in papers
+        ))
+        out = tmp_path / "out"
+        return main(["report", "--input", str(path), "--census-year", "2001",
+                     "--out", str(out), *extra]), out
+
+    def test_journal_ids_sharing_a_file_name_are_a_data_error(self, capsys, tmp_path):
+        """'j.1' and 'j_1' both make age_profile_j_1.csv; one would overwrite the other."""
+        papers = [("a", "j.1", 2000, []), ("b", "j_1", 2001, ["a"]), ("c", "j.1", 2001, ["a"])]
+        code, out = self._report(tmp_path, papers)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "citestats: error: journal 'j.1' and journal 'j_1' both map to file "
+            "'age_profile_j_1.csv'\n"
+        )
+        assert not out.exists()
+
+    def test_pairs_sharing_a_file_name_are_a_data_error(self, capsys, tmp_path):
+        """The two pairs' file names collide through the '__' separators alone."""
+        papers = [
+            (f"{journal}-{i}", journal, 1999 + i, [] if i < 2 else [f"{journal}-0"])
+            for journal in ("a", "b__a", "b__a__b") for i in range(3)
+        ]
+        code, out = self._report(tmp_path, papers, "--pair", "a:b__a", "--pair", "a:b__a__b")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "citestats: error: journal 'b__a' of pair a:b__a and journal 'a' of pair "
+            "a:b__a__b both map to file 'dist_a__vs__b__a__b__a.csv'\n"
+        )
+        assert not out.exists()
+
+    def test_same_journal_on_both_sides_of_a_pair(self, tmp_path):
+        papers = [("a", "j.1", 2000, []), ("c", "j.1", 2001, ["a"])]
+        code, out = self._report(tmp_path, papers, "--pair", "j.1:j.1", "--pub-years", "2000")
+        assert code == 0
+        assert (out / "dist_j_1__vs__j_1__j_1.csv").read_text() == "citations,articles\n1,1\n"
+
 
 class TestPresetReport:
     def test_report_on_math_preset_reproduces_calibration_numbers(self, tmp_path):

@@ -618,3 +618,24 @@ def test_first_bad_line_is_reported_as_before(lines, strict):
     lines = [line.encode() if isinstance(line, str) else line for line in lines]
     got = _outcome(load_corpus, lines, strict)
     assert got == _outcome(ref.load_corpus, lines, strict)
+
+
+_BAD_PAIRS = [(field, value) for field, values in _BAD_VALUES.items() for value in values]
+
+
+@pytest.mark.parametrize(
+    "field, value", _BAD_PAIRS, ids=[f"{field}-{value!r}" for field, value in _BAD_PAIRS]
+)
+@pytest.mark.parametrize("strict", [False, True])
+def test_every_bad_value_is_reported_as_before(field, value, strict):
+    """Each bad value on line 2, which mutated_corpora draws only rarely; the
+    surrogate pair of ``references`` decodes to one valid character and loads."""
+    bad = json.dumps({**json.loads(jline("p1")), field: value})
+    lines = [jline("p0").encode(), bad.encode(), jline("p2", refs=["p0"]).encode()]
+    got, got_warnings = _outcome(load_corpus, lines, strict)
+    want, want_warnings = _outcome(ref.load_corpus, lines, strict)
+    assert got_warnings == want_warnings
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _same_corpus(got, want)

@@ -93,15 +93,20 @@ def test_generate_matches_reference(config):
     assert validate(corpus) == validate(expected)
 
 
+def _jsonl_lines(build, config):
+    # compared as lines: pytest's diff of two multi-megabyte strings takes minutes
+    return corpus_to_jsonl(build(config)).splitlines()
+
+
 def test_generate_matches_reference_on_the_volatility_preset():
     for seed in (1, 77, 2009, 12_345):
         config = volatility_config(seed)
-        assert corpus_to_jsonl(generate(config)) == corpus_to_jsonl(ref.generate(config)), seed
+        assert _jsonl_lines(generate, config) == _jsonl_lines(ref.generate, config), seed
 
 
 def test_generate_matches_reference_on_the_math_preset():
     config = math_calibrated_config(31)
-    assert corpus_to_jsonl(generate(config)) == corpus_to_jsonl(ref.generate(config))
+    assert _jsonl_lines(generate, config) == _jsonl_lines(ref.generate, config)
 
 
 def test_generate_matches_reference_over_many_journals():
@@ -298,6 +303,28 @@ def test_synth_rejects_mistyped_config_fields(tmp_path, capsys, change, message)
     assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
 
+
+@pytest.mark.parametrize(
+    "argv", [["synth"], ["replicate", "--runs", "1", "--census-years", "2001:2002"]],
+    ids=["synth", "replicate"],
+)
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"seed": 1, "journals": [\xff]}', "can't decode byte 0xff"),
+        (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["invalid-utf8", "nested-200000-deep"],
+)
+def test_unreadable_config_is_a_data_error(tmp_path, capsys, argv, content, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(path), *argv[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("citestats: error: invalid synth config: ")
+    assert message in err
+    assert not out.exists()
 
 def test_synth_config_numbers_take_ints_and_reject_non_objects(tmp_path, capsys):
     path = tmp_path / "config.json"
