@@ -16,7 +16,6 @@ import argparse
 import csv
 import datetime
 import hashlib
-import io
 import json
 import sys
 from dataclasses import replace
@@ -24,6 +23,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .author_metrics import author_record, citation_histogram, g_index, h_index, m_index
 from .compare import journal_distribution, prob_at_least
-from .corpus import Corpus, load_corpus, validate, write_corpus
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, load_corpus, validate, write_corpus
 from .errors import CitationStatsError, InsufficientDataError, UnknownIdError, UsageError
 from .journal_metrics import (
     IFQuery,
@@ -143,11 +143,13 @@ def _finish(args, argv: Sequence[str], files: dict, stdout: str, seeds) -> int:
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
+    """CSV rows ending in a line feed.  The writer ends them in CRLF, so
+    that it also quotes a cell holding a lone carriage return, at which a
+    reader would end the row."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerows(chain([header], rows))
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def _fmt(value) -> str:
@@ -175,21 +177,17 @@ def _comparison_cells(result) -> dict:
 
 
 def _year_span(text: str) -> range:
-    """Parse 'lo:hi' (inclusive) or a single year into a range."""
+    """Parse 'lo:hi' (inclusive) or a single year into a range of corpus
+    years; a span past them would be built in full by the commands."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            year = int(parts[0])
-            return range(year, year + 1)
-        if len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-            if hi < lo:
-                raise ValueError
+        lo, hi = int(parts[0]), int(parts[-1])
+        if len(parts) <= 2 and YEAR_MIN <= lo <= hi <= YEAR_MAX:
             return range(lo, hi + 1)
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"expected YEAR or LO:HI with LO <= HI, got {text!r}"
+        f"expected YEAR or LO:HI with {YEAR_MIN} <= LO <= HI <= {YEAR_MAX}, got {text!r}"
     )
 
 

@@ -17,11 +17,10 @@ resolves; experiments see no unresolved-reference noise).
 All randomness flows from a single 64-bit seed through numpy's
 SeedSequence counter scheme, so replicate runs are mutually independent
 yet byte-for-byte reproducible.  Every paper's authors come from one
-replay of the stream that per-paper ``Generator.choice`` calls would draw,
-read from the PCG64's raw words and its buffered uint32 half, so that
-stream depends on the bit generator alone and not on numpy's ``choice``
-code; ``tests/test_generate.py`` compares the replay with ``choice`` draw
-by draw and fails on any drift between them.
+``Generator.integers`` call that makes the same bounded 32-bit draws, in
+the same order, as per-paper ``Generator.choice`` calls would;
+``tests/test_generate.py`` compares the two draw by draw and fails on any
+drift between them.
 
 :func:`generate` hands the corpus its columns and (citing, cited) row pairs
 directly; the string reference tuples and :class:`~citestats.corpus.PaperRecord`
@@ -231,53 +230,23 @@ def _sorted_choices(
     all rows in one pass; ``rng``'s state afterwards equals that after the
     per-row calls.
 
-    It replays numpy's ``Generator.choice(pop, k, replace=False,
-    shuffle=True)``: Floyd's selection (for ``j`` from ``pop - k`` to
-    ``pop - 1`` draw ``v`` in ``[0, j]`` and take ``j`` if ``v`` is taken),
-    then ``_shuffle_int`` (draws in ``[0, i]``, ``i`` from ``k - 1`` down to
-    1), each a 32-bit Lemire draw on ``next_uint32``; a bound of 0 draws
-    nothing.  numpy's tail-shuffle branch instead needs ``pop > 10_000`` and
-    ``k > pop // 50``, which ``k <= 3`` never meets.  Pools of 2**32 or more
-    names, far beyond memory, would take numpy's 64-bit path and are out of
-    scope.  Operands stay uint64: numpy < 2 makes uint64 mixed with a Python
-    int float64.
+    numpy's ``Generator.choice(pop, k, replace=False, shuffle=True)`` runs
+    Floyd's selection (for ``j`` from ``pop - k`` to ``pop - 1`` draw ``v``
+    in ``[0, j]`` and take ``j`` if ``v`` is taken), then ``_shuffle_int``
+    (draws in ``[0, i]``, ``i`` from ``k - 1`` down to 1).  Each is a 32-bit
+    Lemire draw on ``next_uint32``, and a bound of 0 draws nothing, which is
+    also what ``integers(0, bounds, endpoint=True, dtype=np.uint32)`` does
+    for each bound in turn; so one such call over every row's five bounds
+    replays the per-row calls.  numpy's tail-shuffle branch instead needs
+    ``pop > 10_000`` and ``k > pop // 50``, which ``k <= 3`` never meets.
+    Pools of 2**32 or more names, far beyond memory, would take numpy's
+    64-bit path and are out of scope.
     """
     k = counts[:, None]
     column = np.arange(3)
     floyd = np.where(column < k, pool_sizes[:, None] - k + column, 0)
-    bounds = np.hstack([floyd, np.maximum(k - 1 - column[:2], 0)]).ravel().astype(np.uint64)
-    drawn = np.flatnonzero(bounds)
-    excl = bounds[drawn] + np.uint64(1)
-    threshold = np.uint64(2**32) % excl
-    # next_uint32 hands out a pending high half first, then each raw word's
-    # low and high halves; a rejection moves every later draw one half on
-    bg = rng.bit_generator
-    state = bg.state
-    pending = state["has_uint32"]
-    halves = np.append(
-        np.full(pending, state["uinteger"], np.uint64),
-        bg.random_raw((drawn.size - pending + 1) // 2).astype("<u8").view("<u4"),
-    )
-    position = np.arange(drawn.size)
-    start = 0
-    while True:
-        low = (halves[position[start:]] * excl[start:]) & np.uint64(0xFFFFFFFF)
-        rejected = np.flatnonzero(low < threshold[start:])
-        if not rejected.size:
-            break
-        start += int(rejected[0])
-        position[start:] += 1
-        if position[-1] == halves.size:
-            halves = np.append(halves, bg.random_raw(1).astype("<u8").view("<u4"))
-    if drawn.size:
-        # numpy leaves the last word's high half in ``uinteger`` even after
-        # handing it out
-        state = bg.state
-        state["has_uint32"] = halves.size - 1 - int(position[-1])
-        state["uinteger"] = int(halves[-1])
-        bg.state = state
-    values = np.zeros(bounds.size, dtype=np.uint64)
-    values[drawn] = (halves[position] * excl) >> np.uint64(32)
+    bounds = np.hstack([floyd, np.maximum(k - 1 - column[:2], 0)])
+    values = rng.integers(0, bounds.ravel(), endpoint=True, dtype=np.uint32)
     picks = values.reshape(-1, 5)[:, :3].astype(np.int64)
     for c in (1, 2):
         taken = (picks[:, :c] == picks[:, c : c + 1]).any(axis=1)
@@ -333,7 +302,12 @@ def generate(config: SynthConfig) -> Corpus:
 
     # references: per census year, weighted draw over strictly earlier papers
     decay = math.log(2.0) / config.half_life_years
-    ref_budget = rng.poisson(config.references_per_paper, size=total)
+    try:
+        ref_budget = rng.poisson(config.references_per_paper, size=total)
+    except ValueError as exc:  # "lam value too large"
+        raise SynthConfigError(
+            f"references_per_paper {config.references_per_paper!r} cannot be drawn: {exc}"
+        ) from exc
     citing_rows, cited_rows = [], []
     for year in np.unique(years):
         citing = np.flatnonzero(years == year)

@@ -7,14 +7,17 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import citestats
-from citestats import Corpus, PaperRecord, cli, corpus_to_jsonl, load_corpus, validate
+import reference_metrics as ref
+from citestats import Corpus, IFQuery, PaperRecord, cli, corpus_to_jsonl, load_corpus, validate
 from citestats.cli import main
 from citestats.corpus import KIND_NAMES
 
@@ -92,6 +95,38 @@ class TestExitCodes:
         )
         assert code == 1
         assert "window_w" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("span", ["1799:2005", "2000:2101"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["compare", "--journal-a", "journal-a", "--journal-b", "journal-b",
+              "--citing-years", "2005"], "--pub-years"),
+            (["compare", "--journal-a", "journal-a", "--journal-b", "journal-b",
+              "--pub-years", "2004"], "--citing-years"),
+            (["author-index"], "--citing-years"),
+            (["report", "--census-year", "2005"], "--variability-years"),
+            (["report", "--census-year", "2005", "--pair", "journal-a:journal-b",
+              "--citing-years", "2005"], "--pub-years"),
+            (["report", "--census-year", "2005", "--pair", "journal-a:journal-b",
+              "--pub-years", "2004"], "--citing-years"),
+            (["replicate", "--preset", "volatility", "--runs", "1"], "--census-years"),
+        ],
+        ids=["compare-pub", "compare-citing", "author-index-citing", "report-variability",
+             "report-pub", "report-citing", "replicate-census"],
+    )
+    def test_year_span_past_the_corpus_years_is_usage_error(
+        self, capsys, compare_fixture_path, tmp_path, argv, flag, span
+    ):
+        # the commands build every year of a span: 1:99999999999 exhausted memory
+        if argv[0] != "replicate":
+            argv = [*argv, "--input", str(compare_fixture_path)]
+        out = tmp_path / "out"
+        assert main([*argv, flag, span, "--out", str(out)]) == 1
+        assert f"argument {flag}: expected YEAR or LO:HI with 1800 <= LO <= HI <= 2100" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     def test_zero_replicate_runs_is_usage_error(self, capsys, tmp_path):
         out = tmp_path / "out"
@@ -336,6 +371,107 @@ class TestJournalIf:
         row = read_csv(out / "journal_if.csv")[0]
         assert row["denominator_policy"] == "all-items"
         assert row["self_citation_policy"] == "exclude-same-journal"
+
+
+@st.composite
+def corpus_lines(draw):
+    """JSON lines of 1-30 papers over 1-4 escape-needing journals: every
+    kind, authorless papers, unresolved and negative-age references."""
+    journals = draw(st.lists(awkward_text(), min_size=1, max_size=4, unique=True))
+    authors = draw(st.lists(awkward_text(), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 30))
+    records = [
+        {
+            "id": f"p{i}",
+            "journal": draw(st.sampled_from(journals)),
+            "year": draw(st.integers(2000, 2006)),
+            "kind": draw(st.sampled_from(KIND_NAMES)),
+            "authors": draw(st.lists(st.sampled_from(authors), unique=True, max_size=3)),
+            "references": draw(st.lists(  # p{n} and p{n + 1} are unresolved
+                st.integers(0, n + 1).filter(lambda k: k != i).map("p{}".format),
+                unique=True, max_size=6,
+            )),
+        }
+        for i in range(n)
+    ]
+    ensure_ascii = draw(st.booleans())
+    return [json.dumps(r, ensure_ascii=ensure_ascii) for r in records]
+
+
+def _decimal(value):
+    return "NA" if value is None else f"{float(value):.4f}"
+
+
+# no shrink phase: each example runs five commands, and shrinking a failure
+# took minutes where finding it takes a second
+@settings(max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(corpus_lines(), st.integers(2000, 2008), st.integers(1, 3),
+       st.none() | st.tuples(st.integers(2000, 2007), st.integers(0, 3)))
+@example(  # a lone "\r" in a CSV cell: unquoted, it ended the row for any reader
+    [json.dumps({"id": "p0", "journal": "j\r0", "year": 2003, "kind": "review",
+                 "authors": ["a\r"], "references": []}),
+     json.dumps({"id": "p1", "journal": "j\r0", "year": 2004, "kind": "letter",
+                 "authors": ["a\r"], "references": ["p0"]})],
+    2004, 1, None,
+)
+def test_journal_if_and_author_index_match_the_oracles(lines, census_year, window, citing):
+    """Every number and NA that journal-if and author-index --histograms
+    write, against the record oracles on the same file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        oracle = ref.load_corpus(path.read_bytes().split(b"\n"))
+        policies = {"substantive": "substantive-only", "all": "all-items"}
+        self_policies = {"include": "include", "exclude": "exclude-same-journal"}
+        for denominator, self_cites in [(d, s) for d in policies for s in self_policies]:
+            out = Path(tmp) / f"if-{denominator}-{self_cites}"
+            assert main([
+                "journal-if", "--input", str(path), "--census-year", str(census_year),
+                "--window", str(window), "--denominator", denominator,
+                "--self-cites", self_cites, "--out", str(out),
+            ]) == 0
+            rows = read_csv(out / "journal_if.csv")
+            assert [row["journal_id"] for row in rows] == sorted(oracle.journal_papers)
+            for row in rows:
+                query = IFQuery(row["journal_id"], census_year, window,
+                                policies[denominator], self_policies[self_cites])
+                want = ref.impact_factor(oracle, query)
+                assert row == {
+                    "journal_id": query.journal_id, "census_year": str(census_year),
+                    "window_w": str(window), "numerator": str(want.numerator),
+                    "denominator": str(want.denominator), "value": _decimal(want.value),
+                    "denominator_policy": query.denominator_policy,
+                    "self_citation_policy": query.self_citation_policy,
+                }
+
+        citing_years = None if citing is None else range(citing[0], sum(citing) + 1)
+        span = [] if citing is None else ["--citing-years", f"{citing_years[0]}:{citing_years[-1]}"]
+        out = Path(tmp) / "authors"
+        assert main(["author-index", "--input", str(path), "--histograms", *span,
+                     "--out", str(out)]) == 0
+        rows = read_csv(out / "authors.csv")
+        histograms = json.loads((out / "author_histograms.json").read_text())
+        assert [row["author_id"] for row in rows] == sorted(oracle.author_papers)
+        assert list(histograms) == sorted(oracle.author_papers)
+        evaluation_year = max(p.year for p in oracle.papers.values())
+        for row in rows:
+            record = ref.author_record(oracle, row["author_id"], citing_years)
+            counts = record.counts
+            h = sum(1 for i, c in enumerate(counts, 1) if c >= i)
+            g = max(i for i in range(len(counts) + 1) if sum(counts[:i]) >= i * i)
+            m = Fraction(h, max(1, evaluation_year - record.first_publication_year))
+            tail = Fraction(sum(1 for c in counts if c >= h), len(counts))
+            assert row == {
+                "author_id": record.author_id, "papers": str(len(counts)),
+                "total_citations": str(sum(counts)), "h": str(h), "g": str(g),
+                "m": _decimal(m), "tail_fraction": _decimal(tail),
+            }
+            assert histograms[row["author_id"]] == {
+                "buckets": {str(c): n for c, n in sorted(Counter(counts).items())},
+                "h": h,
+                "tail_fraction": {"exact": f"{tail.numerator}/{tail.denominator}",
+                                  "decimal": _decimal(tail)},
+            }
 
 
 class TestJournalProfile:

@@ -326,6 +326,24 @@ def test_unreadable_config_is_a_data_error(tmp_path, capsys, argv, content, mess
     assert message in err
     assert not out.exists()
 
+
+@pytest.mark.parametrize(
+    "argv", [["synth"], ["replicate", "--runs", "1", "--census-years", "2001:2002"]],
+    ids=["synth", "replicate"],
+)
+def test_references_per_paper_numpy_cannot_draw_is_a_data_error(tmp_path, capsys, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"seed": 1, "journals": [GOOD_JOURNAL], "references_per_paper": 1e300}
+    ))
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(path), *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "citestats: error: references_per_paper 1e+300 cannot be drawn: lam value too large\n"
+    )
+    assert not out.exists()
+
+
 def test_synth_config_numbers_take_ints_and_reject_non_objects(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
