@@ -17,6 +17,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -79,41 +80,68 @@ _json_string = json.encoder.encode_basestring_ascii
 def _json_text(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for string-keyed values.
 
-    ``json`` uses its C encoder only without ``indent``; this recursion does
-    the indented layout itself and leaves the scalars to ``json``.  A dict
-    of scalars is rendered once per object and depth: payloads share such
-    cells.  Larger values are not kept, as their texts would raise the
-    peak memory.
+    ``json`` uses its C encoder only without ``indent``; this writer does the
+    indented layout itself, leaves the scalars to ``json`` and joins its pieces
+    once, so no large text is copied level by level.  A dict of scalars is
+    rendered once per object and depth: payloads share such cells, and a dict
+    whose values are all rendered cells is joined from their texts in one
+    call.  Larger values are not kept, as their texts would raise the peak
+    memory.
     """
-    leaves: dict[tuple[int, str], str] = {}  # (id, indent) -> text; the value keeps the ids alive
+    parts: list[str] = []
+    put = parts.append
+    leaves: dict[str, dict[int, str]] = {}  # indent -> id -> text; the value keeps the ids alive
 
-    def text(value, indent):
-        if isinstance(value, str):
-            return _json_string(value)
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            inner = indent + "  "
-            items = ("," + inner).join([text(item, inner) for item in value])
-            return "[" + inner + items + indent + "]"
+    def members(keys, texts, indent, inner) -> str:
+        pairs = map(str.__add__, map(_json_string, keys), map(": ".__add__, texts))
+        return "{" + inner + ("," + inner).join(pairs) + indent + "}"
+
+    def write(value, indent):
         if isinstance(value, dict):
-            key = (id(value), indent)
-            cached = leaves.get(key)
-            if cached is not None:
-                return cached
+            text = leaves.get(indent, {}).get(id(value))
+            if text is not None:
+                put(text)
+                return
             if not value:
-                return "{}"
+                put("{}")
+                return
             inner = indent + "  "
-            items = ("," + inner).join(
-                [_json_string(k) + ": " + text(item, inner) for k, item in sorted(value.items())]
-            )
-            rendered = "{" + inner + items + indent + "}"
-            if not any(isinstance(item, (dict, list, tuple)) for item in value.values()):
-                leaves[key] = rendered
-            return rendered
-        return json.dumps(value)
+            keys = sorted(value)
+            items = list(map(value.__getitem__, keys))
+            if inner in leaves:
+                texts = list(map(leaves[inner].get, map(id, items)))
+                if None not in texts:
+                    put(members(keys, texts, indent, inner))
+                    return
+            if not any(isinstance(item, (dict, list, tuple)) for item in items):
+                texts = [_json_string(v) if isinstance(v, str) else json.dumps(v) for v in items]
+                text = members(keys, texts, indent, inner)
+                put(leaves.setdefault(indent, {}).setdefault(id(value), text))
+                return
+            put("{")
+            for key, item in zip(keys, items):
+                put(inner + _json_string(key) + ": ")
+                write(item, inner)
+                put(",")
+            parts[-1] = indent + "}"
+        elif isinstance(value, str):
+            put(_json_string(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                put("[]")
+                return
+            inner = indent + "  "
+            put("[")
+            for item in value:
+                put(inner)
+                write(item, inner)
+                put(",")
+            parts[-1] = indent + "]"
+        else:
+            put(json.dumps(value))
 
-    return text(value, "\n")
+    write(value, "\n")
+    return "".join(parts)
 
 
 def _finish(args, argv: Sequence[str], files: dict, stdout: str, seeds) -> int:
@@ -162,7 +190,7 @@ def _fmt(value) -> str:
 def _exact(value) -> Optional[str]:
     if value is None:
         return None
-    fraction = Fraction(value)
+    fraction = value if isinstance(value, Fraction) else Fraction(value)
     return f"{fraction.numerator}/{fraction.denominator}"
 
 
@@ -188,6 +216,18 @@ def _year_span(text: str) -> range:
         pass
     raise argparse.ArgumentTypeError(
         f"expected YEAR or LO:HI with {YEAR_MIN} <= LO <= HI <= {YEAR_MAX}, got {text!r}"
+    )
+
+
+def _year(text: str) -> int:
+    """Parse a single year of the corpus range."""
+    try:
+        if YEAR_MIN <= int(text) <= YEAR_MAX:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected YEAR with {YEAR_MIN} <= YEAR <= {YEAR_MAX}, got {text!r}"
     )
 
 
@@ -390,6 +430,8 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
         raise UsageError("--with-divergence needs an author-level rule")
     if args.rule == "example2" and (len(args.papers or ()) != 5 or len(set(args.papers)) != 5):
         raise UsageError("--papers must list exactly 5 distinct paper ids")
+    if args.author and len(set(args.author)) != len(args.author):
+        raise UsageError("--author must not name an author twice")
     if args.rule == "example2":
         tiers = build_tiers(corpus, args.census_year, args.window)
         scores = [score_example2(corpus, args.papers, tiers, subject_id=args.subject)]
@@ -409,23 +451,17 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
     rows = [(s.subject_id, s.rule, _fmt(s.score)) for s in scores]
     stdout = _csv_text(header, rows)
     files = {"policy_scores.csv": stdout}
-    # One cell per distinct points value, shared by the entries that hold it;
-    # the (numerator, denominator) key hashes faster than the Fraction.
-    cells: dict = {}
-
-    def shared_cell(points):
-        key = (points.numerator, points.denominator)
-        cell = cells.get(key)
-        if cell is None:
-            cell = cells[key] = _cell(points)
-        return cell
+    # One cell per points object, shared by the entries that hold it; the
+    # scores keep every object, and so its id, alive.
+    distinct = {id(points): points for s in scores for _, points in s.breakdown}
+    cells = {key: _cell(points) for key, points in distinct.items()}
 
     payload = {
         "rule": args.rule,
         "scores": {
             s.subject_id: {
                 "score": _cell(s.score),
-                "breakdown": {pid: shared_cell(points) for pid, points in s.breakdown},
+                "breakdown": {pid: cells[id(points)] for pid, points in s.breakdown},
             }
             for s in scores
         },
@@ -433,7 +469,12 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
     if args.with_divergence:
         if len(scores) < 2:
             raise CitationStatsError("--with-divergence needs >= 2 subjects")
-        by_policy = {s.subject_id: s.score for s in scores}
+        # each score as an integer over the scores' common denominator: the
+        # same order and ties, but ints hash and compare in C, Fractions in Python
+        denominator = math.lcm(*(s.score.denominator for s in scores))
+        by_policy = {
+            s.subject_id: s.score.numerator * (denominator // s.score.denominator) for s in scores
+        }
         counts = corpus.citation_counts(chain.from_iterable(subjects.values()))
         # each author's papers are one run of counts; no run is empty, the
         # case that reduceat gets wrong
@@ -585,20 +626,20 @@ def build_parser() -> _Parser:
     command("validate", cmd_validate, "report data anomalies")
 
     p = command("journal-if", cmd_journal_if, "windowed impact factors")
-    p.add_argument("--census-year", type=int, required=True)
+    p.add_argument("--census-year", type=_year, required=True)
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--denominator", choices=_POLICY_MAP, default="substantive")
     p.add_argument("--self-cites", choices=_SELF_MAP, default="include")
     p.add_argument("--journal", action="append", help="restrict to a journal (repeatable)")
 
     p = command("journal-profile", cmd_journal_profile, "citation-age profile")
-    p.add_argument("--census-year", type=int, required=True)
+    p.add_argument("--census-year", type=_year, required=True)
     p.add_argument("--journal", help="restrict cited side to a journal")
 
     p = command("author-index", cmd_author_index, "per-author h/g/m indices")
     p.add_argument("--author", action="append", help="restrict to an author (repeatable)")
     p.add_argument("--citing-years", type=_year_span, help="LO:HI citing-year window")
-    p.add_argument("--evaluation-year", type=int, help="m-index evaluation year")
+    p.add_argument("--evaluation-year", type=_year, help="m-index evaluation year")
     p.add_argument("--histograms", action="store_true", help="dump JSON histograms")
 
     p = command("compare", cmd_compare, "misranking probability between two journals")
@@ -618,7 +659,7 @@ def build_parser() -> _Parser:
 
     p = command("policy", cmd_policy, "institutional scoring rules")
     p.add_argument("--rule", choices=("example1", "example2", "example3"), required=True)
-    p.add_argument("--census-year", type=int, default=None)
+    p.add_argument("--census-year", type=_year, default=None)
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--author", action="append", help="subject author (repeatable)")
     p.add_argument("--papers", type=_id_list, help="exactly 5 paper ids (example2)")
@@ -632,7 +673,7 @@ def build_parser() -> _Parser:
     )
 
     p = command("report", cmd_report, "multi-section journal report")
-    p.add_argument("--census-year", type=int, required=True)
+    p.add_argument("--census-year", type=_year, required=True)
     p.add_argument("--variability-years", type=_year_span, help="LO:HI census years")
     p.add_argument(
         "--pair",

@@ -6,8 +6,8 @@ author-share-weighted impact factors) plus a rank-correlation diagnostic
 for how far such scores drift from the citation record they stand in for.
 
 Every rule scores from the corpus columns: it reads each paper's journal
-and author count, builds no ``PaperRecord``, and memoizes a paper's points
-(for example3, its author share of the impact factor) per distinct
+and author count, builds no ``PaperRecord``, and computes a paper's points
+(for example3, its author share of the impact factor) once per distinct
 (journal, author count), so the papers of one pair share one ``Fraction``.
 """
 
@@ -18,6 +18,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -105,7 +106,7 @@ class PolicyScore:
 
     def __post_init__(self):
         object.__setattr__(self, "breakdown", tuple(self.breakdown))
-        object.__setattr__(self, "score", _exact_sum(points for _, points in self.breakdown))
+        object.__setattr__(self, "score", _exact_sum(map(itemgetter(1), self.breakdown)))
 
 
 def _exact_sum(values: Iterable[Fraction | int]) -> Fraction:
@@ -113,13 +114,18 @@ def _exact_sum(values: Iterable[Fraction | int]) -> Fraction:
 
     Chained ``Fraction`` additions reduce by a gcd at every step; summing the
     numerators scaled to the lcm of the denominators reduces only at the end.
+    Each distinct object is scaled once, as the rules' breakdowns share one
+    object a value.
     """
     values = list(values)
-    denominator = math.lcm(*(value.denominator for value in values))
-    return Fraction(
-        sum(value.numerator * (denominator // value.denominator) for value in values),
-        denominator,
-    )
+    ids = list(map(id, values))
+    distinct = dict(zip(ids, values))
+    denominator = math.lcm(*[value.denominator for value in distinct.values()])
+    scaled = {
+        key: value.numerator * (denominator // value.denominator)
+        for key, value in distinct.items()
+    }
+    return Fraction(sum(map(scaled.__getitem__, ids)), denominator)
 
 
 def _author_rule(
@@ -133,22 +139,24 @@ def _author_rule(
     pair with the first paper in subject order that has it, the paper an
     error names.  Every id is looked up, an unknown one raising
     :class:`UnknownIdError`, before any paper is scored."""
+    paper_ids = list(chain.from_iterable(subjects.values()))
+    rows = corpus._rows(paper_ids)
+    journal_code = corpus.journal_code[rows].astype(np.int64)
+    author_count = np.fromiter(map(len, corpus.authors), np.int64, len(corpus))[rows]
+    # one int a (journal, author count) pair; np.unique numbers the distinct ones
+    pair = journal_code * (int(author_count.max(initial=0)) + 1) + author_count
+    _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
     journals = tuple(corpus.journal_papers)  # in journal-code order
-    journal_code = corpus.journal_code.tolist()
-    authors = corpus.authors
-    rows = iter(corpus._rows(chain.from_iterable(subjects.values())).tolist())
-    memo: dict[tuple[int, int], Fraction] = {}
+    values: list = [None] * len(first)
+    for key in np.argsort(first).tolist():  # in order of first appearance
+        at = first[key]
+        values[key] = points(journals[journal_code[at]], int(author_count[at]), paper_ids[at])
+    breakdown = tuple(zip(paper_ids, map(values.__getitem__, inverse.tolist())))
     scores = []
-    for subject_id, paper_ids in subjects.items():
-        breakdown = []
-        for paper_id in paper_ids:
-            row = next(rows)
-            key = (journal_code[row], len(authors[row]))
-            value = memo.get(key)
-            if value is None:
-                value = memo[key] = points(journals[key[0]], key[1], paper_id)
-            breakdown.append((paper_id, value))
-        scores.append(PolicyScore(subject_id, rule, breakdown))
+    start = 0
+    for subject_id, ids in subjects.items():
+        scores.append(PolicyScore(subject_id, rule, breakdown[start : start + len(ids)]))
+        start += len(ids)
     return scores
 
 

@@ -45,6 +45,10 @@ from .errors import InsufficientDataError, SynthConfigError, UnknownIdError
 from .journal_metrics import VariabilityResult, if_variability
 
 
+# a corpus indexes its papers by int32 row
+PAPERS_MAX = 2**31 - 1
+
+
 def _check_types(spec, int_fields, float_fields, where: str = "") -> None:
     """Integers must be ints and numbers finite ints or floats; bools are
     neither, though Python counts them as ints."""
@@ -134,6 +138,11 @@ class SynthConfig:
             raise SynthConfigError("latent_sigma must be >= 0")
         if self.references_per_paper < 0:
             raise SynthConfigError("references_per_paper must be >= 0")
+        papers = sum(j.articles_per_year * (j.end_year - j.start_year + 1) for j in self.journals)
+        if papers > PAPERS_MAX:
+            raise SynthConfigError(
+                f"config makes {papers} papers, more than a corpus holds ({PAPERS_MAX})"
+            )
 
 
 def config_to_json(config: SynthConfig) -> str:

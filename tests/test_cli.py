@@ -1,9 +1,12 @@
 """End-to-end CLI tests: exit codes, file outputs, reproducibility."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -124,6 +127,30 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([*argv, flag, span, "--out", str(out)]) == 1
         assert f"argument {flag}: expected YEAR or LO:HI with 1800 <= LO <= HI <= 2100" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("year", ["1799", "2101", "99999999999999999999", "x"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["journal-if"], "--census-year"),
+            (["journal-profile"], "--census-year"),
+            (["author-index"], "--evaluation-year"),
+            (["policy", "--rule", "example3"], "--census-year"),
+            (["report"], "--census-year"),
+        ],
+        ids=["journal-if", "journal-profile", "author-index", "policy", "report"],
+    )
+    def test_year_outside_the_corpus_years_is_usage_error(
+        self, capsys, compare_fixture_path, tmp_path, argv, flag, year
+    ):
+        # 99999999999999999999 exited 0 with every journal-if value NA
+        out = tmp_path / "out"
+        code = main([*argv, "--input", str(compare_fixture_path), flag, year, "--out", str(out)])
+        assert code == 1
+        assert f"argument {flag}: expected YEAR with 1800 <= YEAR <= 2100, got {year!r}" in (
             capsys.readouterr().err
         )
         assert not out.exists()
@@ -474,6 +501,124 @@ def test_journal_if_and_author_index_match_the_oracles(lines, census_year, windo
             }
 
 
+def _oracle_cell(value):
+    return {"exact": f"{value.numerator}/{value.denominator}", "decimal": _decimal(value)}
+
+
+_SHARED_POINTS = [  # a's papers score 1 twice from (j1, 1 author) and once from (j2, 2 authors)
+    json.dumps({"id": pid, "journal": journal, "year": year, "kind": "research-article",
+                "authors": authors, "references": refs})
+    for pid, journal, year, authors, refs in [
+        ("p0", "j1", 2006, ["a"], []),
+        ("p1", "j1", 2006, ["a"], []),
+        ("p2", "j2", 2006, ["a", "b"], []),
+        ("c0", "j1", 2007, ["b"], ["p0", "p1", "p2"]),
+        ("c1", "j2", 2007, ["c"], ["p2"]),
+        ("u0", "j3", 2007, ["d"], []),  # j3 has no defined impact factor
+    ]
+]
+
+
+def _run(argv):
+    """``main(argv)`` in process: its exit code, standard output and error."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+# no shrink phase, as above
+@settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(corpus_lines(), st.integers(2001, 2008), st.integers(1, 3),
+       st.integers(0, 15), st.integers(0, 15), st.randoms(use_true_random=False))
+@example(_SHARED_POINTS, 2007, 1, 0b001, 0b010, random.Random(0))
+def test_policy_matches_the_oracles(lines, census_year, window, core_bits, indexed_bits, rng):
+    """Every score, breakdown cell and divergence number that policy writes
+    for example1 and example3 (with --with-divergence over two or more
+    authors), against the record oracles on the same file.  Bit i of
+    ``core_bits``/``indexed_bits`` puts the i-th listable journal on a list."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        oracle = ref.load_corpus(path.read_bytes().split(b"\n"))
+        papers_of: dict[str, list] = {}  # author -> papers, in record order
+        for paper in oracle.papers.values():
+            for author_id in paper.author_ids:
+                papers_of.setdefault(author_id, []).append(paper)
+        journals = sorted(oracle.journal_papers)
+        # the journal lists are split on commas and each id is stripped
+        listable = [j for j in journals if "," not in j and j.strip() == j]
+        core = {j for i, j in enumerate(listable) if core_bits >> i & 1}
+        indexed = {j for i, j in enumerate(listable) if indexed_bits >> i & 1} - core
+        impact = {
+            j: ref.impact_factor(oracle, IFQuery(j, census_year, window)).value for j in journals
+        }
+        year_args = ["--census-year", str(census_year), "--window", str(window)]
+        # example1 over every author, example3 over those it can score, in any order
+        scorable = [a for a, papers in papers_of.items()
+                    if all(impact[p.journal_id] is not None for p in papers)]
+        runs = [(
+            "example1", sorted(papers_of),
+            [f"--core-journals={','.join(core)}", f"--indexed-journals={','.join(indexed)}"],
+            lambda papers, subject: ref.score_example1(papers, core, indexed, subject),
+        )]
+        if scorable:
+            subjects = rng.sample(scorable, len(scorable))
+            runs.append((
+                "example3", subjects, [*year_args, *(f"--author={a}" for a in subjects)],
+                lambda papers, subject: ref.score_example3(papers, impact, subject),
+            ))
+        for rule, subjects, extra, score in runs:
+            divergence = ["--with-divergence"] if len(subjects) >= 2 else []
+            out = Path(tmp) / rule
+            code, stdout, _ = _run(["policy", "--input", str(path), "--rule", rule, *extra,
+                                    *divergence, "--out", str(out)])
+            assert code == 0
+            expected = [score(papers_of[a], a) for a in subjects]
+            assert read_csv(out / "policy_scores.csv") == [
+                {"subject": s.subject_id, "rule": rule, "score": _decimal(s.score)}
+                for s in expected
+            ]
+            payload = json.loads((out / "policy_breakdown.json").read_text())
+            assert payload.pop("rule") == rule
+            assert payload.pop("scores") == {
+                s.subject_id: {
+                    "score": _oracle_cell(s.score),
+                    "breakdown": {pid: _oracle_cell(points) for pid, points in s.breakdown},
+                }
+                for s in expected
+            }
+            if not divergence:
+                assert payload == {}
+                continue
+            citations = {
+                a: sum(ref.citations_to(oracle, p.id) for p in papers_of[a]) for a in subjects
+            }
+            want = ref.divergence_pairs({s.subject_id: s.score for s in expected}, citations)
+            tau = want.kendall_tau
+            assert payload == {"divergence_vs_citation_counts": {
+                "kendall_tau": None if tau is None else round(tau, 4),
+                "discordant_fraction": _oracle_cell(want.discordant_fraction),
+                "n_subjects": len(subjects),
+            }}
+            assert stdout.endswith(f"\nkendall_tau_vs_citations = {_decimal(tau)}\n")
+
+        # over every author, example3 stops at the first paper it cannot score
+        unscored = next(
+            (p for a in sorted(papers_of) for p in papers_of[a] if impact[p.journal_id] is None),
+            None,
+        )
+        if unscored is not None:
+            out = Path(tmp) / "unscored"
+            code, _, stderr = _run(["policy", "--input", str(path), "--rule", "example3",
+                                    *year_args, "--out", str(out)])
+            assert (code, stderr) == (2, (
+                f"citestats: error: journal {unscored.journal_id!r} "
+                "has no defined impact factor\n"
+            ))
+            assert not out.exists()
+
+
 class TestJournalProfile:
     def test_age_histogram(self, capsys, if_fixture_path, tmp_path):
         out = tmp_path / "out"
@@ -684,8 +829,18 @@ class TestPolicy:
                  "--with-divergence"],
                 "--with-divergence needs an author-level rule",
             ),
+            (
+                ["--rule", "example1", "--author", "bob", "--author", "alice", "--author", "bob"],
+                "--author must not name an author twice",
+            ),
+            (
+                ["--rule", "example3", "--census-year", "2007", "--author", "alice",
+                 "--author", "alice", "--with-divergence"],
+                "--author must not name an author twice",
+            ),
         ],
-        ids=["papers-count", "papers-repeated", "divergence-example2"],
+        ids=["papers-count", "papers-repeated", "divergence-example2", "author-repeated",
+             "author-repeated-divergence"],
     )
     def test_argument_errors_are_usage_errors(self, capsys, tmp_path, extra, message):
         path = self._author_corpus_path(tmp_path)

@@ -344,6 +344,26 @@ def test_references_per_paper_numpy_cannot_draw_is_a_data_error(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["synth"], ["replicate", "--runs", "1", "--census-years", "2001:2002"]],
+    ids=["synth", "replicate"],
+)
+def test_more_papers_than_a_corpus_holds_is_a_data_error(tmp_path, capsys, argv):
+    # 10**15 a year fails before anything is allocated; a count that numpy
+    # could allocate must not be tried here
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"seed": 1, "journals": [{**GOOD_JOURNAL, "articles_per_year": 10**15}]}
+    ))
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(path), *argv[1:], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "citestats: error: config makes 4000000000000000 papers, "
+        "more than a corpus holds (2147483647)\n"
+    )
+    assert not out.exists()
+
+
 def test_synth_config_numbers_take_ints_and_reject_non_objects(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
