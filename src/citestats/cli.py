@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import gc
 import hashlib
 import json
 import math
@@ -235,6 +236,14 @@ def _id_list(text: str) -> list[str]:
     return [token for token in (t.strip() for t in text.split(",")) if token]
 
 
+def _distinct_authors(args) -> list[str]:
+    """``--author``, or [] if not given; naming an author twice is a usage error."""
+    authors = args.author or []
+    if len(set(authors)) != len(authors):
+        raise UsageError("--author must not name an author twice")
+    return authors
+
+
 def _safe_name(identifier: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "_" for c in identifier)
 
@@ -317,7 +326,7 @@ def cmd_journal_profile(args, corpus: Corpus) -> tuple[dict, str]:
 
 
 def cmd_author_index(args, corpus: Corpus) -> tuple[dict, str]:
-    authors = args.author or sorted(corpus.author_papers)
+    authors = _distinct_authors(args) or sorted(corpus.author_papers)
     evaluation_year = args.evaluation_year
     if evaluation_year is None:
         if not len(corpus):
@@ -430,23 +439,26 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
         raise UsageError("--with-divergence needs an author-level rule")
     if args.rule == "example2" and (len(args.papers or ()) != 5 or len(set(args.papers)) != 5):
         raise UsageError("--papers must list exactly 5 distinct paper ids")
-    if args.author and len(set(args.author)) != len(args.author):
-        raise UsageError("--author must not name an author twice")
+    authors = _distinct_authors(args)
     if args.rule == "example2":
         tiers = build_tiers(corpus, args.census_year, args.window)
         scores = [score_example2(corpus, args.papers, tiers, subject_id=args.subject)]
     else:
         author_papers = corpus.author_papers
         subjects = {}
-        for author_id in args.author or sorted(author_papers):
+        for author_id in authors or sorted(author_papers):
             if author_id not in author_papers:
                 raise UnknownIdError(f"unknown author {author_id!r}")
             subjects[author_id] = author_papers[author_id]
+        # every paper's row, looked up once for the scores and the divergence
+        paper_rows = corpus._rows(chain.from_iterable(subjects.values()))
         if args.rule == "example1":
-            scores = score_example1(corpus, args.core_journals, args.indexed_journals, subjects)
+            scores = score_example1(
+                corpus, args.core_journals, args.indexed_journals, subjects, rows=paper_rows
+            )
         else:
             lookup = impact_factors(corpus, args.census_year, args.window)
-            scores = score_example3(corpus, lookup, subjects)
+            scores = score_example3(corpus, lookup, subjects, rows=paper_rows)
     header = ("subject", "rule", "score")
     rows = [(s.subject_id, s.rule, _fmt(s.score)) for s in scores]
     stdout = _csv_text(header, rows)
@@ -475,7 +487,7 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
         by_policy = {
             s.subject_id: s.score.numerator * (denominator // s.score.denominator) for s in scores
         }
-        counts = corpus.citation_counts(chain.from_iterable(subjects.values()))
+        counts = corpus.indptr[paper_rows + 1] - corpus.indptr[paper_rows]
         # each author's papers are one run of counts; no run is empty, the
         # case that reduceat gets wrong
         starts = np.cumsum([0, *map(len, subjects.values())])[:-1]
@@ -711,6 +723,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    """The console script: ``main`` without the cyclic garbage collector,
+    which would pass over the loaded strings and scores dozens of times and
+    free nothing.  A corpus is freed by reference counting, and the few
+    hundred cyclic objects a run leaves do not grow with its corpus."""
+    gc.disable()
     sys.exit(main())
 
 

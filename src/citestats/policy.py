@@ -133,14 +133,17 @@ def _author_rule(
     subjects: Mapping[str, Sequence[str]],
     rule: str,
     points: Callable[[str, int, str], Fraction],
+    rows: np.ndarray | None = None,
 ) -> list[PolicyScore]:
     """One ``rule`` score a subject, in ``subjects`` order.  A paper scores
     ``points(journal id, author count, paper id)``, called once per distinct
     pair with the first paper in subject order that has it, the paper an
     error names.  Every id is looked up, an unknown one raising
-    :class:`UnknownIdError`, before any paper is scored."""
+    :class:`UnknownIdError`, before any paper is scored, unless ``rows``
+    gives the papers' rows already."""
     paper_ids = list(chain.from_iterable(subjects.values()))
-    rows = corpus._rows(paper_ids)
+    if rows is None:
+        rows = corpus._rows(paper_ids)
     journal_code = corpus.journal_code[rows].astype(np.int64)
     author_count = np.fromiter(map(len, corpus.authors), np.int64, len(corpus))[rows]
     # one int a (journal, author count) pair; np.unique numbers the distinct ones
@@ -165,11 +168,14 @@ def score_example1(
     core_journals: Iterable[str],
     indexed_journals: Iterable[str],
     subjects: Mapping[str, Sequence[str]],
+    *,
+    rows: np.ndarray | None = None,
 ) -> list[PolicyScore]:
     """Flat points per publication: 15 for a core-list journal, 10 for any
     other indexed journal, 0 otherwise.  The two lists must be disjoint.
-    ``subjects`` maps each subject id to its paper ids, in order; one score
-    a subject, in that order."""
+    ``subjects`` maps each subject id to its paper ids, in order, and
+    ``rows``, if given, holds those papers' corpus rows in the same order;
+    one score a subject, in that order."""
     core = frozenset(core_journals)
     indexed = frozenset(indexed_journals)
     overlap = core & indexed
@@ -183,7 +189,7 @@ def score_example1(
             return Fraction(CORE_POINTS)
         return Fraction(INDEXED_POINTS if journal_id in indexed else 0)
 
-    return _author_rule(corpus, subjects, "example1", points)
+    return _author_rule(corpus, subjects, "example1", points, rows)
 
 
 def score_example2(
@@ -205,10 +211,12 @@ def score_example3(
     corpus: Corpus,
     impact_factors: Mapping[str, Fraction | None],
     subjects: Mapping[str, Sequence[str]],
+    *,
+    rows: np.ndarray | None = None,
 ) -> list[PolicyScore]:
     """Author-share-weighted impact factors: each paper contributes
-    ``(1 / author count) * IF(journal)``.  ``subjects`` maps each subject
-    id to its paper ids, in order; one score a subject, in that order."""
+    ``(1 / author count) * IF(journal)``.  ``subjects`` and ``rows`` are as
+    for :func:`score_example1`; one score a subject, in ``subjects`` order."""
 
     def points(journal_id, author_count, paper_id):
         if not author_count:
@@ -219,7 +227,7 @@ def score_example3(
         # from the two ints: Fraction(value) takes the slow numbers.Rational path
         return Fraction(value.numerator, value.denominator * author_count)
 
-    return _author_rule(corpus, subjects, "example3", points)
+    return _author_rule(corpus, subjects, "example3", points, rows)
 
 
 @dataclass(frozen=True, slots=True)

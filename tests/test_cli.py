@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -814,38 +815,46 @@ class TestPolicy:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "extra, message",
+        "command, extra, message",
         [
             (
-                ["--rule", "example2", "--census-year", "2007", "--papers", "p1,p2"],
+                "policy", ["--rule", "example2", "--census-year", "2007", "--papers", "p1,p2"],
                 "--papers must list exactly 5 distinct paper ids",
             ),
             (
+                "policy",
                 ["--rule", "example2", "--census-year", "2007", "--papers", "p1,p1,p2,p3,c1"],
                 "--papers must list exactly 5 distinct paper ids",
             ),
             (
+                "policy",
                 ["--rule", "example2", "--census-year", "2007", "--papers", "p1,p2,p3,c1,p1",
                  "--with-divergence"],
                 "--with-divergence needs an author-level rule",
             ),
             (
+                "policy",
                 ["--rule", "example1", "--author", "bob", "--author", "alice", "--author", "bob"],
                 "--author must not name an author twice",
             ),
             (
+                "author-index", ["--author", "alice", "--author", "alice", "--histograms"],
+                "--author must not name an author twice",
+            ),
+            (
+                "policy",
                 ["--rule", "example3", "--census-year", "2007", "--author", "alice",
                  "--author", "alice", "--with-divergence"],
                 "--author must not name an author twice",
             ),
         ],
         ids=["papers-count", "papers-repeated", "divergence-example2", "author-repeated",
-             "author-repeated-divergence"],
+             "author-index-author-repeated", "author-repeated-divergence"],
     )
-    def test_argument_errors_are_usage_errors(self, capsys, tmp_path, extra, message):
+    def test_argument_errors_are_usage_errors(self, capsys, tmp_path, command, extra, message):
         path = self._author_corpus_path(tmp_path)
         out = tmp_path / "out"
-        assert main(["policy", "--input", str(path), *extra, "--out", str(out)]) == 1
+        assert main([command, "--input", str(path), *extra, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"citestats: error: {message}\n"
         assert not out.exists()
 
@@ -1167,6 +1176,67 @@ class TestReproducibility:
         manifest = json.loads((out / "manifest.json").read_text())
         expected = hashlib.sha256(path.read_bytes()).hexdigest()
         assert manifest["inputs"] == {str(path): expected}
+
+
+class TestWithoutCycleCollector:
+    """The console script runs with the cyclic collector off.  That is safe
+    while the cycles a run leaves behind do not grow with its corpus."""
+
+    @staticmethod
+    def _source(tmp_path, name, articles_per_year):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({
+            "seed": 3,
+            "journals": [
+                {"journal_id": f"j{i}", "articles_per_year": articles_per_year,
+                 "start_year": 2001, "end_year": 2010}
+                for i in range(4)
+            ],
+            "references_per_paper": 6.0,
+        }))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+        return config, tmp_path / name / "corpus.jsonl"
+
+    def test_cycles_left_do_not_grow_with_the_corpus(self, tmp_path, capsys):
+        sources = [self._source(tmp_path, "tiny", 3), self._source(tmp_path, "large", 30)]
+        assert [len(load_corpus(corpus)) for _, corpus in sources] == [120, 1200]
+        commands = {
+            "policy": lambda config, corpus: [
+                "policy", "--input", str(corpus), "--rule", "example3", "--census-year", "2010",
+                "--with-divergence",
+            ],
+            "report": lambda config, corpus: [
+                "report", "--input", str(corpus), "--census-year", "2010", "--pair", "j0:j1",
+            ],
+            "replicate": lambda config, corpus: [
+                "replicate", "--config", str(config), "--runs", "2", "--census-years", "2005:2008",
+            ],
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            for name, argv in commands.items():
+                left = []
+                # the first run may fill caches; then the tiny corpus, then the large one
+                for config, corpus in [sources[0], *sources]:
+                    assert main([*argv(config, corpus), "--out", str(tmp_path / name)]) == 0
+                    assert not gc.isenabled()
+                    left.append(gc.collect())
+                assert left[1] == left[2], name
+        finally:
+            gc.enable()
+        assert main(commands["report"](*sources[0]) + ["--out", str(tmp_path / "on")]) == 0
+        assert gc.isenabled()
+
+    def test_entrypoint_turns_the_collector_off(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["citestats", "--version"])
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                cli.entrypoint()
+            assert excinfo.value.code == 0
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestModuleEntry:

@@ -25,6 +25,7 @@ from citestats import (
     write_corpus,
 )
 
+import citestats.corpus
 import reference_metrics as ref
 from citestats.synth import JournalSpec, SynthConfig, generate
 from conftest import AWKWARD_CHARS, awkward_text, build_corpus, rec
@@ -634,3 +635,105 @@ def test_every_bad_value_is_reported_as_before(field, value, strict):
     got = _outcome(load_corpus, lines, strict)
     assert got == _outcome(ref.load_corpus, lines, strict)
     assert got[0][0] is RecordError and got[0][2] == 2
+
+
+# ---------------------------------------------------------------------------
+# the block reader of load_corpus(path) against the reference loader
+# ---------------------------------------------------------------------------
+
+
+def _file_record(i, raw=""):
+    """Record line ``i``, citing line ``i - 1``; ``raw`` goes unescaped into its id."""
+    return json.dumps({
+        "id": f"p{i}{raw}", "journal": "j", "year": 2000, "kind": "review", "authors": ["a"],
+        "references": [f"p{i - 1}"] if i else [],
+    }, ensure_ascii=False).encode()
+
+
+# each takes the line's index and gives its bytes
+_FILE_LINES = {
+    "record": _file_record,
+    "separators-in-string": lambda i: _file_record(i, "\u2028\x85\u2029\x1c"),
+    "control-char-in-string": lambda i: _file_record(i, "\x0c"),
+    "blank": lambda i: b"",
+    "whitespace": lambda i: b" \t",
+    "form-feed": lambda i: b"\x0c\x0b",
+    "nel": lambda i: "\x85".encode(),
+    "line-separator": lambda i: " \u2028".encode(),
+    "bom": lambda i: "\ufeff".encode() + _file_record(i),
+    "surrounding-spaces": lambda i: b"  " + _file_record(i) + b" \t",
+    "form-feed-before": lambda i: b"\x0c" + _file_record(i),
+    "two-objects": lambda i: _file_record(i) + b" " + _file_record(i + 100),
+    "two-numbers": lambda i: b"1, 2",
+    "invalid-utf8": lambda i: _file_record(i).replace(b'"j"', b'"\xe9"'),
+    "unterminated-string": lambda i: b'{"id": "p',
+}
+
+
+@st.composite
+def jsonl_files(draw):
+    """The bytes of a JSON-lines file: records, blank and broken lines under
+    any mix of line ends, one line perhaps padded so that its end falls at
+    a block boundary or the line spans a whole block."""
+    block = citestats.corpus._BLOCK
+    kinds = draw(st.lists(st.sampled_from(sorted(_FILE_LINES)), max_size=8))
+    lines = [_FILE_LINES[kind](i) for i, kind in enumerate(kinds)]
+    one_end = draw(st.sampled_from([b"\n", b"\r\n", b"\r", None]))
+    ends = [one_end or draw(st.sampled_from([b"\n", b"\r\n", b"\r"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = b""
+    if lines and draw(st.booleans()):
+        at = draw(st.integers(0, len(lines) - 1))
+        end_at = draw(st.sampled_from([*range(block - 3, block + 3), 2 * block + 5]))
+        pad = end_at - sum(map(len, lines[:at] + ends[:at])) - len(lines[at])
+        if pad > 0 and lines[at].startswith(b"{"):
+            lines[at] = b"{" + b" " * pad + lines[at][1:]  # JSON whitespace
+        elif pad > 0:
+            lines[at] = b" " * pad + lines[at]
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=150, deadline=None)
+@given(jsonl_files(), st.booleans())
+@example(b"{}\r" + b" " * (1 << 16) + b"\r\n\n[", False)
+@example("p\u2028\x85\n".encode() * 3, False)
+def test_file_reader_matches_the_reference_loader(tmp_path_factory, data, strict):
+    path = tmp_path_factory.getbasetemp() / "file_reader.jsonl"
+    path.write_bytes(data)
+    got, got_warnings = _outcome(load_corpus, path, strict)
+    want, want_warnings = _outcome(ref.load_corpus, data.splitlines(), strict)
+    assert got_warnings == want_warnings
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _same_corpus(got, want)
+
+
+def _decoded(decode, text):
+    try:
+        return repr(decode(text))  # repr, as NaN is unequal to itself
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+JSON_TEXTS = st.one_of(
+    JSON_VALUES.map(json.dumps),
+    st.builds(
+        lambda before, value, after: before + json.dumps(value) + after,
+        st.sampled_from(["", " ", "\t", "\r\n", "\ufeff", "\x0c", "\u2028"]),
+        JSON_VALUES,
+        st.sampled_from(["", " ", "\n ", "\x85", " 1", ", 2", "}", "]", "x", " {}"]),
+    ),
+    st.tuples(JSON_VALUES.map(json.dumps), st.integers(0, 20)).map(lambda t: t[0][: t[1]]),
+    st.text(alphabet='{}[]",:-+.0123456789eEtrufalsnNIiy \\\n\x00\ufeff', max_size=16),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(JSON_TEXTS)
+@example("9" * 5000)
+@example("[" * 100_000 + "]" * 100_000)
+@example('{"a": NaN, "b": -Infinity}')
+@example('"\udc00"')
+def test_decode_is_json_loads(text):
+    assert _decoded(citestats.corpus._decode, text) == _decoded(json.loads, text)
