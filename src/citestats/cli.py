@@ -437,12 +437,13 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
         raise UsageError(f"--census-year is required for {args.rule}")
     if args.rule == "example2" and args.with_divergence:
         raise UsageError("--with-divergence needs an author-level rule")
-    if args.rule == "example2" and (len(args.papers or ()) != 5 or len(set(args.papers)) != 5):
+    paper_ids = args.paper_ids or []
+    if args.rule == "example2" and (len(paper_ids) != 5 or len(set(paper_ids)) != 5):
         raise UsageError("--papers must list exactly 5 distinct paper ids")
     authors = _distinct_authors(args)
     if args.rule == "example2":
         tiers = build_tiers(corpus, args.census_year, args.window)
-        scores = [score_example2(corpus, args.papers, tiers, subject_id=args.subject)]
+        scores = [score_example2(corpus, paper_ids, tiers, subject_id=args.subject)]
     else:
         author_papers = corpus.author_papers
         subjects = {}
@@ -674,7 +675,8 @@ def build_parser() -> _Parser:
     p.add_argument("--census-year", type=_year, default=None)
     p.add_argument("--window", type=int, default=2)
     p.add_argument("--author", action="append", help="subject author (repeatable)")
-    p.add_argument("--papers", type=_id_list, help="exactly 5 paper ids (example2)")
+    p.add_argument("--papers", type=_id_list, dest="paper_ids", metavar="PAPERS",
+                   help="exactly 5 paper ids (example2)")
     p.add_argument("--subject", default="papers", help="subject label for example2")
     p.add_argument("--core-journals", type=_id_list, default=[], help="comma-separated")
     p.add_argument("--indexed-journals", type=_id_list, default=[], help="comma-separated")

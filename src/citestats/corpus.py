@@ -6,9 +6,9 @@ in record order) has ``year[i]``, ``journal_code[i]``, ``kind_code[i]`` and
 ``citing_idx[indptr[i]:indptr[i + 1]]``, in record order, the CSR layout of
 ``scipy.sparse.csr_matrix``.  Metrics are numpy reductions over these
 arrays, and counts become Python ints before any ratio is formed.  Every
-corpus, loaded or generated, keeps its papers as columns and builds its
-:class:`PaperRecord` objects only when ``papers`` or ``paper()`` is first
-asked for.  The loader reads a path in 64 KiB blocks, decodes each line
+corpus, loaded or generated, keeps its papers as columns only; a
+:class:`PaperRecord` is just the checked input of :meth:`Corpus.from_records`.
+The loader reads a path in 64 KiB blocks, decodes each line
 with ``json``'s C scanner (``json.loads`` only for its exact error) into
 the columns, and runs the field checks once per column; only when one
 fails does it check record by record, so that the error names the first
@@ -116,10 +116,6 @@ class PaperRecord:
         if self.id in self.reference_ids:
             raise ValueError(f"paper {self.id!r}: paper references itself")
 
-    @property
-    def is_substantive(self) -> bool:
-        return self.kind in SUBSTANTIVE_KINDS
-
 
 def utf8_encodable(strings: Iterable[str]) -> bool:
     """Whether UTF-8 can encode the strings: not if one holds a lone surrogate."""
@@ -141,13 +137,12 @@ class Corpus:
     """Immutable, indexed collection of papers and their citation edges.
 
     Construct with :meth:`from_records` or :func:`load_corpus`.  Safe for
-    concurrent read access: all exposed containers are read-only views (two
-    threads that first ask for records at once may both build them).
+    concurrent read access: all exposed containers are read-only views.
     """
 
     __slots__ = (
         "_ids", "_row", "_journal_codes", "_year", "_journal_code", "_kind_code", "_authors",
-        "_indptr", "_citing_idx", "_references", "_papers", "_journal_papers", "_author_papers",
+        "_indptr", "_citing_idx", "_references", "_journal_papers", "_author_papers",
         "_unresolved",
     )
 
@@ -200,7 +195,7 @@ class Corpus:
         ``kind_code`` and ``authors`` (a tuple of row tuples), plus the resolved
         citations as (``citing``, ``cited``) row pairs in any order.  The
         papers' references in input order, if known, are ``references`` (see
-        :meth:`_reference_columns`).  Records are built on first use."""
+        :meth:`_reference_columns`)."""
         corpus = object.__new__(cls)
         n = len(ids)
         corpus._ids = ids
@@ -222,7 +217,6 @@ class Corpus:
             array.setflags(write=False)
 
         corpus._references = references
-        corpus._papers = None
         journal_papers: dict[str, list[str]] = {jid: [] for jid in journals}
         for paper_id, code in zip(ids, journal_code.tolist()):
             journal_papers[journals[code]].append(paper_id)
@@ -232,17 +226,6 @@ class Corpus:
         corpus._author_papers = None
         corpus._unresolved = unresolved
         return corpus
-
-    @property
-    def papers(self) -> Mapping[str, PaperRecord]:
-        if self._papers is None:
-            self._papers = MappingProxyType(dict(zip(self._ids, map(
-                PaperRecord, self._ids,
-                map(tuple(self._journal_codes).__getitem__, self._journal_code.tolist()),
-                self._year.tolist(), map(KIND_NAMES.__getitem__, self._kind_code.tolist()),
-                self._authors, _per_row(*self._reference_columns()),
-            ))))
-        return self._papers
 
     def _reference_columns(self) -> tuple:
         """Every paper's references as ``(names, codes, counts)``, row ``i``'s
@@ -291,12 +274,6 @@ class Corpus:
     authors = property(lambda self: self._authors)
     indptr = property(lambda self: self._indptr)
     citing_idx = property(lambda self: self._citing_idx)
-
-    def paper(self, paper_id: str) -> PaperRecord:
-        try:
-            return self.papers[paper_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown paper id {paper_id!r}") from None
 
     def journal_rows(self, journal_id: str) -> tuple[int, np.ndarray]:
         """The journal's code and the rows of its papers, ascending."""
@@ -354,19 +331,8 @@ class ValidationReport:
     negative_age_edges: int
     papers_without_authors: int
 
-    @property
-    def is_clean(self) -> bool:
-        return (
-            self.unresolved_references == 0
-            and self.negative_age_edges == 0
-            and self.papers_without_authors == 0
-        )
-
     def to_dict(self) -> dict[str, int]:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def validate(corpus: Corpus) -> ValidationReport:
@@ -379,14 +345,6 @@ def validate(corpus: Corpus) -> ValidationReport:
         negative_age_edges=int(np.count_nonzero(corpus.year[corpus.citing_idx] < cited_year)),
         papers_without_authors=list(map(len, corpus.authors)).count(0),
     )
-
-
-def citations_to(
-    corpus: Corpus, paper_id: str, citing_years: Iterable[int] | None = None
-) -> int:
-    """Number of in-corpus citations to a paper, optionally restricted to
-    citing (source) years."""
-    return corpus.citation_counts([paper_id], citing_years)[0]
 
 
 def _check_record(obj: Any, line_number: int, strict: bool, warned: set, pending: list) -> None:
@@ -654,22 +612,14 @@ def _split_lines(text: bytes) -> list:
 
 
 _quote = json.encoder.encode_basestring  # json.dumps's quoting with ensure_ascii=False
-_ROW = '{"id":%s,"journal":%s,"year":%d,"kind":%s,"authors":[%s],"references":[%s]}'
-_LINE = _ROW + "\n"
+_LINE = '{"id":%s,"journal":%s,"year":%d,"kind":%s,"authors":[%s],"references":[%s]}\n'
 _KIND_TEXTS = tuple(map(_quote, KIND_NAMES))
 
 
-def record_to_json(record: PaperRecord) -> str:
-    """Serialize one record to its canonical (byte-stable) JSON line."""
-    return _ROW % (
-        _quote(record.id), _quote(record.journal_id), record.year, _quote(record.kind),
-        ",".join(map(_quote, record.author_ids)), ",".join(map(_quote, record.reference_ids)),
-    )
-
-
 def corpus_to_jsonl(corpus: Corpus) -> str:
-    """One :func:`record_to_json` line a paper, rendered from the columns with each
-    distinct string quoted once; round-trips through load_corpus."""
+    """One canonical (byte-stable) JSON line a paper, fields in input order,
+    rendered from the columns with each distinct string quoted once as
+    ``json.dumps(..., ensure_ascii=False)`` quotes it; round-trips through load_corpus."""
     names, codes, counts = corpus._reference_columns()
     references = _per_row(list(map(_quote, names)), codes, counts, ",".join)
     journals = tuple(map(_quote, corpus._journal_codes))

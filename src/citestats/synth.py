@@ -23,9 +23,9 @@ the same order, as per-paper ``Generator.choice`` calls would;
 drift between them.
 
 :func:`generate` hands the corpus its columns and (citing, cited) row pairs
-directly; the string reference tuples and :class:`~citestats.corpus.PaperRecord`
-objects are built only when something reads them (writing the corpus,
-``corpus.papers``), so :func:`replicate` never builds them.
+directly and builds no :class:`~citestats.corpus.PaperRecord`; its string
+references are rendered only when the corpus is written, so :func:`replicate`
+never renders them.
 """
 
 from __future__ import annotations

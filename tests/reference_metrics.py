@@ -19,23 +19,37 @@ chained-``Fraction`` sum that came before the sum over one common
 denominator, and checks each derived ``PolicyScore.score`` against it.
 ``iter_records``, ``from_records`` and ``load_corpus`` are the
 record-at-a-time loader that built and checked one :class:`PaperRecord` per
-line before the columnar loader.
+line before the columnar loader.  ``records`` is the record view a corpus
+kept before it kept only columns, and ``record_to_json`` the one-record
+writer that ``corpus_to_jsonl`` must match line for line.
+``journal_counts`` and ``if_variability`` give what
+``journal_distribution`` counts and ``if_variability`` sums, for the CLI
+oracle tests.
 """
 
 import json
 import math
 import warnings
+import weakref
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
+from types import MappingProxyType
 from typing import Any, Union
 
 import numpy as np
 
 from citestats.author_metrics import AuthorRecord
-from citestats.corpus import KIND_CODES, Corpus, PaperRecord, ValidationReport
+from citestats.corpus import (
+    KIND_CODES,
+    KIND_NAMES,
+    SUBSTANTIVE_KINDS,
+    Corpus,
+    PaperRecord,
+    ValidationReport,
+)
 from citestats.errors import (
     DuplicateIdError,
     InsufficientDataError,
@@ -44,7 +58,7 @@ from citestats.errors import (
     SynthConfigError,
     UnknownIdError,
 )
-from citestats.journal_metrics import IFResult
+from citestats.journal_metrics import IFQuery, IFResult
 from citestats.policy import TIER_POINTS, DivergenceResult, PolicyScore, TierTable
 from citestats.synth import SynthConfig, _rng
 
@@ -65,9 +79,50 @@ class CitationEdge:
         return self.citing_year - self.cited_year
 
 
+# the year column of the corpus last viewed, weakly held so that the cache
+# keeps no corpus alive, and that corpus's records
+_last_view: tuple = (lambda: None, None)
+
+
+def records(corpus: Corpus) -> Mapping[str, PaperRecord]:
+    """Paper id -> its record, in row order, rebuilt from the public columns
+    and the references in input order (ascending by row if generated).
+    The oracles call it per paper and per query, so the last view is kept."""
+    global _last_view
+    year_of_last, view = _last_view
+    if year_of_last() is corpus.year:
+        return view
+    journals = tuple(corpus.journal_papers)
+    ids_of = {journal_id: iter(ids) for journal_id, ids in corpus.journal_papers.items()}
+    ids = [next(ids_of[journals[code]]) for code in corpus.journal_code.tolist()]
+    names, codes, counts = corpus._reference_columns()
+    codes, ends = codes.tolist(), np.cumsum(counts, dtype=np.int64).tolist()
+    references = [[names[c] for c in codes[lo:hi]] for lo, hi in zip([0, *ends], ends)]
+    view = MappingProxyType({
+        pid: PaperRecord(pid, journals[code], year, KIND_NAMES[kind], authors, refs)
+        for pid, code, year, kind, authors, refs in zip(
+            ids, corpus.journal_code.tolist(), corpus.year.tolist(),
+            corpus.kind_code.tolist(), corpus.authors, references,
+        )
+    })
+    _last_view = weakref.ref(corpus.year), view
+    return view
+
+
+_quote = json.encoder.encode_basestring  # json.dumps's quoting with ensure_ascii=False
+
+
+def record_to_json(record: PaperRecord) -> str:
+    """One record's canonical JSON line, without its line end."""
+    return '{"id":%s,"journal":%s,"year":%d,"kind":%s,"authors":[%s],"references":[%s]}' % (
+        _quote(record.id), _quote(record.journal_id), record.year, _quote(record.kind),
+        ",".join(map(_quote, record.author_ids)), ",".join(map(_quote, record.reference_ids)),
+    )
+
+
 def edges(corpus):
     """Every resolved citation, in record order."""
-    papers = corpus.papers
+    papers = records(corpus)
     return [
         CitationEdge(p.id, ref, p.year, papers[ref].year)
         for p in papers.values()
@@ -78,7 +133,7 @@ def edges(corpus):
 
 def incoming_edges(corpus, paper_id):
     """Edges citing the given paper, in record order."""
-    papers = corpus.papers
+    papers = records(corpus)
     if paper_id not in papers:
         raise UnknownIdError(f"unknown paper id {paper_id!r}")
     cited_year = papers[paper_id].year
@@ -98,21 +153,22 @@ def _require_journal(corpus, journal_id):
 
 def impact_factor(corpus, query):
     paper_ids = _require_journal(corpus, query.journal_id)
+    papers = records(corpus)
     window = frozenset(query.window_years)
     numerator = 0
     denominator = 0
     for pid in paper_ids:
-        paper = corpus.papers[pid]
+        paper = papers[pid]
         if paper.year not in window or paper.kind == "book":
             continue
-        if query.denominator_policy == "all-items" or paper.is_substantive:
+        if query.denominator_policy == "all-items" or paper.kind in SUBSTANTIVE_KINDS:
             denominator += 1
         for edge in incoming_edges(corpus, pid):
             if edge.citing_year != query.census_year:
                 continue
             if (
                 query.self_citation_policy == "exclude-same-journal"
-                and corpus.papers[edge.citing_id].journal_id == query.journal_id
+                and papers[edge.citing_id].journal_id == query.journal_id
             ):
                 continue
             numerator += 1
@@ -123,11 +179,12 @@ def citation_age_profile(corpus, census_year, journal_id=None):
     """Without the library's empty-census-year warning."""
     if journal_id is not None:
         _require_journal(corpus, journal_id)
+    papers = records(corpus)
     profile = Counter()
     for edge in edges(corpus):
         if edge.citing_year != census_year:
             continue
-        if journal_id is not None and corpus.papers[edge.cited_id].journal_id != journal_id:
+        if journal_id is not None and papers[edge.cited_id].journal_id != journal_id:
             continue
         profile[edge.age] += 1
     return profile
@@ -152,6 +209,7 @@ def window_coverage(corpus, journal_id, census_year, window_w):
 
 def self_citation_fraction(corpus, journal_id, window_w=None):
     paper_ids = _require_journal(corpus, journal_id)
+    papers = records(corpus)
     received = 0
     internal = 0
     for pid in paper_ids:
@@ -159,20 +217,69 @@ def self_citation_fraction(corpus, journal_id, window_w=None):
             if window_w is not None and not 1 <= edge.age <= window_w:
                 continue
             received += 1
-            if corpus.papers[edge.citing_id].journal_id == journal_id:
+            if papers[edge.citing_id].journal_id == journal_id:
                 internal += 1
     if received == 0:
         return None
     return Fraction(internal, received)
 
 
+def journal_counts(corpus, journal_id, publication_years, citing_years):
+    """Citations from ``citing_years`` to each of the journal's research
+    articles and reviews published in ``publication_years``, in record order."""
+    papers = records(corpus)
+    articles = [
+        pid for pid in _require_journal(corpus, journal_id)
+        if papers[pid].year in publication_years and papers[pid].kind in SUBSTANTIVE_KINDS
+    ]
+    if not articles:
+        raise InsufficientDataError(
+            f"journal {journal_id!r} has no substantive articles published "
+            f"in {sorted(set(publication_years))}"
+        )
+    return [
+        sum(1 for e in incoming_edges(corpus, pid) if e.citing_year in citing_years)
+        for pid in articles
+    ]
+
+
+def if_variability(corpus, journal_id, start_year, end_year, window_w=2):
+    """(mean change, pairs used, zero-base pairs, undefined pairs) of the
+    default-policy impact factors over census years ``start_year`` ..
+    ``end_year``; raises as the library does when it is undefined."""
+    values = [
+        impact_factor(corpus, IFQuery(journal_id, year, window_w)).value
+        for year in range(start_year, end_year + 1)
+    ]
+    span = f"in {start_year}..{end_year}"
+    if len(values) < 2:
+        raise InsufficientDataError(
+            f"variability needs at least two census years (got {start_year}..{end_year})"
+        )
+    if sum(1 for v in values if v is not None) < 2:
+        raise InsufficientDataError(
+            f"journal {journal_id!r}: fewer than 2 defined impact factors {span}"
+        )
+    pairs = list(zip(values, values[1:]))
+    undefined = sum(1 for base, nxt in pairs if base is None or nxt is None)
+    zero = sum(1 for base, nxt in pairs if base == 0 and nxt is not None)
+    changes = [abs(nxt - base) / base for base, nxt in pairs if base and nxt is not None]
+    if not changes:
+        raise InsufficientDataError(
+            f"journal {journal_id!r}: no usable consecutive year pairs {span} "
+            f"(zero-base skipped: {zero}, undefined: {undefined})"
+        )
+    return sum(changes, Fraction(0)) / len(changes), len(changes), zero, undefined
+
+
 def validate(corpus):
+    papers = records(corpus)
     return ValidationReport(
-        paper_count=len(corpus.papers),
+        paper_count=len(papers),
         edge_count=sum(1 for _ in edges(corpus)),
         unresolved_references=corpus.unresolved_reference_count,
         negative_age_edges=sum(1 for e in edges(corpus) if e.age < 0),
-        papers_without_authors=sum(1 for p in corpus.papers.values() if not p.author_ids),
+        papers_without_authors=sum(1 for p in papers.values() if not p.author_ids),
     )
 
 
@@ -200,7 +307,7 @@ def author_record(
         paper_ids = corpus.author_papers[author_id]
     except KeyError:
         raise UnknownIdError(f"unknown author {author_id!r}") from None
-    papers = [corpus.papers[pid] for pid in paper_ids]
+    papers = [records(corpus)[pid] for pid in paper_ids]
     if kinds is not None:
         papers = [p for p in papers if p.kind in kinds]
         if not papers:

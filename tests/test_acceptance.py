@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from citestats import (
-    Corpus,
     EmpiricalDistribution,
     IFQuery,
     JournalSpec,
@@ -255,9 +254,7 @@ def test_criterion_9_property_suites():
         ]
         corpus = build_corpus(*targets, *citers)
         before = impact_factor(corpus, IFQuery("jnl-a", 2007, 2))
-        grown = Corpus.from_records(
-            list(corpus.papers.values()) + [rec("uncited", journal="jnl-a", year=2006)]
-        )
+        grown = build_corpus(*targets, *citers, rec("uncited", journal="jnl-a", year=2006))
         after = impact_factor(grown, IFQuery("jnl-a", 2007, 2))
         assert after.value <= before.value
         if before.numerator > 0:

@@ -14,6 +14,7 @@ import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -21,11 +22,21 @@ from hypothesis import strategies as st
 
 import citestats
 import reference_metrics as ref
-from citestats import Corpus, IFQuery, PaperRecord, cli, corpus_to_jsonl, load_corpus, validate
-from citestats.cli import main
+from citestats import (
+    Corpus,
+    IFQuery,
+    InsufficientDataError,
+    PaperRecord,
+    cli,
+    corpus_to_jsonl,
+    load_corpus,
+    validate,
+)
+from citestats.cli import build_parser, main
 from citestats.corpus import KIND_NAMES
 
 from conftest import awkward_text, build_corpus, rec
+from test_compare import pairwise_oracle
 
 
 @pytest.fixture
@@ -402,10 +413,14 @@ class TestJournalIf:
 
 
 @st.composite
-def corpus_lines(draw):
+def corpus_lines(draw, file_safe=False):
     """JSON lines of 1-30 papers over 1-4 escape-needing journals: every
-    kind, authorless papers, unresolved and negative-age references."""
+    kind, authorless papers, unresolved and negative-age references.  With
+    ``file_safe``, journal i's id ends in ``-i``, so that no two journals
+    share a report file name."""
     journals = draw(st.lists(awkward_text(), min_size=1, max_size=4, unique=True))
+    if file_safe:
+        journals = [f"{journal}-{i}" for i, journal in enumerate(journals)]
     authors = draw(st.lists(awkward_text(), min_size=1, max_size=4, unique=True))
     n = draw(st.integers(1, 30))
     records = [
@@ -424,6 +439,13 @@ def corpus_lines(draw):
     ]
     ensure_ascii = draw(st.booleans())
     return [json.dumps(r, ensure_ascii=ensure_ascii) for r in records]
+
+
+def _corpus_file(tmp, lines):
+    """The lines written as a corpus file, and the record oracle's corpus of it."""
+    path = Path(tmp) / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path, ref.load_corpus(path.read_bytes().split(b"\n"))
 
 
 def _decimal(value):
@@ -446,9 +468,7 @@ def test_journal_if_and_author_index_match_the_oracles(lines, census_year, windo
     """Every number and NA that journal-if and author-index --histograms
     write, against the record oracles on the same file."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "corpus.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        oracle = ref.load_corpus(path.read_bytes().split(b"\n"))
+        path, oracle = _corpus_file(tmp, lines)
         policies = {"substantive": "substantive-only", "all": "all-items"}
         self_policies = {"include": "include", "exclude": "exclude-same-journal"}
         for denominator, self_cites in [(d, s) for d in policies for s in self_policies]:
@@ -481,7 +501,7 @@ def test_journal_if_and_author_index_match_the_oracles(lines, census_year, windo
         histograms = json.loads((out / "author_histograms.json").read_text())
         assert [row["author_id"] for row in rows] == sorted(oracle.author_papers)
         assert list(histograms) == sorted(oracle.author_papers)
-        evaluation_year = max(p.year for p in oracle.papers.values())
+        evaluation_year = max(p.year for p in ref.records(oracle).values())
         for row in rows:
             record = ref.author_record(oracle, row["author_id"], citing_years)
             counts = record.counts
@@ -503,6 +523,8 @@ def test_journal_if_and_author_index_match_the_oracles(lines, census_year, windo
 
 
 def _oracle_cell(value):
+    if value is None:
+        return {"exact": None, "decimal": "NA"}
     return {"exact": f"{value.numerator}/{value.denominator}", "decimal": _decimal(value)}
 
 
@@ -539,11 +561,9 @@ def test_policy_matches_the_oracles(lines, census_year, window, core_bits, index
     authors), against the record oracles on the same file.  Bit i of
     ``core_bits``/``indexed_bits`` puts the i-th listable journal on a list."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "corpus.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        oracle = ref.load_corpus(path.read_bytes().split(b"\n"))
+        path, oracle = _corpus_file(tmp, lines)
         papers_of: dict[str, list] = {}  # author -> papers, in record order
-        for paper in oracle.papers.values():
+        for paper in ref.records(oracle).values():
             for author_id in paper.author_ids:
                 papers_of.setdefault(author_id, []).append(paper)
         journals = sorted(oracle.journal_papers)
@@ -618,6 +638,223 @@ def test_policy_matches_the_oracles(lines, census_year, window, core_bits, index
                 "has no defined impact factor\n"
             ))
             assert not out.exists()
+
+
+def _csv_rows(header, rows):
+    """``read_csv``'s rows of ``rows`` under ``header``."""
+    return [dict(zip(header, map(str, row))) for row in rows]
+
+
+# no shrink phase, as above
+@settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(corpus_lines(), st.integers(1999, 2008))
+@pytest.mark.filterwarnings("ignore:no papers published in census year")
+def test_validate_and_journal_profile_match_the_oracles(lines, census_year):
+    """Every count and cell that validate and journal-profile (with and
+    without --journal) write, against the record oracles on the same file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, oracle = _corpus_file(tmp, lines)
+        out = Path(tmp) / "validate"
+        code, stdout, _ = _run(["validate", "--input", str(path), "--out", str(out)])
+        assert code == 0
+        want = ref.validate(oracle).to_dict()
+        assert json.loads(stdout) == json.loads((out / "validation.json").read_text()) == want
+
+        for i, journal in enumerate((None, *oracle.journal_papers)):
+            out = Path(tmp) / f"profile-{i}"
+            restrict = [] if journal is None else [f"--journal={journal}"]
+            code, stdout, _ = _run(["journal-profile", "--input", str(path), "--census-year",
+                                    str(census_year), *restrict, "--out", str(out)])
+            assert code == 0
+            profile = ref.citation_age_profile(oracle, census_year, journal)
+            assert read_csv(out / "age_profile.csv") == _csv_rows(
+                ("age", "citations"), sorted(profile.items())
+            )
+            want = {"census_year": census_year, "journal": journal,
+                    "total_citations": sum(profile.values())}
+            if journal is not None:
+                want["window_coverage"] = {
+                    f"w{w}": _oracle_cell(ref.window_coverage(oracle, journal, census_year, w))
+                    for w in (2, 5, 10)
+                }
+                want["self_citation_fraction"] = _oracle_cell(
+                    ref.self_citation_fraction(oracle, journal)
+                )
+            assert json.loads((out / "journal_profile.json").read_text()) == want
+
+
+def _comparison_oracle(oracle, journal_a, journal_b, pub_years, citing_years):
+    """Both journals' per-article counts and their comparison cells, by the
+    pair enumeration; raises as the library does when a journal has no articles."""
+    counts_a, counts_b = (
+        ref.journal_counts(oracle, journal, pub_years, citing_years)
+        for journal in (journal_a, journal_b)
+    )
+    p_greater, p_equal = pairwise_oracle(
+        SimpleNamespace(histogram=Counter(counts_a)), SimpleNamespace(histogram=Counter(counts_b))
+    )
+    mean_a, mean_b = Fraction(sum(counts_a), len(counts_a)), Fraction(sum(counts_b), len(counts_b))
+    cells = {"p_greater": p_greater, "p_equal": p_equal, "p_at_least": p_greater + p_equal,
+             "mean_a": mean_a, "mean_b": mean_b}
+    return counts_a, counts_b, cells
+
+
+def _histogram(counts):
+    return sorted(Counter(counts).items())
+
+
+_SPANS = st.none() | st.tuples(st.integers(1999, 2008), st.integers(0, 3)).map(
+    lambda t: range(t[0], t[0] + t[1] + 1)
+)
+
+
+def _span_args(flag, span):
+    return [] if span is None else [flag, f"{span[0]}:{span[-1]}"]
+
+
+_VARIABILITY_CASES = [  # variability with a zero base, with no usable pair, and undefined
+    json.dumps({"id": pid, "journal": journal, "year": year, "kind": kind, "authors": [],
+                "references": refs})
+    for pid, journal, year, kind, refs in [
+        *((f"a{y}", "a-0", y, "research-article", []) for y in range(2003, 2007)),
+        *((f"b{y}", "b-1", y, "research-article", []) for y in range(2003, 2007)),
+        ("c0", "c-2", 2004, "book", []),
+        ("c1", "c-2", 2006, "book", ["a2004"]),
+        ("c2", "c-2", 2007, "book", ["a2005", "a2006", "c0"]),
+    ]
+]
+
+
+# no shrink phase, as above
+@settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(corpus_lines(file_safe=True), st.integers(2000, 2008), _SPANS, _SPANS, _SPANS,
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=2),
+       st.booleans())
+@example(_VARIABILITY_CASES, 2007, range(2005, 2008), None, None, [(0, 1), (1, 1)], False)
+@example(_VARIABILITY_CASES, 2008, None, range(2003, 2006), range(2006, 2008), [(0, 0)], False)
+@pytest.mark.filterwarnings("ignore:no papers published in census year")
+def test_compare_and_report_match_the_oracles(
+    lines, census_year, variability_years, pub_years, citing_years, picks, rejected_too
+):
+    """Every probability, mean, histogram, section cell and NA that compare
+    and report write, against the pair enumeration and the record oracles
+    on the same file; a journal with no articles in a pair's years is the
+    data error the oracle raises.  ``picks`` index the pairs' journals; the
+    report gets the pairs that compare accepts, and with ``rejected_too``
+    all of them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, oracle = _corpus_file(tmp, lines)
+        journals = sorted(oracle.journal_papers)
+        pairable = [j for j in journals if ":" not in j]  # --pair splits at the colon
+        pairs = [(pairable[i % len(pairable)], pairable[k % len(pairable)])
+                 for i, k in picks if pairable]
+        pub = pub_years or range(census_year - 5, census_year)
+        citing = citing_years or range(census_year, census_year + 1)
+        comparisons, accepted = [], []
+        error = None
+        for i, (journal_a, journal_b) in enumerate(pairs):
+            argv = ["compare", "--input", str(path), f"--journal-a={journal_a}",
+                    f"--journal-b={journal_b}", "--pub-years", f"{pub[0]}:{pub[-1]}",
+                    "--citing-years", f"{citing[0]}:{citing[-1]}", "--out", f"{tmp}/compare-{i}"]
+            code, stdout, stderr = _run(argv)
+            try:
+                counts_a, counts_b, cells = _comparison_oracle(
+                    oracle, journal_a, journal_b, pub, citing
+                )
+            except InsufficientDataError as exc:
+                assert (code, stdout, stderr) == (2, "", f"citestats: error: {exc}\n")
+                assert not Path(f"{tmp}/compare-{i}").exists()
+                if rejected_too:
+                    error = error or exc
+                continue
+            assert code == 0
+            comparisons.append((journal_a, journal_b, counts_a, counts_b, cells))
+            accepted.append((journal_a, journal_b))
+            ratio = cells["mean_b"] / cells["mean_a"] if cells["mean_a"] else None
+            assert stdout == "".join(line + "\n" for line in [
+                f"P(A > B)  = {_decimal(cells['p_greater'])}",
+                f"P(A = B)  = {_decimal(cells['p_equal'])}",
+                f"P(A >= B) = {_decimal(cells['p_at_least'])}",
+                f"mean A    = {_decimal(cells['mean_a'])}   [{journal_a}]",
+                f"mean B    = {_decimal(cells['mean_b'])}   [{journal_b}]",
+                f"mean B/A  = {_decimal(ratio)}",
+            ])
+            assert json.loads(Path(f"{tmp}/compare-{i}/comparison.json").read_text()) == {
+                "journal_a": journal_a, "journal_b": journal_b,
+                "publication_years": [pub[0], pub[-1]], "citing_years": [citing[0], citing[-1]],
+                **{name: _oracle_cell(value) for name, value in cells.items()},
+                "histogram_a": {str(k): n for k, n in _histogram(counts_a)},
+                "histogram_b": {str(k): n for k, n in _histogram(counts_b)},
+            }
+
+        out = Path(tmp) / "report"
+        code, _, stderr = _run([
+            "report", "--input", str(path), "--census-year", str(census_year),
+            *_span_args("--variability-years", variability_years),
+            *_span_args("--pub-years", pub_years), *_span_args("--citing-years", citing_years),
+            *(f"--pair={a}:{b}" for a, b in (pairs if rejected_too else accepted)),
+            "--out", str(out),
+        ])
+        if error is not None:
+            assert (code, stderr) == (2, f"citestats: error: {error}\n")
+            assert not out.exists()
+            return
+        assert code == 0
+        var_years = variability_years or range(census_year - 4, census_year + 1)
+        sections, rows, files = {}, [], {"report.json", "journals.csv", "manifest.json"}
+        for journal in journals:
+            results = {w: ref.impact_factor(oracle, IFQuery(journal, census_year, w))
+                       for w in cli.REPORT_WINDOWS}
+            coverage = ref.window_coverage(oracle, journal, census_year, 2)
+            self_cites = ref.self_citation_fraction(oracle, journal)
+            try:
+                change, used, zero, undefined = ref.if_variability(
+                    oracle, journal, var_years[0], var_years[-1]
+                )
+            except InsufficientDataError as exc:
+                variability, change = {"undefined": str(exc)}, None
+            else:
+                variability = {"mean_abs_relative_change": _oracle_cell(change),
+                               "pairs_used": used, "zero_base_pairs_skipped": zero,
+                               "undefined_pairs_skipped": undefined}
+            sections[journal] = {
+                "impact_factor": {
+                    f"w{w}": {"numerator": r.numerator, "denominator": r.denominator,
+                              "value": _oracle_cell(r.value)}
+                    for w, r in results.items()
+                },
+                "window_coverage_w2": _oracle_cell(coverage),
+                "self_citation_fraction": _oracle_cell(self_cites),
+                "variability": variability,
+            }
+            rows.append((journal, *(_decimal(r.value) for r in results.values()),
+                         _decimal(coverage), _decimal(change), _decimal(self_cites)))
+            name = f"age_profile_{cli._safe_name(journal)}.csv"
+            profile = ref.citation_age_profile(oracle, census_year, journal)
+            assert read_csv(out / name) == _csv_rows(("age", "citations"), sorted(profile.items()))
+            files.add(name)
+        assert read_csv(out / "journals.csv") == _csv_rows(
+            ("journal_id", "if_w2", "if_w5", "if_w10", "coverage_w2", "variability",
+             "self_citation_fraction"), rows,
+        )
+        for journal_a, journal_b, counts_a, counts_b, _ in comparisons:
+            for journal, counts in ((journal_a, counts_a), (journal_b, counts_b)):
+                stem = "__".join(map(cli._safe_name, (journal_a, "vs", journal_b, journal)))
+                assert read_csv(out / f"dist_{stem}.csv") == _csv_rows(
+                    ("citations", "articles"), _histogram(counts)
+                )
+                files.add(f"dist_{stem}.csv")
+        assert set(os.listdir(out)) == files
+        assert json.loads((out / "report.json").read_text()) == {
+            "census_year": census_year,
+            "variability_years": [var_years[0], var_years[-1]],
+            "journals": sections,
+            "pairs": [
+                {"journal_a": journal_a, "journal_b": journal_b,
+                 **{name: _oracle_cell(value) for name, value in cells.items()}}
+                for journal_a, journal_b, _, _, cells in comparisons
+            ],
+        }
 
 
 class TestJournalProfile:
@@ -1303,3 +1540,118 @@ def test_benchmark_spans_fire_on_traced_commands(monkeypatch, tmp_path):
         "compare.distribution", "compare.prob", "policy.score", "policy.divergence",
     ]
     assert [name for name in spans if not calls[name]] == []
+
+
+# ---------------------------------------------------------------------------
+# argument vectors built from the parser's own subcommands, flags and choices
+# ---------------------------------------------------------------------------
+
+_EDGE_VALUES = [
+    "0", "-1", str(10**20), "", " ", "\t", "\xe9", "\U0001f600", "nope", "1799", "1800", "2100",
+    "2101", "1800:2100", "1799:2005", "2005:2101", "2007:2005",
+]
+# option -> values the fuzz corpus and config accept, so that some runs
+# succeed; files are placeholders for the corpus, the config, a directory
+# and a missing file
+_GOOD_VALUES = {
+    "input": ["<corpus>"], "config": ["<config>"], "seed": ["5"], "runs": ["1", "3"],
+    "census_year": ["2005", "2007"], "evaluation_year": ["2007"], "window": ["1", "2"],
+    "census_years": ["2005:2007"], "variability_years": ["2005:2007"],
+    "pub_years": ["2004:2007"], "citing_years": ["2007"], "journal": ["jnl-a", "jnl-b"],
+    "journal_a": ["jnl-a"], "journal_b": ["jnl-b"], "pair": ["jnl-a:jnl-b"],
+    "author": ["au-1"], "paper_ids": ["a1,a2,a3,a4,c1"], "subject": ["s"],
+    "core_journals": ["jnl-a"], "indexed_journals": ["jnl-b,jnl-c"],
+}
+_BAD_FILES = ["<corpus>", "<config>", "<dir>", "<missing>", "", " "]
+
+
+def _value_pools(action):
+    """Good and bad values of one option: its choices or known good values,
+    then the edge values (the wrong files for a file).  The math preset is
+    left out, as it generates a million edges a run, and ``--runs`` stays
+    at most 3."""
+    good = [c for c in action.choices or () if c != "math"] or _GOOD_VALUES[action.dest]
+    if action.dest in ("input", "config"):
+        return good, [f for f in _BAD_FILES if f not in good]
+    bad = [v for v in _EDGE_VALUES
+           if action.dest != "runs" or not v.lstrip("-").isdigit() or int(v) <= 3]
+    return good, bad
+
+
+def _options():
+    """Subcommand -> (option string, required, value pools or None for a
+    switch), for every option but ``--help`` and ``--out``, which the test
+    sets itself.  ``--config`` counts as required, as one of it and
+    ``--preset`` is."""
+    [sub] = [a for a in build_parser()._actions if a.dest == "subcommand"]
+    return {
+        name: [(action.option_strings[-1], action.required or action.dest == "config",
+                _value_pools(action) if action.nargs != 0 else None)
+               for action in parser._actions
+               if action.option_strings and action.dest not in ("help", "out")]
+        for name, parser in sub.choices.items()
+    }
+
+
+_OPTIONS = _options()
+
+
+@st.composite
+def argument_vectors(draw):
+    """A subcommand (or a bad one) with its required options and up to 3
+    more, any of them repeated, all with good values; then, five times in
+    six, one fault: a bad value (three times in five), an option left out,
+    or a flag the subcommand does not have."""
+    name = draw(st.sampled_from([*_OPTIONS, "", "nope"]))
+    options = _OPTIONS.get(name, [])
+    more = st.lists(st.sampled_from(options), max_size=3) if options else st.just([])
+    chosen = draw(st.permutations([option for option in options if option[1]] + draw(more)))
+    args = [[flag, *(() if pools is None else [draw(st.sampled_from(pools[0]))])]
+            for flag, _, pools in chosen]
+    fault = draw(st.sampled_from(["none", "value", "value", "value", "drop", "unknown"]))
+    valued = [i for i, arg in enumerate(args) if len(arg) == 2]
+    if fault == "value" and valued:
+        at = draw(st.sampled_from(valued))
+        args[at][1] = draw(st.sampled_from(chosen[at][2][1]))
+    elif fault == "drop" and args:
+        del args[draw(st.integers(0, len(args) - 1))]
+    elif fault == "unknown":
+        args.insert(draw(st.integers(0, len(args))), ["--frobnicate"])
+    return [name, *(token for arg in args for token in arg)]
+
+
+_FUZZ_CONFIG = {"seed": 3, "references_per_paper": 3.0, "journals": [
+    {"journal_id": "jnl-a", "articles_per_year": 3, "start_year": 2003, "end_year": 2007},
+    {"journal_id": "jnl-b", "articles_per_year": 2, "start_year": 2004, "end_year": 2007},
+]}
+
+
+# no shrink phase, as above
+@settings(max_examples=250, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(argument_vectors())
+@example(["replicate", "--config", "<config>", "--runs", "3", "--census-years", "2005:2007"])
+@example(["policy", "--input", "<corpus>", "--rule", "example2", "--census-year", "2007",
+          "--papers", "a1,a2,a3,a4,c1"])
+@pytest.mark.filterwarnings("ignore:no papers published in census year")
+def test_no_argument_vector_ends_in_a_traceback(argv):
+    """main returns 0, 1 or 2 and never raises: a failure prints one error
+    line and writes nothing, a success writes its manifest."""
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"<corpus>": Path(tmp) / "corpus.jsonl", "<config>": Path(tmp) / "config.json",
+                 "<dir>": Path(tmp), "<missing>": Path(tmp) / "missing.jsonl"}
+        files["<config>"].write_text(json.dumps(_FUZZ_CONFIG))
+        files["<corpus>"].write_text(corpus_to_jsonl(build_corpus(
+            *(rec(f"a{i}", year=2004 + i % 3) for i in range(1, 5)),
+            rec("c1", journal="jnl-b", year=2007, refs=("a1", "a2")),
+            rec("c2", journal="jnl-c", year=2007, kind="review", refs=("a3", "c1")),
+        )))
+        out = Path(tmp) / "out"
+        argv = [str(files.get(arg, arg)) for arg in argv]
+        code, _, stderr = _run([*argv, "--out", str(out)])
+        assert code in (0, 1, 2)
+        if code:
+            errors = [line for line in stderr.splitlines() if ": error: " in line]
+            assert len(errors) == 1 and stderr.endswith(errors[0] + "\n"), stderr
+            assert not out.exists()
+        else:
+            assert (out / "manifest.json").is_file()

@@ -25,7 +25,6 @@ from citestats import (
     JournalSpec,
     SynthConfig,
     SynthConfigError,
-    citations_to,
     corpus_to_jsonl,
     generate,
     load_corpus,
@@ -215,9 +214,7 @@ def test_replicate_builds_no_records(monkeypatch, tmp_path):
     corpus = generate(SynthConfig(seed=1, journals=(JournalSpec("j", 30, 2000, 2006),)))
     assert len(corpus) == 210 and len(corpus.edges) == validate(corpus).edge_count > 0
     assert repr(corpus).startswith("<Corpus papers=210 ")
-    assert np.count_nonzero(corpus.edges[:, 1] == 0) == citations_to(corpus, "j-2000-0000")
-    with pytest.raises(AssertionError, match="PaperRecord"):
-        corpus.papers
+    assert [np.count_nonzero(corpus.edges[:, 1] == 0)] == corpus.citation_counts(["j-2000-0000"])
 
 
 def test_generated_corpus_is_freed_without_the_cycle_collector():
@@ -229,14 +226,14 @@ def test_generated_corpus_is_freed_without_the_cycle_collector():
         del corpus
         assert gc.collect() == 0
         corpus = generate(config)
-        assert corpus.paper("j-2001-0000").journal_id == "j"
+        assert ref.records(corpus)["j-2001-0000"].journal_id == "j"
         assert len(corpus.author_papers) > 0
         first = ref.edges(corpus)[0]
         assert first.citing_year > first.cited_year
         citing, cited = corpus.edges[0]
         assert corpus.year[citing] > corpus.year[cited]
         incoming = ref.incoming_edges(corpus, "j-2000-0000")
-        assert len(incoming) == citations_to(corpus, "j-2000-0000")
+        assert len(incoming) == ref.citations_to(corpus, "j-2000-0000")
         del incoming
         del corpus
         assert gc.collect() == 0
@@ -253,7 +250,7 @@ def test_loaded_reference_ids_share_one_object():
         )
     ]
     corpus = load_corpus(io.StringIO("\n".join(lines)))
-    a, b, c = (corpus.paper(p) for p in ("paper-a", "paper-b", "paper-c"))
+    a, b, c = ref.records(corpus).values()
     assert b.reference_ids[0] is c.reference_ids[0] is a.id
     assert c.reference_ids[1] is b.id
     assert a.author_ids[0] is b.author_ids[0] is c.author_ids[0]

@@ -137,7 +137,7 @@ class TestImpactFactor:
             corpus = _random_two_journal_corpus(rng)
             before = impact_factor(corpus, IFQuery("jnl-a", 2007, 2))
             grown = Corpus.from_records(
-                list(corpus.papers.values())
+                list(ref.records(corpus).values())
                 + [rec("extra-uncited", journal="jnl-a", year=2006)]
             )
             after = impact_factor(grown, IFQuery("jnl-a", 2007, 2))
@@ -149,7 +149,8 @@ class TestImpactFactor:
     def test_invariant_under_id_relabeling(self):
         rng = random.Random(31)
         corpus = _random_two_journal_corpus(rng)
-        mapping = {pid: f"relabeled-{i}" for i, pid in enumerate(corpus.papers)}
+        papers = ref.records(corpus).values()
+        mapping = {p.id: f"relabeled-{i}" for i, p in enumerate(papers)}
         relabeled = Corpus.from_records(
             rec(
                 mapping[p.id],
@@ -159,7 +160,7 @@ class TestImpactFactor:
                 authors=tuple(f"x-{a}" for a in p.author_ids),
                 refs=tuple(mapping.get(r, r) for r in p.reference_ids),
             )
-            for p in corpus.papers.values()
+            for p in papers
         )
         original = impact_factor(corpus, IFQuery("jnl-a", 2007, 2))
         renamed = impact_factor(relabeled, IFQuery("jnl-a", 2007, 2))

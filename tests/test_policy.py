@@ -15,6 +15,7 @@ from citestats import (
     PolicyError,
     PolicyScore,
     TierTable,
+    UnknownIdError,
     build_tiers,
     divergence,
     score_example1,
@@ -66,7 +67,7 @@ class TestBuildTiers:
 
     def test_undefined_if_is_unindexed(self):
         corpus = tier_corpus({"j1": 3, "j2": 2, "j3": 1})
-        records = list(corpus.papers.values()) + [
+        records = list(ref.records(corpus).values()) + [
             rec("old", journal="j-dormant", year=1990)
         ]
         table = build_tiers(build_corpus(*records), 2007, 2)
@@ -299,9 +300,12 @@ def _outcome(score, *args):
 
 def _record_loop(corpus, subjects, rule, *rule_args):
     """``rule`` of each subject's records; every id is looked up first."""
-    records = {pid: corpus.paper(pid) for pid in chain.from_iterable(subjects.values())}
+    papers = ref.records(corpus)
+    for pid in chain.from_iterable(subjects.values()):
+        if pid not in papers:
+            raise UnknownIdError(f"unknown paper id {pid!r}")
     return [
-        rule([records[pid] for pid in pids], *rule_args, subject_id=subject_id)
+        rule([papers[pid] for pid in pids], *rule_args, subject_id=subject_id)
         for subject_id, pids in subjects.items()
     ]
 
