@@ -11,7 +11,6 @@ from collections import Counter
 from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from .corpus import KIND_NAMES, Corpus
 from .errors import InsufficientDataError, UnknownIdError, UsageError
@@ -39,18 +38,17 @@ def author_record(
     papers; the default keeps every kind, books included.
     """
     try:
-        paper_ids = corpus.author_papers[author_id]
+        rows = corpus.author_rows[author_id]
     except KeyError:
         raise UnknownIdError(f"unknown author {author_id!r}") from None
-    rows = corpus._rows(paper_ids)
     if kinds is not None:
         kept = [KIND_NAMES[code] in kinds for code in corpus.kind_code[rows].tolist()]
         if not any(kept):
             raise InsufficientDataError(
                 f"author {author_id!r} has no papers of kind {sorted(kinds)}"
             )
-        paper_ids, rows = list(compress(paper_ids, kept)), rows[kept]
-    counts = sorted(corpus.citation_counts(paper_ids, citing_years), reverse=True)
+        rows = rows[kept]
+    counts = sorted(corpus.citation_counts(rows, citing_years), reverse=True)
     return AuthorRecord(
         author_id=author_id,
         counts=tuple(counts),

@@ -288,7 +288,7 @@ def cmd_validate(args, corpus: Corpus) -> tuple[dict, str]:
 
 
 def cmd_journal_if(args, corpus: Corpus) -> tuple[dict, str]:
-    journals = args.journal or sorted(corpus.journal_papers)
+    journals = args.journal or sorted(corpus.journals)
     header = (
         "journal_id", "census_year", "window_w", "numerator", "denominator", "value",
         "denominator_policy", "self_citation_policy",
@@ -326,7 +326,7 @@ def cmd_journal_profile(args, corpus: Corpus) -> tuple[dict, str]:
 
 
 def cmd_author_index(args, corpus: Corpus) -> tuple[dict, str]:
-    authors = _distinct_authors(args) or sorted(corpus.author_papers)
+    authors = _distinct_authors(args) or sorted(corpus.author_rows)
     evaluation_year = args.evaluation_year
     if evaluation_year is None:
         if not len(corpus):
@@ -366,12 +366,14 @@ def cmd_compare(args, corpus: Corpus) -> tuple[dict, str]:
     ratio = None
     if result.mean_a > 0:
         ratio = result.mean_b / result.mean_a
+    # an id that would garble its line, such as one holding a line feed, as its JSON string
+    shown = [j if j.isprintable() else _json_string(j) for j in (args.journal_a, args.journal_b)]
     lines = [
         f"P(A > B)  = {_fmt(result.p_greater)}",
         f"P(A = B)  = {_fmt(result.p_equal)}",
         f"P(A >= B) = {_fmt(result.p_at_least)}",
-        f"mean A    = {_fmt(result.mean_a)}   [{args.journal_a}]",
-        f"mean B    = {_fmt(result.mean_b)}   [{args.journal_b}]",
+        f"mean A    = {_fmt(result.mean_a)}   [{shown[0]}]",
+        f"mean B    = {_fmt(result.mean_b)}   [{shown[1]}]",
         f"mean B/A  = {_fmt(ratio)}",
     ]
     payload = {
@@ -445,21 +447,15 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
         tiers = build_tiers(corpus, args.census_year, args.window)
         scores = [score_example2(corpus, paper_ids, tiers, subject_id=args.subject)]
     else:
-        author_papers = corpus.author_papers
-        subjects = {}
-        for author_id in authors or sorted(author_papers):
-            if author_id not in author_papers:
-                raise UnknownIdError(f"unknown author {author_id!r}")
-            subjects[author_id] = author_papers[author_id]
-        # every paper's row, looked up once for the scores and the divergence
-        paper_rows = corpus._rows(chain.from_iterable(subjects.values()))
+        unknown = [author_id for author_id in authors if author_id not in corpus.author_rows]
+        if unknown:
+            raise UnknownIdError(f"unknown author {unknown[0]!r}")
+        subjects = {a: corpus.author_rows[a] for a in authors or sorted(corpus.author_rows)}
         if args.rule == "example1":
-            scores = score_example1(
-                corpus, args.core_journals, args.indexed_journals, subjects, rows=paper_rows
-            )
+            scores = score_example1(corpus, args.core_journals, args.indexed_journals, subjects)
         else:
             lookup = impact_factors(corpus, args.census_year, args.window)
-            scores = score_example3(corpus, lookup, subjects, rows=paper_rows)
+            scores = score_example3(corpus, lookup, subjects)
     header = ("subject", "rule", "score")
     rows = [(s.subject_id, s.rule, _fmt(s.score)) for s in scores]
     stdout = _csv_text(header, rows)
@@ -488,6 +484,7 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
         by_policy = {
             s.subject_id: s.score.numerator * (denominator // s.score.denominator) for s in scores
         }
+        paper_rows = np.concatenate(list(subjects.values()))
         counts = corpus.indptr[paper_rows + 1] - corpus.indptr[paper_rows]
         # each author's papers are one run of counts; no run is empty, the
         # case that reduceat gets wrong
@@ -519,7 +516,7 @@ def cmd_report(args, corpus: Corpus) -> tuple[dict, str]:
 
     journal_sections = {}
     csv_rows = []
-    for journal_id in sorted(corpus.journal_papers):
+    for journal_id in sorted(corpus.journals):
         section: dict = {"impact_factor": {}}
         for w in REPORT_WINDOWS:
             result = impact_factor(
@@ -572,7 +569,7 @@ def cmd_report(args, corpus: Corpus) -> tuple[dict, str]:
     pair_sections = []
     pub_years = args.pub_years or range(census - 5, census)
     citing_years = args.citing_years or range(census, census + 1)
-    for journal_a, journal_b in args.pair:
+    for journal_a, journal_b in map(partial(_read_pair, journals=set(corpus.journals)), args.pair):
         dist_a, dist_b, result = _comparison(corpus, journal_a, journal_b, pub_years, citing_years)
         pair_sections.append(
             {"journal_a": journal_a, "journal_b": journal_b, **_comparison_cells(result)}
@@ -606,11 +603,24 @@ def cmd_report(args, corpus: Corpus) -> tuple[dict, str]:
 # ---------------------------------------------------------------------------
 
 
-def _pair(text: str) -> tuple[str, str]:
-    parts = text.split(":")
-    if len(parts) != 2 or not parts[0] or not parts[1]:
+def _pair(text: str) -> list[tuple[str, str]]:
+    """Each reading of ``A:B``: a split at one colon into two nonempty parts."""
+    readings = [(text[:i], text[i + 1 :]) for i in range(1, len(text) - 1) if text[i] == ":"]
+    if not readings:
         raise argparse.ArgumentTypeError(f"expected JOURNAL_A:JOURNAL_B, got {text!r}")
-    return parts[0], parts[1]
+    return readings
+
+
+def _read_pair(readings: list, journals: set) -> tuple[str, str]:
+    """A ``--pair``'s one reading with a journal on each side; with none, its only reading."""
+    text = ":".join(readings[0])
+    known = [pair for pair in readings if set(pair) <= journals]
+    if len(known) > 1:
+        raise UsageError(f"--pair {text!r} has {len(known)} readings: " + ", ".join(
+            f"{a!r} vs {b!r}" for a, b in known))
+    if not known and text.count(":") != 1:
+        raise UsageError(f"argument --pair: expected JOURNAL_A:JOURNAL_B, got {text!r}")
+    return (known or readings)[0]
 
 
 def build_parser() -> _Parser:

@@ -1,22 +1,24 @@
 """Citation corpus: data model, JSON-lines ingestion, validation.
 
 A corpus is an immutable columnar index of papers.  Paper ``i`` (its *row*,
-in record order) has ``year[i]``, ``journal_code[i]``, ``kind_code[i]`` and
-``authors[i]``, the tuple of its author ids; the papers citing it are
-``citing_idx[indptr[i]:indptr[i + 1]]``, in record order, the CSR layout of
-``scipy.sparse.csr_matrix``.  Metrics are numpy reductions over these
-arrays, and counts become Python ints before any ratio is formed.  Every
-corpus, loaded or generated, keeps its papers as columns only; a
-:class:`PaperRecord` is just the checked input of :meth:`Corpus.from_records`.
-The loader reads a path in 64 KiB blocks, decodes each line
-with ``json``'s C scanner (``json.loads`` only for its exact error) into
-the columns, and runs the field checks once per column; only when one
-fails does it check record by record, so that the error names the first
-bad line, as a line-by-line loader would.  ``edges`` gives the same
-citations as an array of (citing row, cited row) pairs.  References
-pointing outside the corpus are *counted* (``unresolved_reference_count``)
-rather than dropped silently, so coverage gaps in the underlying database
-stay visible in every downstream statistic.
+in record order) has ``ids[i]``, ``year[i]``, ``journal_code[i]`` (into
+``journals``), ``kind_code[i]`` and ``authors[i]``, the tuple of its author
+ids; ``author_rows`` maps an author to the rows of their papers, and the
+papers citing row ``i`` are ``citing_idx[indptr[i]:indptr[i + 1]]``, in
+record order, the CSR layout of ``scipy.sparse.csr_matrix``.  Ids enter
+through :meth:`Corpus.rows`; every other call takes rows.  Metrics are
+numpy reductions over these arrays, and counts become Python ints before
+any ratio is formed.  Every corpus, loaded or generated, keeps its papers
+as columns only; a :class:`PaperRecord` is just the checked input of
+:meth:`Corpus.from_records`.  The loader reads a path in 64 KiB blocks,
+decodes each line with ``json``'s C scanner (``json.loads`` only for its
+exact error) into the columns, and runs the field checks once per column;
+only when one fails does it check record by record, so that the error
+names the first bad line, as a line-by-line loader would.  ``edges`` gives
+the same citations as an array of (citing row, cited row) pairs.
+References pointing outside the corpus are *counted*
+(``unresolved_reference_count``) rather than dropped silently, so coverage
+gaps in the underlying database stay visible in every downstream statistic.
 
 Input format (JSON lines, one record per line)::
 
@@ -142,8 +144,7 @@ class Corpus:
 
     __slots__ = (
         "_ids", "_row", "_journal_codes", "_year", "_journal_code", "_kind_code", "_authors",
-        "_indptr", "_citing_idx", "_references", "_journal_papers", "_author_papers",
-        "_unresolved",
+        "_indptr", "_citing_idx", "_references", "_journals", "_author_rows", "_unresolved",
     )
 
     def __init__(self, *args, **kwargs):
@@ -200,6 +201,7 @@ class Corpus:
         n = len(ids)
         corpus._ids = ids
         corpus._row = {paper_id: i for i, paper_id in enumerate(ids)}
+        corpus._journals = journals
         corpus._journal_codes = {jid: code for code, jid in enumerate(journals)}
         corpus._year, corpus._journal_code, corpus._kind_code = year, journal_code, kind_code
         corpus._authors = authors
@@ -217,13 +219,7 @@ class Corpus:
             array.setflags(write=False)
 
         corpus._references = references
-        journal_papers: dict[str, list[str]] = {jid: [] for jid in journals}
-        for paper_id, code in zip(ids, journal_code.tolist()):
-            journal_papers[journals[code]].append(paper_id)
-        corpus._journal_papers = MappingProxyType(
-            {jid: tuple(lst) for jid, lst in journal_papers.items()}
-        )
-        corpus._author_papers = None
+        corpus._author_rows = None
         corpus._unresolved = unresolved
         return corpus
 
@@ -245,29 +241,28 @@ class Corpus:
         return np.column_stack((self._citing_idx, cited))
 
     @property
-    def journal_papers(self) -> Mapping[str, tuple[str, ...]]:
-        """Journal id -> ids of every paper published in that journal, in
-        ``journal_code`` order."""
-        return self._journal_papers
-
-    @property
-    def author_papers(self) -> Mapping[str, tuple[str, ...]]:
-        """Author id -> ids of every paper listing that author."""
-        if self._author_papers is None:
-            author_papers: dict[str, list[str]] = {}
-            for paper_id, author_ids in zip(self._ids, self._authors):
-                for author_id in author_ids:
-                    author_papers.setdefault(author_id, []).append(paper_id)
-            self._author_papers = MappingProxyType(
-                {aid: tuple(lst) for aid, lst in author_papers.items()}
+    def author_rows(self) -> Mapping[str, np.ndarray]:
+        """Author id -> the rows of every paper listing that author, ascending,
+        as read-only views of one array; authors in order of first appearance."""
+        if self._author_rows is None:
+            code_of = _Codes()  # numbers the authors in order of first appearance
+            codes = np.fromiter(map(code_of.__getitem__, chain.from_iterable(self._authors)), int)
+            rows = np.repeat(np.arange(len(self), dtype=np.int64), list(map(len, self._authors)))
+            rows = rows[np.argsort(codes, kind="stable")]
+            rows.setflags(write=False)
+            ends = np.cumsum(np.bincount(codes, minlength=len(code_of))).tolist()
+            self._author_rows = MappingProxyType(
+                {aid: rows[lo:hi] for aid, lo, hi in zip(code_of, [0, *ends], ends)}
             )
-        return self._author_papers
+        return self._author_rows
 
     @property
     def unresolved_reference_count(self) -> int:
         return self._unresolved
 
     # the read-only columnar index described in the module docstring
+    ids = property(lambda self: self._ids)
+    journals = property(lambda self: self._journals)
     year = property(lambda self: self._year)
     journal_code = property(lambda self: self._journal_code)
     kind_code = property(lambda self: self._kind_code)
@@ -292,18 +287,16 @@ class Corpus:
         offsets = np.cumsum(counts) - counts
         return owner, self._citing_idx[starts[owner] + np.arange(len(owner)) - offsets[owner]]
 
-    def _rows(self, paper_ids: Iterable[str]) -> np.ndarray:
+    def rows(self, paper_ids: Iterable[str]) -> np.ndarray:
+        """The row of each paper id; an unknown id raises :class:`UnknownIdError`."""
         try:
             return np.array([self._row[pid] for pid in paper_ids], dtype=np.int64)
         except KeyError as exc:
             raise UnknownIdError(f"unknown paper id {exc.args[0]!r}") from None
 
-    def citation_counts(
-        self, paper_ids: Iterable[str], citing_years: Iterable[int] | None = None
-    ) -> list[int]:
-        """In-corpus citations to each paper, optionally restricted to citing
-        (source) years."""
-        rows = self._rows(paper_ids)
+    def citation_counts(self, rows, citing_years: Iterable[int] | None = None) -> list[int]:
+        """In-corpus citations to each row's paper, optionally from the given citing years only."""
+        rows = np.asarray(rows, dtype=np.int64)
         if citing_years is None:
             return (self._indptr[rows + 1] - self._indptr[rows]).tolist()
         owner, citing = self.incoming(rows)
@@ -316,7 +309,7 @@ class Corpus:
     def __repr__(self) -> str:
         return (
             f"<Corpus papers={len(self._ids)} edges={len(self._citing_idx)} "
-            f"journals={len(self._journal_papers)} "
+            f"journals={len(self._journals)} "
             f"unresolved={self._unresolved}>"
         )
 
@@ -622,7 +615,7 @@ def corpus_to_jsonl(corpus: Corpus) -> str:
     ``json.dumps(..., ensure_ascii=False)`` quotes it; round-trips through load_corpus."""
     names, codes, counts = corpus._reference_columns()
     references = _per_row(list(map(_quote, names)), codes, counts, ",".join)
-    journals = tuple(map(_quote, corpus._journal_codes))
+    journals = tuple(map(_quote, corpus.journals))
     author = {aid: _quote(aid) for aid in set(chain.from_iterable(corpus.authors))}.__getitem__
     return "".join(map(_LINE.__mod__, zip(
         map(_quote, corpus._ids), map(journals.__getitem__, corpus.journal_code.tolist()),

@@ -119,7 +119,7 @@ def impact_factors(
     :func:`impact_factor` with an :class:`IFQuery` per journal."""
     return {
         journal_id: impact_factor(corpus, IFQuery(journal_id, census_year, window_w)).value
-        for journal_id in sorted(corpus.journal_papers)
+        for journal_id in sorted(corpus.journals)
     }
 
 

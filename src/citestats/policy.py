@@ -17,7 +17,6 @@ import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -130,36 +129,32 @@ def _exact_sum(values: Iterable[Fraction | int]) -> Fraction:
 
 def _author_rule(
     corpus: Corpus,
-    subjects: Mapping[str, Sequence[str]],
+    subjects: Mapping[str, Sequence[int]],
     rule: str,
     points: Callable[[str, int, str], Fraction],
-    rows: np.ndarray | None = None,
 ) -> list[PolicyScore]:
     """One ``rule`` score a subject, in ``subjects`` order.  A paper scores
     ``points(journal id, author count, paper id)``, called once per distinct
     pair with the first paper in subject order that has it, the paper an
-    error names.  Every id is looked up, an unknown one raising
-    :class:`UnknownIdError`, before any paper is scored, unless ``rows``
-    gives the papers' rows already."""
-    paper_ids = list(chain.from_iterable(subjects.values()))
-    if rows is None:
-        rows = corpus._rows(paper_ids)
+    error names."""
+    rows = np.concatenate([np.empty(0, np.int64), *subjects.values()]).astype(np.int64)
+    paper_ids = list(map(corpus.ids.__getitem__, rows.tolist()))
     journal_code = corpus.journal_code[rows].astype(np.int64)
     author_count = np.fromiter(map(len, corpus.authors), np.int64, len(corpus))[rows]
     # one int a (journal, author count) pair; np.unique numbers the distinct ones
     pair = journal_code * (int(author_count.max(initial=0)) + 1) + author_count
     _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
-    journals = tuple(corpus.journal_papers)  # in journal-code order
     values: list = [None] * len(first)
     for key in np.argsort(first).tolist():  # in order of first appearance
         at = first[key]
-        values[key] = points(journals[journal_code[at]], int(author_count[at]), paper_ids[at])
+        journal_id = corpus.journals[journal_code[at]]
+        values[key] = points(journal_id, int(author_count[at]), paper_ids[at])
     breakdown = tuple(zip(paper_ids, map(values.__getitem__, inverse.tolist())))
     scores = []
     start = 0
-    for subject_id, ids in subjects.items():
-        scores.append(PolicyScore(subject_id, rule, breakdown[start : start + len(ids)]))
-        start += len(ids)
+    for subject_id, subject_rows in subjects.items():
+        scores.append(PolicyScore(subject_id, rule, breakdown[start : start + len(subject_rows)]))
+        start += len(subject_rows)
     return scores
 
 
@@ -167,15 +162,12 @@ def score_example1(
     corpus: Corpus,
     core_journals: Iterable[str],
     indexed_journals: Iterable[str],
-    subjects: Mapping[str, Sequence[str]],
-    *,
-    rows: np.ndarray | None = None,
+    subjects: Mapping[str, Sequence[int]],
 ) -> list[PolicyScore]:
     """Flat points per publication: 15 for a core-list journal, 10 for any
     other indexed journal, 0 otherwise.  The two lists must be disjoint.
-    ``subjects`` maps each subject id to its paper ids, in order, and
-    ``rows``, if given, holds those papers' corpus rows in the same order;
-    one score a subject, in that order."""
+    ``subjects`` maps each subject id to its papers' rows, such as
+    ``corpus.author_rows[author_id]``; one score a subject, in that order."""
     core = frozenset(core_journals)
     indexed = frozenset(indexed_journals)
     overlap = core & indexed
@@ -189,7 +181,7 @@ def score_example1(
             return Fraction(CORE_POINTS)
         return Fraction(INDEXED_POINTS if journal_id in indexed else 0)
 
-    return _author_rule(corpus, subjects, "example1", points, rows)
+    return _author_rule(corpus, subjects, "example1", points)
 
 
 def score_example2(
@@ -203,20 +195,18 @@ def score_example2(
     def points(journal_id, author_count, paper_id):
         return Fraction(TIER_POINTS[tiers.tier_of(journal_id)])
 
-    [score] = _author_rule(corpus, {subject_id: paper_ids}, "example2", points)
+    [score] = _author_rule(corpus, {subject_id: corpus.rows(paper_ids)}, "example2", points)
     return score
 
 
 def score_example3(
     corpus: Corpus,
     impact_factors: Mapping[str, Fraction | None],
-    subjects: Mapping[str, Sequence[str]],
-    *,
-    rows: np.ndarray | None = None,
+    subjects: Mapping[str, Sequence[int]],
 ) -> list[PolicyScore]:
     """Author-share-weighted impact factors: each paper contributes
-    ``(1 / author count) * IF(journal)``.  ``subjects`` and ``rows`` are as
-    for :func:`score_example1`; one score a subject, in ``subjects`` order."""
+    ``(1 / author count) * IF(journal)``.  ``subjects`` is as for
+    :func:`score_example1`; one score a subject, in that order."""
 
     def points(journal_id, author_count, paper_id):
         if not author_count:
@@ -227,7 +217,7 @@ def score_example3(
         # from the two ints: Fraction(value) takes the slow numbers.Rational path
         return Fraction(value.numerator, value.denominator * author_count)
 
-    return _author_rule(corpus, subjects, "example3", points, rows)
+    return _author_rule(corpus, subjects, "example3", points)
 
 
 @dataclass(frozen=True, slots=True)

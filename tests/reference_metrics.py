@@ -92,16 +92,14 @@ def records(corpus: Corpus) -> Mapping[str, PaperRecord]:
     year_of_last, view = _last_view
     if year_of_last() is corpus.year:
         return view
-    journals = tuple(corpus.journal_papers)
-    ids_of = {journal_id: iter(ids) for journal_id, ids in corpus.journal_papers.items()}
-    ids = [next(ids_of[journals[code]]) for code in corpus.journal_code.tolist()]
+    journals = corpus.journals
     names, codes, counts = corpus._reference_columns()
     codes, ends = codes.tolist(), np.cumsum(counts, dtype=np.int64).tolist()
     references = [[names[c] for c in codes[lo:hi]] for lo, hi in zip([0, *ends], ends)]
     view = MappingProxyType({
         pid: PaperRecord(pid, journals[code], year, KIND_NAMES[kind], authors, refs)
         for pid, code, year, kind, authors, refs in zip(
-            ids, corpus.journal_code.tolist(), corpus.year.tolist(),
+            corpus.ids, corpus.journal_code.tolist(), corpus.year.tolist(),
             corpus.kind_code.tolist(), corpus.authors, references,
         )
     })
@@ -145,10 +143,10 @@ def incoming_edges(corpus, paper_id):
 
 
 def _require_journal(corpus, journal_id):
-    try:
-        return corpus.journal_papers[journal_id]
-    except KeyError:
-        raise UnknownIdError(f"unknown journal {journal_id!r}") from None
+    """The ids of the journal's papers, in record order."""
+    if journal_id not in corpus.journals:
+        raise UnknownIdError(f"unknown journal {journal_id!r}")
+    return [p.id for p in records(corpus).values() if p.journal_id == journal_id]
 
 
 def impact_factor(corpus, query):
@@ -303,18 +301,17 @@ def author_record(
     years.  ``kinds`` restricts which of the author's items are counted as
     papers; the default keeps every kind, books included.
     """
-    try:
-        paper_ids = corpus.author_papers[author_id]
-    except KeyError:
-        raise UnknownIdError(f"unknown author {author_id!r}") from None
-    papers = [records(corpus)[pid] for pid in paper_ids]
+    papers = [p for p in records(corpus).values() if author_id in p.author_ids]
+    if not papers:
+        raise UnknownIdError(f"unknown author {author_id!r}")
     if kinds is not None:
         papers = [p for p in papers if p.kind in kinds]
         if not papers:
             raise InsufficientDataError(
                 f"author {author_id!r} has no papers of kind {sorted(kinds)}"
             )
-    counts = sorted(corpus.citation_counts([p.id for p in papers], citing_years), reverse=True)
+    rows = corpus.rows([p.id for p in papers])
+    counts = sorted(corpus.citation_counts(rows, citing_years), reverse=True)
     return AuthorRecord(
         author_id=author_id,
         counts=tuple(counts),

@@ -448,6 +448,21 @@ def _corpus_file(tmp, lines):
     return path, ref.load_corpus(path.read_bytes().split(b"\n"))
 
 
+def _journals(oracle):
+    """The journal ids of the oracle's records, in order of first appearance."""
+    return list(dict.fromkeys(p.journal_id for p in ref.records(oracle).values()))
+
+
+def _authors(oracle):
+    """The author ids of the oracle's records, sorted."""
+    return sorted({a for p in ref.records(oracle).values() for a in p.author_ids})
+
+
+def _printed(journal_id):
+    """A journal id as compare prints it: as is, or as a JSON string if unprintable."""
+    return journal_id if journal_id.isprintable() else json.dumps(journal_id)
+
+
 def _decimal(value):
     return "NA" if value is None else f"{float(value):.4f}"
 
@@ -479,7 +494,7 @@ def test_journal_if_and_author_index_match_the_oracles(lines, census_year, windo
                 "--self-cites", self_cites, "--out", str(out),
             ]) == 0
             rows = read_csv(out / "journal_if.csv")
-            assert [row["journal_id"] for row in rows] == sorted(oracle.journal_papers)
+            assert [row["journal_id"] for row in rows] == sorted(_journals(oracle))
             for row in rows:
                 query = IFQuery(row["journal_id"], census_year, window,
                                 policies[denominator], self_policies[self_cites])
@@ -499,8 +514,8 @@ def test_journal_if_and_author_index_match_the_oracles(lines, census_year, windo
                      "--out", str(out)]) == 0
         rows = read_csv(out / "authors.csv")
         histograms = json.loads((out / "author_histograms.json").read_text())
-        assert [row["author_id"] for row in rows] == sorted(oracle.author_papers)
-        assert list(histograms) == sorted(oracle.author_papers)
+        assert [row["author_id"] for row in rows] == _authors(oracle)
+        assert list(histograms) == _authors(oracle)
         evaluation_year = max(p.year for p in ref.records(oracle).values())
         for row in rows:
             record = ref.author_record(oracle, row["author_id"], citing_years)
@@ -566,7 +581,7 @@ def test_policy_matches_the_oracles(lines, census_year, window, core_bits, index
         for paper in ref.records(oracle).values():
             for author_id in paper.author_ids:
                 papers_of.setdefault(author_id, []).append(paper)
-        journals = sorted(oracle.journal_papers)
+        journals = sorted(_journals(oracle))
         # the journal lists are split on commas and each id is stripped
         listable = [j for j in journals if "," not in j and j.strip() == j]
         core = {j for i, j in enumerate(listable) if core_bits >> i & 1}
@@ -660,7 +675,7 @@ def test_validate_and_journal_profile_match_the_oracles(lines, census_year):
         want = ref.validate(oracle).to_dict()
         assert json.loads(stdout) == json.loads((out / "validation.json").read_text()) == want
 
-        for i, journal in enumerate((None, *oracle.journal_papers)):
+        for i, journal in enumerate((None, *_journals(oracle))):
             out = Path(tmp) / f"profile-{i}"
             restrict = [] if journal is None else [f"--journal={journal}"]
             code, stdout, _ = _run(["journal-profile", "--input", str(path), "--census-year",
@@ -725,6 +740,14 @@ _VARIABILITY_CASES = [  # variability with a zero base, with no usable pair, and
 ]
 
 
+_COLON_CASES = [  # journal ids holding colons, and one holding a line feed
+    json.dumps({"id": f"{kind}{k}", "journal": journal, "year": year, "kind": "research-article",
+                "authors": [], "references": refs})
+    for k, journal in enumerate(["\n-0", "a", "a:b", "b:c", "c"])
+    for kind, year, refs in [("p", 2005, []), ("q", 2007, [f"p{k}", f"p{(k + 1) % 5}"])]
+]
+
+
 # no shrink phase, as above
 @settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(corpus_lines(file_safe=True), st.integers(2000, 2008), _SPANS, _SPANS, _SPANS,
@@ -732,6 +755,8 @@ _VARIABILITY_CASES = [  # variability with a zero base, with no usable pair, and
        st.booleans())
 @example(_VARIABILITY_CASES, 2007, range(2005, 2008), None, None, [(0, 1), (1, 1)], False)
 @example(_VARIABILITY_CASES, 2008, None, range(2003, 2006), range(2006, 2008), [(0, 0)], False)
+@example(_COLON_CASES, 2007, None, None, None, [(1, 2), (0, 3)], False)  # a:a:b, "\n-0":b:c
+@example(_COLON_CASES, 2007, None, None, None, [(1, 2), (1, 3)], False)  # a:b:c reads two ways
 @pytest.mark.filterwarnings("ignore:no papers published in census year")
 def test_compare_and_report_match_the_oracles(
     lines, census_year, variability_years, pub_years, citing_years, picks, rejected_too
@@ -744,14 +769,12 @@ def test_compare_and_report_match_the_oracles(
     all of them."""
     with tempfile.TemporaryDirectory() as tmp:
         path, oracle = _corpus_file(tmp, lines)
-        journals = sorted(oracle.journal_papers)
-        pairable = [j for j in journals if ":" not in j]  # --pair splits at the colon
-        pairs = [(pairable[i % len(pairable)], pairable[k % len(pairable)])
-                 for i, k in picks if pairable]
+        journals = sorted(_journals(oracle))
+        pairs = [(journals[i % len(journals)], journals[k % len(journals)]) for i, k in picks]
         pub = pub_years or range(census_year - 5, census_year)
         citing = citing_years or range(census_year, census_year + 1)
         comparisons, accepted = [], []
-        error = None
+        rejected = {}  # pair -> the data error compare exits with
         for i, (journal_a, journal_b) in enumerate(pairs):
             argv = ["compare", "--input", str(path), f"--journal-a={journal_a}",
                     f"--journal-b={journal_b}", "--pub-years", f"{pub[0]}:{pub[-1]}",
@@ -764,8 +787,7 @@ def test_compare_and_report_match_the_oracles(
             except InsufficientDataError as exc:
                 assert (code, stdout, stderr) == (2, "", f"citestats: error: {exc}\n")
                 assert not Path(f"{tmp}/compare-{i}").exists()
-                if rejected_too:
-                    error = error or exc
+                rejected[journal_a, journal_b] = exc
                 continue
             assert code == 0
             comparisons.append((journal_a, journal_b, counts_a, counts_b, cells))
@@ -775,8 +797,8 @@ def test_compare_and_report_match_the_oracles(
                 f"P(A > B)  = {_decimal(cells['p_greater'])}",
                 f"P(A = B)  = {_decimal(cells['p_equal'])}",
                 f"P(A >= B) = {_decimal(cells['p_at_least'])}",
-                f"mean A    = {_decimal(cells['mean_a'])}   [{journal_a}]",
-                f"mean B    = {_decimal(cells['mean_b'])}   [{journal_b}]",
+                f"mean A    = {_decimal(cells['mean_a'])}   [{_printed(journal_a)}]",
+                f"mean B    = {_decimal(cells['mean_b'])}   [{_printed(journal_b)}]",
                 f"mean B/A  = {_decimal(ratio)}",
             ])
             assert json.loads(Path(f"{tmp}/compare-{i}/comparison.json").read_text()) == {
@@ -788,15 +810,28 @@ def test_compare_and_report_match_the_oracles(
             }
 
         out = Path(tmp) / "report"
+        given = pairs if rejected_too else accepted
         code, _, stderr = _run([
             "report", "--input", str(path), "--census-year", str(census_year),
             *_span_args("--variability-years", variability_years),
             *_span_args("--pub-years", pub_years), *_span_args("--citing-years", citing_years),
-            *(f"--pair={a}:{b}" for a, b in (pairs if rejected_too else accepted)),
+            *(f"--pair={a}:{b}" for a, b in given),
             "--out", str(out),
         ])
-        if error is not None:
-            assert (code, stderr) == (2, f"citestats: error: {error}\n")
+        # the first pair that is read two ways (a usage error) or that compare rejects
+        for journal_a, journal_b in given:
+            text = f"{journal_a}:{journal_b}"
+            readings = [(text[:i], text[i + 1 :]) for i in range(1, len(text) - 1)
+                        if text[i] == ":" and {text[:i], text[i + 1 :]} <= set(journals)]
+            if len(readings) > 1:
+                assert (code, stderr) == (1, f"citestats: error: --pair {text!r} has "
+                                          f"{len(readings)} readings: " + ", ".join(
+                                              f"{a!r} vs {b!r}" for a, b in readings) + "\n")
+            elif (journal_a, journal_b) in rejected:
+                error = rejected[journal_a, journal_b]
+                assert (code, stderr) == (2, f"citestats: error: {error}\n")
+            else:
+                continue
             assert not out.exists()
             return
         assert code == 0
@@ -1332,6 +1367,39 @@ class TestReport:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("pair, code, error", [
+        ("a:a:b", 0, ("a", "a:b")),
+        ("b:c:a", 0, ("b:c", "a")),
+        ("c:a", 0, ("c", "a")),
+        ("a:b:c", 1, "--pair 'a:b:c' has 2 readings: 'a' vs 'b:c', 'a:b' vs 'c'"),
+        ("a:x:y", 1, "argument --pair: expected JOURNAL_A:JOURNAL_B, got 'a:x:y'"),
+        ("a:zz", 2, "unknown journal 'zz'"),
+    ], ids=["a|a:b", "b:c|a", "c|a", "two-readings", "no-reading", "unknown"])
+    def test_pair_splits_at_the_colon_between_two_journals(
+        self, capsys, tmp_path, pair, code, error
+    ):
+        """A --pair is read at the one colon with a corpus journal on each
+        side; read two ways it is a usage error, and read no way it fails as
+        it did when --pair split at every colon."""
+        papers = [
+            (f"{journal}-{i}", journal, 2001 - i, [] if i else [f"{journal}-1"])
+            for journal in ("a", "a:b", "b:c", "c") for i in range(2)
+        ]
+        assert self._report(tmp_path, papers, "--pair", pair, "--pub-years", "2000",
+                            "--citing-years", "2001") == (code, tmp_path / "out")
+        if code:
+            assert capsys.readouterr().err == f"citestats: error: {error}\n"
+            assert not (tmp_path / "out").exists()
+        else:
+            [section] = json.loads((tmp_path / "out" / "report.json").read_text())["pairs"]
+            assert (section["journal_a"], section["journal_b"]) == error
+
+    def test_pair_without_two_nonempty_sides_is_an_argument_error(self, capsys, tmp_path):
+        assert self._report(tmp_path, [("p", "a", 2000, [])], "--pair", "a:")[0] == 1
+        assert capsys.readouterr().err.endswith(
+            "citestats report: error: argument --pair: expected JOURNAL_A:JOURNAL_B, got 'a:'\n"
+        )
+
     def test_same_journal_on_both_sides_of_a_pair(self, tmp_path):
         papers = [("a", "j.1", 2000, []), ("c", "j.1", 2001, ["a"])]
         code, out = self._report(tmp_path, papers, "--pair", "j.1:j.1", "--pub-years", "2000")
@@ -1626,6 +1694,20 @@ _FUZZ_CONFIG = {"seed": 3, "references_per_paper": 3.0, "journals": [
 ]}
 
 
+def _fuzz_files(tmp: Path) -> dict:
+    """Placeholder -> path: the tiny fuzz corpus, the fuzz config, a
+    directory and a missing file, under ``tmp``."""
+    files = {"<corpus>": tmp / "corpus.jsonl", "<config>": tmp / "config.json",
+             "<dir>": tmp, "<missing>": tmp / "missing.jsonl"}
+    files["<config>"].write_text(json.dumps(_FUZZ_CONFIG))
+    files["<corpus>"].write_text(corpus_to_jsonl(build_corpus(
+        *(rec(f"a{i}", year=2004 + i % 3) for i in range(1, 5)),
+        rec("c1", journal="jnl-b", year=2007, refs=("a1", "a2")),
+        rec("c2", journal="jnl-c", year=2007, kind="review", refs=("a3", "c1")),
+    )))
+    return files
+
+
 # no shrink phase, as above
 @settings(max_examples=250, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(argument_vectors())
@@ -1637,14 +1719,7 @@ def test_no_argument_vector_ends_in_a_traceback(argv):
     """main returns 0, 1 or 2 and never raises: a failure prints one error
     line and writes nothing, a success writes its manifest."""
     with tempfile.TemporaryDirectory() as tmp:
-        files = {"<corpus>": Path(tmp) / "corpus.jsonl", "<config>": Path(tmp) / "config.json",
-                 "<dir>": Path(tmp), "<missing>": Path(tmp) / "missing.jsonl"}
-        files["<config>"].write_text(json.dumps(_FUZZ_CONFIG))
-        files["<corpus>"].write_text(corpus_to_jsonl(build_corpus(
-            *(rec(f"a{i}", year=2004 + i % 3) for i in range(1, 5)),
-            rec("c1", journal="jnl-b", year=2007, refs=("a1", "a2")),
-            rec("c2", journal="jnl-c", year=2007, kind="review", refs=("a3", "c1")),
-        )))
+        files = _fuzz_files(Path(tmp))
         out = Path(tmp) / "out"
         argv = [str(files.get(arg, arg)) for arg in argv]
         code, _, stderr = _run([*argv, "--out", str(out)])
@@ -1655,3 +1730,40 @@ def test_no_argument_vector_ends_in_a_traceback(argv):
             assert not out.exists()
         else:
             assert (out / "manifest.json").is_file()
+
+
+def _option_sweep():
+    """Argument vectors giving one option of one subcommand one value of its
+    pools (a switch is given once), for every subcommand, option and value;
+    the other required options take their first good value, and ``--preset
+    volatility`` stands in for ``--config`` unless one of the two is swept."""
+    for name, options in _OPTIONS.items():
+        base = {flag: pools[0][0] for flag, required, pools in options if required}
+        if base.pop("--config", None):
+            base["--preset"] = "volatility"
+        for flag, _, pools in options:
+            swept = {"--config", "--preset"} if flag in ("--config", "--preset") else {flag}
+            fixed = [token for option, value in base.items() if option not in swept
+                     for token in (option, value)]
+            for value in [None] if pools is None else [*pools[0], *pools[1]]:
+                yield [name, *fixed, flag, *(() if value is None else [value])]
+
+
+@pytest.mark.filterwarnings("ignore:no papers published in census year")
+def test_every_option_value_exits_cleanly(tmp_path):
+    """Each vector of :func:`_option_sweep`, run in order on the fuzz corpus
+    and config: main raises nothing and returns 0, 1 or 2, and a failure
+    leaves --out absent."""
+    files = _fuzz_files(tmp_path)
+    problems = []
+    for i, argv in enumerate(_option_sweep()):
+        argv = [str(files.get(arg, arg)) for arg in argv]
+        out = tmp_path / f"out-{i}"
+        try:
+            code, _, _ = _run([*argv, "--out", str(out)])
+        except Exception as exc:  # every escape is a finding
+            problems.append((argv, repr(exc)))
+            continue
+        if code not in (0, 1, 2) or (code and out.exists()):
+            problems.append((argv, code))
+    assert problems == []

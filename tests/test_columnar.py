@@ -65,7 +65,7 @@ def assert_exact(value, expected):
 @settings(max_examples=150, deadline=None)
 @given(corpora(), CENSUS_YEARS)
 def test_impact_factor_matches_reference(corpus, census_year):
-    for journal_id in corpus.journal_papers:
+    for journal_id in corpus.journals:
         for window_w in range(1, 6):
             for denominator_policy in DENOMINATOR_POLICIES:
                 for self_citation_policy in SELF_CITATION_POLICIES:
@@ -84,7 +84,7 @@ def test_impact_factor_matches_reference(corpus, census_year):
 @settings(max_examples=150, deadline=None)
 @given(corpora(), CENSUS_YEARS)
 def test_coverage_and_self_citation_match_reference(corpus, census_year):
-    for journal_id in corpus.journal_papers:
+    for journal_id in corpus.journals:
         for window_w in range(1, 6):
             assert_exact(
                 window_coverage(corpus, journal_id, census_year, window_w),
@@ -100,7 +100,7 @@ def test_coverage_and_self_citation_match_reference(corpus, census_year):
 @settings(max_examples=150, deadline=None)
 @given(corpora(), CENSUS_YEARS)
 def test_age_profile_matches_reference(corpus, census_year):
-    for journal_id in (None, *corpus.journal_papers):
+    for journal_id in (None, *corpus.journals):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             profile = citation_age_profile(corpus, census_year, journal_id)
@@ -118,7 +118,7 @@ def test_validate_and_citations_to_match_reference(corpus, citing_years):
     assert validate(corpus) == ref.validate(corpus)
     paper_ids = list(ref.records(corpus))
     for years in (None, citing_years, {2**70}):
-        counts = corpus.citation_counts(paper_ids, years)
+        counts = corpus.citation_counts(corpus.rows(paper_ids), years)
         assert counts == [ref.citations_to(corpus, pid, years) for pid in paper_ids]
         assert all(type(count) is int for count in counts)
 
@@ -168,7 +168,7 @@ def test_edges_array_of_a_small_corpus():
             PaperRecord("b", "j", 2002, "review", (), ("a", "ghost")),
         ]
     )
-    assert corpus.citation_counts(["a"], [2002]) == [1]
+    assert corpus.citation_counts(corpus.rows(["a"]), [2002]) == [1]
     assert validate(corpus).unresolved_references == 1
     assert self_citation_fraction(corpus, "j", 1) == Fraction(1)
     assert corpus.edges.tolist() == [[1, 0]]

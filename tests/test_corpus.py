@@ -192,7 +192,7 @@ class TestLoadCorpus:
         )
         with pytest.warns(UserWarning, match="doi"):
             corpus = load_corpus([line])
-        assert corpus.journal_papers == {"j": ("p1",)}
+        assert corpus.ids == ("p1",) and corpus.journals == ("j",)
 
     def test_blank_lines_skipped(self):
         corpus = load_corpus([jline("p1"), "", "   \n"])
@@ -317,7 +317,7 @@ class TestValidate:
 class TestCitationsTo:
     def test_uncited_paper(self):
         corpus = build_corpus(rec("p1"))
-        assert corpus.citation_counts(["p1"]) == [0]
+        assert corpus.citation_counts(corpus.rows(["p1"])) == [0]
 
     def test_year_filter_excludes(self):
         corpus = build_corpus(
@@ -326,8 +326,8 @@ class TestCitationsTo:
             rec("c2", year=2002, refs=("p0",)),
             rec("c3", year=2003, refs=("p0",)),
         )
-        assert corpus.citation_counts(["p0"]) == [3]
-        assert corpus.citation_counts(["p0"], citing_years=[2001, 2003]) == [2]
+        assert corpus.citation_counts(corpus.rows(["p0"])) == [3]
+        assert corpus.citation_counts([0], citing_years=[2001, 2003]) == [2]
 
     def test_full_filter_equals_unfiltered(self):
         corpus = build_corpus(
@@ -336,12 +336,12 @@ class TestCitationsTo:
             rec("c2", year=2002, refs=("p0",)),
         )
         every_year = range(1800, 2101)
-        assert corpus.citation_counts(["p0"], every_year) == corpus.citation_counts(["p0"])
+        assert corpus.citation_counts([0], every_year) == corpus.citation_counts([0]) == [2]
 
     def test_unknown_paper_raises(self):
         corpus = build_corpus(rec("p1"))
         with pytest.raises(UnknownIdError, match="nope"):
-            corpus.citation_counts(["p1", "nope"])
+            corpus.citation_counts(corpus.rows(["p1", "nope"]))
 
 
 class TestCorpusInvariants:
@@ -368,26 +368,32 @@ class TestCorpusInvariants:
         rng = random.Random(7)
         for _ in range(25):
             corpus = self._random_corpus(rng)
-            total = sum(corpus.citation_counts(ref.records(corpus)))
+            total = sum(corpus.citation_counts(corpus.rows(ref.records(corpus))))
             assert total == len(corpus.edges)
 
     def test_author_index_entries_list_that_author(self):
         rng = random.Random(11)
         for _ in range(25):
             corpus = self._random_corpus(rng)
-            for author_id, paper_ids in corpus.author_papers.items():
-                for pid in paper_ids:
-                    assert author_id in ref.records(corpus)[pid].author_ids
+            papers = list(ref.records(corpus).values())
+            listed = [a for p in papers for a in p.author_ids]
+            assert list(corpus.author_rows) == list(dict.fromkeys(listed))
+            for author_id, rows in corpus.author_rows.items():
+                assert rows.dtype == np.int64
+                assert rows.tolist() == [
+                    row for row, p in enumerate(papers) if author_id in p.author_ids
+                ]
 
     def test_journal_index_is_exhaustive_and_disjoint(self):
         rng = random.Random(13)
         corpus = self._random_corpus(rng)
         papers = ref.records(corpus)
+        assert corpus.journals == tuple(dict.fromkeys(p.journal_id for p in papers.values()))
         seen = []
-        for journal_id, paper_ids in corpus.journal_papers.items():
-            for pid in paper_ids:
-                assert papers[pid].journal_id == journal_id
-                seen.append(pid)
+        for journal_id in corpus.journals:
+            for row in corpus.journal_rows(journal_id)[1].tolist():
+                assert papers[corpus.ids[row]].journal_id == journal_id
+                seen.append(corpus.ids[row])
         assert sorted(seen) == sorted(papers)
 
     def test_every_edge_endpoint_resolves(self):
@@ -402,9 +408,15 @@ class TestCorpusInvariants:
     def test_corpus_is_immutable(self):
         corpus = build_corpus(rec("p1"))
         with pytest.raises(TypeError):
-            corpus.journal_papers["jnl-a"] = ("p2",)
+            corpus.author_rows["au-2"] = (0,)
         with pytest.raises(ValueError, match="read-only"):
             corpus.year[0] = 2001
+        [rows] = corpus.author_rows.values()
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 1
+        with pytest.raises(ValueError):
+            rows.setflags(write=True)
         with pytest.raises(TypeError):
             Corpus()
 
@@ -431,7 +443,8 @@ class TestSerialization:
         corpus = build_corpus(rec("p1"))
         path = tmp_path / "out.jsonl"
         write_corpus(corpus, path)
-        assert load_corpus(path).journal_papers == {"jnl-a": ("p1",)}
+        reloaded = load_corpus(path)
+        assert (reloaded.ids, reloaded.journals) == (("p1",), ("jnl-a",))
 
     def test_record_line_has_canonical_field_order(self):
         line = corpus_to_jsonl(build_corpus(rec("p1", refs=())))
@@ -569,8 +582,9 @@ def _same_corpus(a, b):
     for column in ("year", "journal_code", "kind_code", "indptr", "citing_idx"):
         assert np.array_equal(getattr(a, column), getattr(b, column)), column
         assert getattr(a, column).dtype == getattr(b, column).dtype, column
-    assert a.journal_papers == b.journal_papers
-    assert a.author_papers == b.author_papers
+    assert (a.ids, a.journals) == (b.ids, b.journals)
+    assert list(a.author_rows) == list(b.author_rows)
+    assert all(np.array_equal(rows, b.author_rows[aid]) for aid, rows in a.author_rows.items())
     assert a.unresolved_reference_count == b.unresolved_reference_count
     assert validate(a) == validate(b)
     assert ref.records(a) == ref.records(b)

@@ -84,9 +84,11 @@ def test_generate_matches_reference(config):
         array, want = getattr(corpus, name), getattr(expected, name)
         assert array.dtype == want.dtype and np.array_equal(array, want), name
         assert not array.flags.writeable
-    assert list(corpus.journal_papers.items()) == list(expected.journal_papers.items())
+    assert corpus.ids == expected.ids and corpus.journals == expected.journals
     assert corpus_to_jsonl(corpus) == corpus_to_jsonl(expected)
-    assert list(corpus.author_papers.items()) == list(expected.author_papers.items())
+    assert list(corpus.author_rows) == list(expected.author_rows)
+    for author_id, rows in corpus.author_rows.items():
+        assert np.array_equal(rows, expected.author_rows[author_id])
     assert np.array_equal(corpus.edges, expected.edges)
     assert ref.edges(corpus) == ref.edges(expected)
     assert validate(corpus) == validate(expected)
@@ -166,10 +168,10 @@ def test_journal_without_papers_is_not_in_the_corpus(tmp_path):
         journals=(JournalSpec("a", 0, 2000, 2005), JournalSpec("b", 4, 2000, 2005)),
     )
     corpus = generate(config)
-    assert list(corpus.journal_papers) == ["b"]
+    assert corpus.journals == ("b",)
     path = tmp_path / "corpus.jsonl"
     citestats.corpus.write_corpus(corpus, path)
-    assert list(load_corpus(path).journal_papers) == ["b"]
+    assert load_corpus(path).journals == ("b",)
 
 
 def test_replicate_reports_a_journal_without_papers_as_undefined(tmp_path):
@@ -214,7 +216,7 @@ def test_replicate_builds_no_records(monkeypatch, tmp_path):
     corpus = generate(SynthConfig(seed=1, journals=(JournalSpec("j", 30, 2000, 2006),)))
     assert len(corpus) == 210 and len(corpus.edges) == validate(corpus).edge_count > 0
     assert repr(corpus).startswith("<Corpus papers=210 ")
-    assert [np.count_nonzero(corpus.edges[:, 1] == 0)] == corpus.citation_counts(["j-2000-0000"])
+    assert [np.count_nonzero(corpus.edges[:, 1] == 0)] == corpus.citation_counts(corpus.rows(["j-2000-0000"]))
 
 
 def test_generated_corpus_is_freed_without_the_cycle_collector():
@@ -227,7 +229,7 @@ def test_generated_corpus_is_freed_without_the_cycle_collector():
         assert gc.collect() == 0
         corpus = generate(config)
         assert ref.records(corpus)["j-2001-0000"].journal_id == "j"
-        assert len(corpus.author_papers) > 0
+        assert len(corpus.author_rows) > 0
         first = ref.edges(corpus)[0]
         assert first.citing_year > first.cited_year
         citing, cited = corpus.edges[0]

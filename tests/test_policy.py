@@ -94,7 +94,8 @@ class TestBuildTiers:
 
 def score_papers(rule, papers, *rule_args):
     """``rule``'s score of ``papers`` as one subject, on a corpus of them."""
-    [score] = rule(build_corpus(*papers), *rule_args, {"paper-set": [p.id for p in papers]})
+    corpus = build_corpus(*papers)
+    [score] = rule(corpus, *rule_args, {"paper-set": corpus.rows([p.id for p in papers])})
     return score
 
 
@@ -298,6 +299,12 @@ def _outcome(score, *args):
         return type(exc), str(exc)
 
 
+def _by_rows(rule, corpus, *rule_args):
+    """``rule`` with its last argument, the subjects' paper ids, given as rows."""
+    *rule_args, subjects = rule_args
+    return rule(corpus, *rule_args, {s: corpus.rows(pids) for s, pids in subjects.items()})
+
+
 def _record_loop(corpus, subjects, rule, *rule_args):
     """``rule`` of each subject's records; every id is looked up first."""
     papers = ref.records(corpus)
@@ -329,12 +336,12 @@ def test_author_rules_match_record_loops(case):
     corpus, impact_factors, subjects, core, indexed, tiers, five = case
     for result, expected, subject_ids in (
         (
-            _outcome(score_example3, corpus, impact_factors, subjects),
+            _outcome(_by_rows, score_example3, corpus, impact_factors, subjects),
             _outcome(_record_loop, corpus, subjects, ref.score_example3, impact_factors),
             list(subjects),
         ),
         (
-            _outcome(score_example1, corpus, core, indexed, subjects),
+            _outcome(_by_rows, score_example1, corpus, core, indexed, subjects),
             _outcome(_record_loop, corpus, subjects, ref.score_example1, core, indexed),
             list(subjects),
         ),

@@ -149,14 +149,10 @@ class TestGenerate:
             half_life_years=10.0,
         )
         corpus = generate(config)
-        papers = ref.records(corpus)
 
         def mean_citations(journal_id, year):
-            cohort = [
-                pid
-                for pid in corpus.journal_papers[journal_id]
-                if papers[pid].year == year
-            ]
+            _, rows = corpus.journal_rows(journal_id)
+            cohort = rows[corpus.year[rows] == year]
             return sum(corpus.citation_counts(cohort)) / len(cohort)
 
         for year in (2000, 2001, 2002):
