@@ -484,8 +484,7 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
         by_policy = {
             s.subject_id: s.score.numerator * (denominator // s.score.denominator) for s in scores
         }
-        paper_rows = np.concatenate(list(subjects.values()))
-        counts = corpus.indptr[paper_rows + 1] - corpus.indptr[paper_rows]
+        counts = corpus.citation_counts(np.concatenate(list(subjects.values())))
         # each author's papers are one run of counts; no run is empty, the
         # case that reduceat gets wrong
         starts = np.cumsum([0, *map(len, subjects.values())])[:-1]

@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -27,13 +27,13 @@ from .errors import InsufficientDataError
 class EmpiricalDistribution:
     """Histogram of per-article citation counts: count value -> articles.
 
-    Every entry counts at least one article and the entries sum to
-    ``article_total``.  Provenance fields record where the distribution
-    came from when it was derived from a corpus.
+    Every entry counts at least one article; ``article_total`` is their
+    sum.  Provenance fields record where the distribution came from when it
+    was derived from a corpus.
     """
 
     histogram: Mapping[int, int]
-    article_total: int
+    article_total: int = field(init=False)
     journal_id: str | None = None
     publication_years: tuple[int, ...] | None = None
     citing_years: tuple[int, ...] | None = None
@@ -47,21 +47,14 @@ class EmpiricalDistribution:
                 raise ValueError(f"negative citation count {value}")
             if n < 1:
                 raise ValueError(f"histogram entry for {value} counts no articles")
-        if sum(hist.values()) != self.article_total:
-            raise ValueError(
-                f"article_total={self.article_total} does not match histogram "
-                f"mass {sum(hist.values())}"
-            )
+        object.__setattr__(self, "article_total", sum(hist.values()))
         object.__setattr__(
             self, "histogram", MappingProxyType(dict(sorted(hist.items())))
         )
 
     @classmethod
     def from_counts(cls, counts: Iterable[int], **provenance) -> "EmpiricalDistribution":
-        values = list(counts)
-        return cls(
-            histogram=dict(Counter(values)), article_total=len(values), **provenance
-        )
+        return cls(Counter(counts), **provenance)
 
     @property
     def zero_fraction(self) -> Fraction:
@@ -142,11 +135,8 @@ def journal_distribution(
             f"journal {journal_id!r} has no substantive articles published "
             f"in {sorted(pub_years)}"
         )
-    owner, citing = corpus.incoming(rows)
-    counted = np.isin(corpus.year[citing], list(cit_years))
-    counts = np.bincount(owner[counted], minlength=len(rows)).tolist()
     return EmpiricalDistribution.from_counts(
-        counts,
+        corpus.citation_counts(rows, cit_years),
         journal_id=journal_id,
         publication_years=tuple(sorted(pub_years)),
         citing_years=tuple(sorted(cit_years)),

@@ -6,17 +6,17 @@ in record order) has ``ids[i]``, ``year[i]``, ``journal_code[i]`` (into
 ids; ``author_rows`` maps an author to the rows of their papers, and the
 papers citing row ``i`` are ``citing_idx[indptr[i]:indptr[i + 1]]``, in
 record order, the CSR layout of ``scipy.sparse.csr_matrix``.  Ids enter
-through :meth:`Corpus.rows`; every other call takes rows.  Metrics are
-numpy reductions over these arrays, and counts become Python ints before
-any ratio is formed.  Every corpus, loaded or generated, keeps its papers
-as columns only; a :class:`PaperRecord` is just the checked input of
-:meth:`Corpus.from_records`.  The loader reads a path in 64 KiB blocks,
-decodes each line with ``json``'s C scanner (``json.loads`` only for its
-exact error) into the columns, and runs the field checks once per column;
-only when one fails does it check record by record, so that the error
-names the first bad line, as a line-by-line loader would.  ``edges`` gives
-the same citations as an array of (citing row, cited row) pairs.
-References pointing outside the corpus are *counted*
+through :meth:`Corpus.rows`; every other call takes rows, checked by
+:meth:`Corpus.checked_rows`.  Metrics are numpy reductions over these
+arrays, and counts become Python ints before any ratio is formed.  Every
+corpus, loaded or generated, keeps its papers as columns only; a
+:class:`PaperRecord` is just the input of :meth:`Corpus.from_records`.
+The loader reads a path in 64 KiB blocks, decodes each line with ``json``'s
+C scanner (``json.loads`` only for its exact error) into the columns, and
+runs the field checks once per column; only when one fails does it check
+record by record, so that the error names the first bad line, as a
+line-by-line loader would.  ``edges`` gives the same citations as (citing
+row, cited row) pairs.  References pointing outside the corpus are *counted*
 (``unresolved_reference_count``) rather than dropped silently, so coverage
 gaps in the underlying database stay visible in every downstream statistic.
 
@@ -152,8 +152,10 @@ class Corpus:
 
     @classmethod
     def from_records(cls, records: Iterable[PaperRecord]) -> "Corpus":
-        """Build a corpus, indexing edges for in-corpus references only."""
-        return _read_rows(records, strict=False, unique_ids=True, build=cls._from_rows)
+        """Build a corpus: :func:`load_corpus` of the records as mappings."""
+        return load_corpus(dict(zip(_RECORD_FIELDS, (
+            r.id, r.journal_id, r.year, r.kind, list(r.author_ids), list(r.reference_ids)
+        ))) for r in records)
 
     @classmethod
     def _from_rows(
@@ -278,9 +280,10 @@ class Corpus:
             raise UnknownIdError(f"unknown journal {journal_id!r}") from None
         return code, np.flatnonzero(self._journal_code == code)
 
-    def incoming(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def incoming(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """CSR slice of the citations ``rows`` receive: for each, the position
         in ``rows`` of the cited paper and the citing row."""
+        rows = self.checked_rows(rows)
         starts = self._indptr[rows]
         counts = self._indptr[rows + 1] - starts
         owner = np.repeat(np.arange(len(rows)), counts)
@@ -294,9 +297,17 @@ class Corpus:
         except KeyError as exc:
             raise UnknownIdError(f"unknown paper id {exc.args[0]!r}") from None
 
+    def checked_rows(self, rows) -> np.ndarray:
+        """``rows`` as int64; a row outside ``0..len - 1`` raises :class:`UnknownIdError`."""
+        rows = np.asarray(rows, dtype=np.int64)
+        outside = rows[(rows < 0) | (rows >= len(self._ids))]
+        if len(outside):
+            raise UnknownIdError(f"unknown row {int(outside[0])}")
+        return rows
+
     def citation_counts(self, rows, citing_years: Iterable[int] | None = None) -> list[int]:
         """In-corpus citations to each row's paper, optionally from the given citing years only."""
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = self.checked_rows(rows)
         if citing_years is None:
             return (self._indptr[rows + 1] - self._indptr[rows]).tolist()
         owner, citing = self.incoming(rows)
@@ -453,47 +464,36 @@ def _read_rows(source: Iterable, strict: bool, unique_ids: bool, build: Callable
             yield number, names[code], journal, year, kind, list(authors), refs
             end += count
 
-    def check(obj, line_number):
+    for line_number, obj in enumerate(source, 1):
         try:
-            _check_record(obj, line_number, strict, warned, pending)
-        except RecordError:
+            try:
+                if isinstance(obj, bytes):
+                    obj = obj.decode("utf-8")
+                if isinstance(obj, str):
+                    if not obj or obj.isspace():
+                        continue
+                    obj = _decode(obj)
+            except (ValueError, RecursionError) as exc:  # or an int past the digit limit
+                problem = (
+                    f"invalid UTF-8 ({exc.reason})" if isinstance(exc, UnicodeDecodeError)
+                    else f"invalid JSON ({getattr(exc, 'msg', exc)})"
+                )
+                raise RecordError(f"line {line_number}: {problem}", line_number) from exc
+            if (type(obj) is not dict or obj.keys() != _FIELD_SET
+                    or type(obj["authors"]) is not list or type(obj["references"]) is not list):
+                _check_record(obj, line_number, strict, warned, pending)
+            pid, authors, references = obj["id"], obj["authors"], obj["references"]
+            try:
+                codes.extend(map(code_of, references))
+                rows.append((
+                    line_number, code_of(pid), obj["journal"], obj["year"], obj["kind"],
+                    tuple(map(intern, authors, authors)), len(references),
+                ))
+            except TypeError:  # an unhashable id, author or reference, which the check rejects
+                _check_record(obj, line_number, strict, warned, pending)
+        except RecordError:  # the first bad line, unless an earlier line fails a column check
             _settle(read_so_far(rows, list(memo)), pending, line_number, unique_ids)
             raise
-
-    for line_number, item in enumerate(source, 1):
-        if isinstance(item, PaperRecord):
-            item = dict(zip(_RECORD_FIELDS, (
-                item.id, item.journal_id, item.year, item.kind,
-                list(item.author_ids), list(item.reference_ids),
-            )))
-        obj = item
-        try:
-            if isinstance(item, bytes):
-                item = item.decode("utf-8")
-            if isinstance(item, str):
-                if not item or item.isspace():
-                    continue
-                obj = _decode(item)
-        except (ValueError, RecursionError) as exc:
-            _settle(read_so_far(rows, list(memo)), pending, line_number, unique_ids)
-            # ValueError also covers integers longer than Python's digit limit
-            problem = (
-                f"invalid UTF-8 ({exc.reason})" if isinstance(exc, UnicodeDecodeError)
-                else f"invalid JSON ({getattr(exc, 'msg', exc)})"
-            )
-            raise RecordError(f"line {line_number}: {problem}", line_number) from exc
-        if (type(obj) is not dict or obj.keys() != _FIELD_SET
-                or type(obj["authors"]) is not list or type(obj["references"]) is not list):
-            check(obj, line_number)
-        pid, authors, references = obj["id"], obj["authors"], obj["references"]
-        try:
-            codes.extend(map(code_of, references))
-            rows.append((
-                line_number, code_of(pid), obj["journal"], obj["year"], obj["kind"],
-                tuple(map(intern, authors, authors)), len(references),
-            ))
-        except TypeError:  # an unhashable id, author or reference, which check rejects
-            check(obj, line_number)
 
     # the columns and names hold the same values, and the build's peak
     # memory would count the row tuples and the memo
@@ -538,9 +538,9 @@ def _distinct_references(id_codes, n_names, codes, counts) -> bool:
 
 
 def iter_records(
-    source: Iterable[Union[str, bytes, Mapping, PaperRecord]], strict: bool = False
+    source: Iterable[Union[str, bytes, Mapping]], strict: bool = False
 ) -> Iterator[PaperRecord]:
-    """Yield :class:`PaperRecord` from JSON lines, dicts or ready-made records.
+    """Yield :class:`PaperRecord` from JSON lines (``str`` or ``bytes``) or mappings.
 
     Blank lines are skipped.  Malformed items raise :class:`RecordError`
     carrying the 1-based line number; the whole source is read and checked
@@ -556,11 +556,11 @@ def iter_records(
 
 
 def load_corpus(
-    source: Union[str, Path, IO[str], Iterable], strict: bool = False
+    source: Union[str, Path, Iterable[Union[str, bytes, Mapping]]], strict: bool = False
 ) -> Corpus:
-    """Load a corpus from a JSON-lines path, open file or record iterable
-    (items as for :func:`iter_records`); a repeated id raises
-    :class:`DuplicateIdError`."""
+    """Load a corpus from a JSON-lines path or items as for :func:`iter_records`,
+    such as a text file's lines (records go to :meth:`Corpus.from_records`); a
+    repeated id raises :class:`DuplicateIdError`."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             source = _file_lines(handle)
@@ -624,11 +624,8 @@ def corpus_to_jsonl(corpus: Corpus) -> str:
     )))
 
 
-def write_corpus(corpus: Corpus, target: Union[str, Path, IO[str]]) -> None:
-    """Write :func:`corpus_to_jsonl` of ``corpus`` to a path (as UTF-8) or
-    an open text file."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(corpus_to_jsonl(corpus))
-    else:
-        target.write(corpus_to_jsonl(corpus))
+def write_corpus(corpus: Corpus, path: Union[str, Path]) -> None:
+    """Write :func:`corpus_to_jsonl` of ``corpus`` to ``path`` as UTF-8; for
+    an open text file, ``handle.write(corpus_to_jsonl(corpus))``."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(corpus_to_jsonl(corpus))

@@ -137,7 +137,7 @@ def _author_rule(
     ``points(journal id, author count, paper id)``, called once per distinct
     pair with the first paper in subject order that has it, the paper an
     error names."""
-    rows = np.concatenate([np.empty(0, np.int64), *subjects.values()]).astype(np.int64)
+    rows = corpus.checked_rows(np.concatenate([np.empty(0, np.int64), *subjects.values()]))
     paper_ids = list(map(corpus.ids.__getitem__, rows.tolist()))
     journal_code = corpus.journal_code[rows].astype(np.int64)
     author_count = np.fromiter(map(len, corpus.authors), np.int64, len(corpus))[rows]

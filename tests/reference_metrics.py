@@ -582,9 +582,9 @@ def _record_from_obj(
 
 
 def iter_records(
-    source: Iterable[Union[str, bytes, Mapping, PaperRecord]], strict: bool = False
+    source: Iterable[Union[str, bytes, Mapping]], strict: bool = False
 ) -> Iterator[PaperRecord]:
-    """Yield :class:`PaperRecord` from JSON lines, dicts or ready-made records.
+    """Yield :class:`PaperRecord` from JSON lines or dicts.
 
     Blank lines are skipped.  Malformed items raise :class:`RecordError`
     carrying the 1-based line number.  Equal id, author and reference
@@ -594,9 +594,6 @@ def iter_records(
     warned: set = set()
     memo: dict[str, str] = {}
     for line_number, item in enumerate(source, 1):
-        if isinstance(item, PaperRecord):
-            yield item
-            continue
         if isinstance(item, bytes):
             try:
                 item = item.decode("utf-8")

@@ -148,8 +148,8 @@ def test_criterion_4_exact_probabilities_match_pair_enumeration():
 def test_criterion_5_misranking_beats_the_coin_flip():
     start = time.perf_counter()
     # fixture pair with mean ratio exactly 2
-    dist_a = EmpiricalDistribution(histogram={0: 60, 1: 40}, article_total=100)
-    dist_b = EmpiricalDistribution(histogram={0: 60, 2: 40}, article_total=100)
+    dist_a = EmpiricalDistribution(histogram={0: 60, 1: 40})
+    dist_b = EmpiricalDistribution(histogram={0: 60, 2: 40})
     assert mean(dist_b) / mean(dist_a) == 2
     assert prob_at_least(dist_a, dist_b).p_at_least == Fraction(3, 5) > Fraction(1, 2)
     # ten seeded zero-inflated pairs
@@ -272,11 +272,9 @@ def test_criterion_9_property_suites():
         scaled = prob_at_least(
             EmpiricalDistribution(
                 histogram={v: n * factor for v, n in dist_a.histogram.items()},
-                article_total=dist_a.article_total * factor,
             ),
             EmpiricalDistribution(
                 histogram={v: n * factor for v, n in dist_b.histogram.items()},
-                article_total=dist_b.article_total * factor,
             ),
         )
         original = prob_at_least(dist_a, dist_b)

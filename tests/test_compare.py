@@ -49,7 +49,7 @@ class TestEmpiricalDistribution:
         assert dist.zero_fraction == Fraction(2, 5)
 
     def test_histogram_keys_sorted(self):
-        dist = EmpiricalDistribution(histogram={5: 1, 0: 2, 2: 1}, article_total=4)
+        dist = EmpiricalDistribution(histogram={5: 1, 0: 2, 2: 1})
         assert list(dist.histogram) == [0, 2, 5]
 
     def test_empty_rejected(self):
@@ -58,23 +58,19 @@ class TestEmpiricalDistribution:
 
     def test_zero_article_entry_rejected(self):
         with pytest.raises(ValueError):
-            EmpiricalDistribution(histogram={1: 0}, article_total=0)
-
-    def test_mismatched_total_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution(histogram={1: 3}, article_total=4)
+            EmpiricalDistribution(histogram={1: 0})
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            EmpiricalDistribution(histogram={-1: 2}, article_total=2)
+            EmpiricalDistribution(histogram={-1: 2})
 
 
 class TestMean:
     def test_all_uncited(self):
-        assert mean(EmpiricalDistribution(histogram={0: 3}, article_total=3)) == 0
+        assert mean(EmpiricalDistribution(histogram={0: 3})) == 0
 
     def test_two_point(self):
-        assert mean(EmpiricalDistribution(histogram={0: 1, 2: 1}, article_total=2)) == 1
+        assert mean(EmpiricalDistribution(histogram={0: 1, 2: 1})) == 1
 
     def test_matches_weighted_oracle_and_refinement(self):
         rng = random.Random(67)
@@ -86,15 +82,15 @@ class TestMean:
 
 class TestProbAtLeast:
     def test_identical_point_masses(self):
-        dist = EmpiricalDistribution(histogram={4: 7}, article_total=7)
+        dist = EmpiricalDistribution(histogram={4: 7})
         result = prob_at_least(dist, dist)
         assert result.p_equal == 1
         assert result.p_at_least == 1
         assert result.p_greater == 0
 
     def test_fixture_pair_gives_sixty_percent(self):
-        dist_a = EmpiricalDistribution(histogram={0: 60, 1: 40}, article_total=100)
-        dist_b = EmpiricalDistribution(histogram={0: 60, 2: 40}, article_total=100)
+        dist_a = EmpiricalDistribution(histogram={0: 60, 1: 40})
+        dist_b = EmpiricalDistribution(histogram={0: 60, 2: 40})
         result = prob_at_least(dist_a, dist_b)
         assert mean(dist_b) == 2 * mean(dist_a)
         assert result.p_at_least == Fraction(3, 5)
@@ -136,11 +132,9 @@ class TestProbAtLeast:
             factor = rng.randrange(2, 6)
             scaled_a = EmpiricalDistribution(
                 histogram={v: n * factor for v, n in dist_a.histogram.items()},
-                article_total=dist_a.article_total * factor,
             )
             scaled_b = EmpiricalDistribution(
                 histogram={v: n * factor for v, n in dist_b.histogram.items()},
-                article_total=dist_b.article_total * factor,
             )
             original = prob_at_least(dist_a, dist_b)
             scaled = prob_at_least(scaled_a, scaled_b)
@@ -205,15 +199,13 @@ class TestJournalDistribution:
 
 class TestLogNormalFit:
     def test_degenerate_single_positive_value(self):
-        dist = EmpiricalDistribution(histogram={0: 10, 4: 30}, article_total=40)
+        dist = EmpiricalDistribution(histogram={0: 10, 4: 30})
         with pytest.raises(InsufficientDataError):
             lognormal_fit(dist)
 
     def test_two_point_closed_form(self):
         # 50 zeros plus equal masses at round(e) = 3 and round(e^2) = 7
-        dist = EmpiricalDistribution(
-            histogram={0: 50, 3: 25, 7: 25}, article_total=100
-        )
+        dist = EmpiricalDistribution(histogram={0: 50, 3: 25, 7: 25})
         fit = lognormal_fit(dist)
         expected_mu = (math.log(3) + math.log(7)) / 2
         expected_sigma = abs(math.log(7) - math.log(3)) / 2

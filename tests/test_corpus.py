@@ -343,6 +343,22 @@ class TestCitationsTo:
         with pytest.raises(UnknownIdError, match="nope"):
             corpus.citation_counts(corpus.rows(["p1", "nope"]))
 
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_row_outside_the_corpus_raises(self, row):
+        corpus = build_corpus(rec("a", year=2000), rec("b", year=2001, refs=("a",)))
+        for count in (
+            corpus.citation_counts,
+            lambda rows: corpus.citation_counts(rows, citing_years=[2001]),
+            corpus.incoming,
+        ):
+            with pytest.raises(UnknownIdError, match=f"^unknown row {row}$"):
+                count([0, row])
+
+    def test_no_rows(self):
+        corpus = build_corpus(rec("a", year=2000), rec("b", year=2001, refs=("a",)))
+        assert corpus.citation_counts([]) == corpus.citation_counts([], [2001]) == []
+        assert [part.tolist() for part in corpus.incoming([])] == [[], []]
+
 
 class TestCorpusInvariants:
     def _random_corpus(self, rng):
@@ -619,10 +635,11 @@ def test_columnar_loader_matches_record_loader(lines, strict, as_bytes):
         [json.dumps({**json.loads(jline("p0")), "doi": 1}), jline("p1", year=1700),
          json.dumps({**json.loads(jline("p2")), "title": 1})],
         [jline("p0"), jline("p1", authors=["a", "b", "a"]), jline("p2")],
+        [PaperRecord("p0", "j", 2000, "review"), jline("p1")],
     ],
     ids=["utf8-after-self-ref", "bad-bytes-after-dup-ref", "bool-year-first",
          "duplicate-id-before-bad-json", "warning-kept-before-error-only",
-         "duplicate-author"],
+         "duplicate-author", "record-item"],
 )
 @pytest.mark.parametrize("strict", [False, True])
 def test_first_bad_line_is_reported_as_before(lines, strict):

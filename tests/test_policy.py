@@ -127,6 +127,19 @@ class TestScoreExample1:
             score_papers(score_example1, [], {"j1"}, {"j1", "j2"})
 
 
+@pytest.mark.parametrize("row", [-1, 2])
+def test_rows_outside_the_corpus_raise(row):
+    corpus = build_corpus(rec("a", journal="j"), rec("b", journal="j"))
+    for score in (
+        lambda rows: score_example1(corpus, ["j"], [], {"s": rows}),
+        lambda rows: score_example3(corpus, {"j": Fraction(2)}, {"s": rows}),
+    ):
+        with pytest.raises(UnknownIdError, match=f"^unknown row {row}$"):
+            score([0, row])
+        [empty] = score([])
+        assert (empty.score, empty.breakdown) == (0, ())
+
+
 def score_five(papers, tiers):
     """example2's score of ``papers``, on a corpus of them."""
     return score_example2(build_corpus(*papers), [p.id for p in papers], tiers)

@@ -1,6 +1,11 @@
 """Synthetic corpus generator: determinism, validity, calibration hooks."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,13 +75,15 @@ class TestConfig:
                 journals=(JournalSpec("a", 1, 2000, 2001), JournalSpec("a", 1, 2000, 2001)),
             )
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self, tmp_path, monkeypatch):
         config = small_config()
         text = config_to_json(config)
-        assert config_from_json(text) == config
-        path = tmp_path / "config.json"
-        path.write_text(text)
-        assert config_from_json(path) == config
+        assert config_from_json(json.loads(text)) == config
+        # a str is always a path, also one that starts with a brace
+        monkeypatch.chdir(tmp_path)
+        for path in (tmp_path / "config.json", "{odd}.json"):
+            Path(path).write_text(text)
+            assert config_from_json(path) == config
 
     def test_invalid_json_payload(self):
         with pytest.raises(SynthConfigError):
@@ -84,6 +91,25 @@ class TestConfig:
 
 
 class TestGenerate:
+    def test_leaves_numpy_ma_unimported(self):
+        """``numpy.ma`` costs ~10 ms a process; where ``import numpy`` leaves
+        it out (numpy 2), generating a corpus must not import it either."""
+        code = (
+            "import sys; from citestats.synth import PRESETS, generate; "
+            "before = 'numpy.ma' in sys.modules; generate(PRESETS['volatility']()); "
+            "print(before, 'numpy.ma' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=str(Path(generate.__code__.co_filename).parents[1])),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        before, after = done.stdout.split()
+        assert after == before
+
     def test_same_seed_byte_identical(self):
         a = generate(small_config())
         b = generate(small_config())
@@ -191,18 +217,21 @@ class TestSeeds:
 
 class TestSampleCitationCounts:
     def test_deterministic(self):
-        a = sample_citation_counts(1000, mu=1.0, sigma=0.8, seed=3)
-        b = sample_citation_counts(1000, mu=1.0, sigma=0.8, seed=3)
+        a = sample_citation_counts(1000, mu=1.0, sigma=0.8, rng=np.random.default_rng(3))
+        b = sample_citation_counts(1000, mu=1.0, sigma=0.8, rng=np.random.default_rng(3))
         assert np.array_equal(a, b)
 
     def test_zero_inflation_adds_zero_mass(self):
-        counts = sample_citation_counts(5000, mu=1.0, sigma=0.5, zero_inflation=0.6, seed=3)
+        counts = sample_citation_counts(
+            5000, mu=1.0, sigma=0.5, zero_inflation=0.6, rng=np.random.default_rng(3)
+        )
         zero_share = float(np.mean(counts == 0))
         assert zero_share == pytest.approx(0.6, abs=0.05)
         assert counts.min() >= 0
 
     def test_requires_seed_or_rng(self):
-        with pytest.raises(ValueError):
+        # only a generator: seed=s is rng=np.random.default_rng(s)
+        with pytest.raises(TypeError):
             sample_citation_counts(10, mu=0.0, sigma=1.0)
 
 
