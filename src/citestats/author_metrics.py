@@ -9,15 +9,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .corpus import KIND_NAMES, Corpus
+from .corpus import KIND_NAMES, Corpus, _Record
 from .errors import InsufficientDataError, UnknownIdError, UsageError
 
 
-@dataclass(frozen=True, slots=True)
-class AuthorRecord:
+class AuthorRecord(_Record):
     """Per-paper citation counts (descending) and first publication year."""
 
     author_id: str
@@ -49,11 +47,7 @@ def author_record(
             )
         rows = rows[kept]
     counts = sorted(corpus.citation_counts(rows, citing_years), reverse=True)
-    return AuthorRecord(
-        author_id=author_id,
-        counts=tuple(counts),
-        first_publication_year=int(corpus.year[rows].min()),
-    )
+    return AuthorRecord(author_id, tuple(counts), int(corpus.year[rows].min()))
 
 
 def h_index(counts: Iterable[int]) -> int:
@@ -100,8 +94,7 @@ def m_index(h: int, first_publication_year: int, evaluation_year: int) -> Fracti
     return Fraction(h, max(1, evaluation_year - first_publication_year))
 
 
-@dataclass(frozen=True, slots=True)
-class CitationHistogram:
+class CitationHistogram(_Record):
     """Bucketed per-paper citation counts plus the mass at or above h."""
 
     buckets: dict[int, int]
@@ -125,9 +118,4 @@ def citation_histogram(counts: Iterable[int], bucket_width: int = 1) -> Citation
     tail = None
     if values:
         tail = Fraction(sum(1 for c in values if c >= h), len(values))
-    return CitationHistogram(
-        buckets=dict(sorted(buckets.items())),
-        bucket_width=bucket_width,
-        h=h,
-        tail_fraction=tail,
-    )
+    return CitationHistogram(dict(sorted(buckets.items())), bucket_width, h, tail)

@@ -20,7 +20,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -264,7 +263,7 @@ def _resolve_config(args):
     else:
         config = PRESETS[args.preset]()
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = config._replace(seed=args.seed)
     return config
 
 

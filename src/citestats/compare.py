@@ -13,18 +13,16 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
 import numpy as np
 
-from .corpus import SUBSTANTIVE_CODES, Corpus
+from .corpus import SUBSTANTIVE_CODES, Corpus, _Record
 from .errors import InsufficientDataError
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
+class EmpiricalDistribution(_Record, derived=("article_total",)):
     """Histogram of per-article citation counts: count value -> articles.
 
     Every entry counts at least one article; ``article_total`` is their
@@ -33,7 +31,7 @@ class EmpiricalDistribution:
     """
 
     histogram: Mapping[int, int]
-    article_total: int = field(init=False)
+    article_total: int
     journal_id: str | None = None
     publication_years: tuple[int, ...] | None = None
     citing_years: tuple[int, ...] | None = None
@@ -68,8 +66,7 @@ def mean(dist: EmpiricalDistribution) -> Fraction:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonResult:
+class ComparisonResult(_Record):
     """P(X_A > X_B), P(X_A = X_B) and both means, all exact.
 
     ``p_at_least`` = ``p_greater + p_equal`` is the probability that a
@@ -143,8 +140,7 @@ def journal_distribution(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class LogNormalFit:
+class LogNormalFit(_Record):
     """Normal MLE on the logs of positive counts; zeros reported separately."""
 
     mu: float

@@ -37,7 +37,6 @@ import math
 import warnings
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping
-from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -46,7 +45,7 @@ from typing import IO, Any, Union
 
 import numpy as np
 
-from .errors import DuplicateIdError, RecordError, UnknownIdError
+from .errors import DuplicateIdError, RecordError, UnknownIdError, UsageError
 
 KINDS = frozenset({"research-article", "review", "letter", "editorial", "book"})
 
@@ -65,8 +64,104 @@ _RECORD_FIELDS = ("id", "journal", "year", "kind", "authors", "references")
 _FIELD_SET = frozenset(_RECORD_FIELDS)
 
 
-@dataclass(frozen=True, slots=True)
-class PaperRecord:
+class _Record:
+    """Base of the frozen record types, which behave as ``dataclass(frozen=True)``
+    classes do: built by position or keyword, then checked by ``__post_init__``;
+    compared, hashed and shown field by field; read-only.
+
+    A record lists its fields as class annotations, in order, with any
+    defaults as class attributes after the fields without one.  The
+    constructor takes every field but those named in the class keyword
+    ``derived``, which ``__post_init__`` sets.  ``_replace`` and ``_asdict``
+    stand for ``dataclasses.replace`` and ``dataclasses.asdict``.  Unlike a
+    dataclass, whose code generation took most of the library's import time,
+    the base generates no code; a record built on a hot path has its own
+    ``__init__``, which fills ``__dict__``, as the generic one is slower than
+    a generated one.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, derived: tuple[str, ...] = ()):
+        cls._fields = tuple(cls.__annotations__)
+        cls._params = cls.__match_args__ = tuple(f for f in cls._fields if f not in derived)
+        cls._defaults = tuple(cls.__dict__[f] for f in cls._params if f in cls.__dict__)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._params):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self._params, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The constructor's arguments in field order, defaults filled in, or
+        the ``TypeError`` a function with its signature would raise."""
+        name, params = cls.__name__, cls._params
+        if len(args) > len(params):
+            raise TypeError(
+                f"{name}() takes {len(params)} positional arguments but {len(args)} were given"
+            )
+        values = dict(zip(params[len(params) - len(cls._defaults):], cls._defaults))
+        values.update(zip(params, args))
+        for key, value in kwargs.items():
+            if key not in params:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in params[: len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [repr(p) for p in params if p not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required argument(s): {', '.join(missing)}")
+        return tuple(map(values.__getitem__, params))
+
+    def __post_init__(self):
+        """Check the fields, or derive some; records override it."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes):
+        """A new record of the constructor's arguments, with ``changes``;
+        checked as any record is."""
+        return type(self)(**{**{name: self.__dict__[name] for name in self._params}, **changes})
+
+    def _asdict(self) -> dict:
+        """The fields as a new dict, in which records, also inside tuples,
+        lists and dicts, are dicts too."""
+        return {name: _plain(value) for name, value in zip(self._fields, self._values())}
+
+
+def _plain(value):
+    """``value`` as ``dataclasses.asdict`` converts a field's value."""
+    if isinstance(value, _Record):
+        return value._asdict()
+    if type(value) in (tuple, list):
+        return type(value)(map(_plain, value))
+    if type(value) is dict:
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
+class PaperRecord(_Record):
     """One published item: journal, year, kind, authors, outgoing references.
 
     Every record passes the loader's field checks, however it is built: the
@@ -133,6 +228,16 @@ def _per_row(names, codes, counts, join: Callable = tuple) -> list:
     refs = np.array(names, dtype=object)[codes].tolist()
     ends = np.cumsum(counts).tolist()
     return [join(refs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+
+
+def _integer_rows(rows) -> np.ndarray:
+    """``rows`` as an array; :class:`UsageError` if a row is a float, bool or
+    string, not an integer.  An empty list, whose dtype is float, passes."""
+    array = np.asarray(rows)
+    if array.size and (array.dtype.kind not in "iu" or not isinstance(rows, np.ndarray)
+                       and any(isinstance(row, (bool, np.bool_)) for row in rows)):
+        raise UsageError("rows must be integers")
+    return array
 
 
 class Corpus:
@@ -298,8 +403,10 @@ class Corpus:
             raise UnknownIdError(f"unknown paper id {exc.args[0]!r}") from None
 
     def checked_rows(self, rows) -> np.ndarray:
-        """``rows`` as int64; a row outside ``0..len - 1`` raises :class:`UnknownIdError`."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """``rows`` as int64.  A row that is not an integer (a float, bool or
+        string) raises :class:`UsageError`, and one outside ``0..len - 1``
+        :class:`UnknownIdError`."""
+        rows = _integer_rows(rows).astype(np.int64, copy=False)
         outside = rows[(rows < 0) | (rows >= len(self._ids))]
         if len(outside):
             raise UnknownIdError(f"unknown row {int(outside[0])}")
@@ -325,8 +432,7 @@ class Corpus:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """Counts of data anomalies; reporting only, never mutates the corpus."""
 
     paper_count: int
@@ -336,7 +442,7 @@ class ValidationReport:
     papers_without_authors: int
 
     def to_dict(self) -> dict[str, int]:
-        return asdict(self)
+        return self._asdict()
 
 
 def validate(corpus: Corpus) -> ValidationReport:

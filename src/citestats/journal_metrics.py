@@ -12,20 +12,18 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .corpus import KIND_CODES, SUBSTANTIVE_CODES, YEAR_MIN, Corpus
+from .corpus import KIND_CODES, SUBSTANTIVE_CODES, YEAR_MIN, Corpus, _Record
 from .errors import InsufficientDataError, UsageError
 
 DENOMINATOR_POLICIES = ("substantive-only", "all-items")
 SELF_CITATION_POLICIES = ("include", "exclude-same-journal")
 
 
-@dataclass(frozen=True, slots=True)
-class IFQuery:
+class IFQuery(_Record):
     """Impact-factor query.
 
     ``census_year`` is the single citing (source) year; the window covers
@@ -34,32 +32,39 @@ class IFQuery:
 
     journal_id: str
     census_year: int
-    window_w: int = 2
-    denominator_policy: str = "substantive-only"
-    self_citation_policy: str = "include"
+    window_w: int
+    denominator_policy: str
+    self_citation_policy: str
 
-    def __post_init__(self):
-        if self.window_w < 1:
+    def __init__(
+        self, journal_id, census_year, window_w=2,
+        denominator_policy="substantive-only", self_citation_policy="include",
+    ):
+        for name, value in (("census_year", census_year), ("window_w", window_w)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise UsageError(f"{name} must be an int, got {value!r}")
+        if window_w < 1:
             raise UsageError("window_w must be >= 1")
-        if self.census_year - self.window_w < YEAR_MIN:
+        if census_year - window_w < YEAR_MIN:
             raise UsageError(
                 f"window would start before {YEAR_MIN} "
-                f"(census_year={self.census_year}, window_w={self.window_w})"
+                f"(census_year={census_year}, window_w={window_w})"
             )
-        if self.denominator_policy not in DENOMINATOR_POLICIES:
-            raise UsageError(f"unknown denominator policy {self.denominator_policy!r}")
-        if self.self_citation_policy not in SELF_CITATION_POLICIES:
-            raise UsageError(
-                f"unknown self-citation policy {self.self_citation_policy!r}"
-            )
+        if denominator_policy not in DENOMINATOR_POLICIES:
+            raise UsageError(f"unknown denominator policy {denominator_policy!r}")
+        if self_citation_policy not in SELF_CITATION_POLICIES:
+            raise UsageError(f"unknown self-citation policy {self_citation_policy!r}")
+        self.__dict__.update(
+            journal_id=journal_id, census_year=census_year, window_w=window_w,
+            denominator_policy=denominator_policy, self_citation_policy=self_citation_policy,
+        )
 
     @property
     def window_years(self) -> range:
         return range(self.census_year - self.window_w, self.census_year)
 
 
-@dataclass(frozen=True, slots=True)
-class IFResult:
+class IFResult(_Record):
     """Impact factor with its provenance.
 
     ``value`` is ``numerator / denominator`` as an exact fraction, or
@@ -70,6 +75,9 @@ class IFResult:
     numerator: int
     denominator: int
     query: IFQuery
+
+    def __init__(self, numerator, denominator, query):
+        self.__dict__.update(numerator=numerator, denominator=denominator, query=query)
 
     @property
     def is_defined(self) -> bool:
@@ -106,9 +114,7 @@ def impact_factor(corpus: Corpus, query: IFQuery) -> IFResult:
     counted = corpus.year[citing] == query.census_year
     if query.self_citation_policy == "exclude-same-journal":
         counted &= corpus.journal_code[citing] != code
-    return IFResult(
-        numerator=int(np.count_nonzero(counted)), denominator=denominator, query=query
-    )
+    return IFResult(int(np.count_nonzero(counted)), denominator, query)
 
 
 def impact_factors(
@@ -161,8 +167,7 @@ def window_coverage(
     return Fraction(int(np.count_nonzero(inside)), len(cited_years))
 
 
-@dataclass(frozen=True, slots=True)
-class VariabilityResult:
+class VariabilityResult(_Record):
     """Year-over-year impact-factor variability.
 
     ``mean_abs_relative_change`` averages ``|IF(y+1) - IF(y)| / IF(y)`` over

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _integer_rows, _Record
 from .errors import InsufficientDataError, PolicyError
 # impact_factor is unused here, but perfbench/layers.py patches policy.impact_factor
 # and test_benchmark_hooks_find_every_patched_name fails without the import
@@ -37,8 +36,7 @@ CORE_POINTS = 15
 INDEXED_POINTS = 10
 
 
-@dataclass(frozen=True)
-class TierTable:
+class TierTable(_Record):
     """Tercile partition of journals by impact factor.
 
     Journals with undefined impact factors are ``unindexed``.  Boundary
@@ -93,19 +91,21 @@ def build_tiers(corpus: Corpus, census_year: int, window_w: int = 2) -> TierTabl
     )
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyScore:
+class PolicyScore(_Record, derived=("score",)):
     """A rule's score for one subject, with its per-paper breakdown; the
     score is the breakdown's exact sum."""
 
     subject_id: str
     rule: str
-    score: Fraction = field(init=False)
+    score: Fraction
     breakdown: tuple[tuple[str, Fraction], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "breakdown", tuple(self.breakdown))
-        object.__setattr__(self, "score", _exact_sum(map(itemgetter(1), self.breakdown)))
+    def __init__(self, subject_id, rule, breakdown):
+        breakdown = tuple(breakdown)
+        self.__dict__.update(
+            subject_id=subject_id, rule=rule,
+            score=_exact_sum(map(itemgetter(1), breakdown)), breakdown=breakdown,
+        )
 
 
 def _exact_sum(values: Iterable[Fraction | int]) -> Fraction:
@@ -137,7 +137,9 @@ def _author_rule(
     ``points(journal id, author count, paper id)``, called once per distinct
     pair with the first paper in subject order that has it, the paper an
     error names."""
-    rows = corpus.checked_rows(np.concatenate([np.empty(0, np.int64), *subjects.values()]))
+    # each subject's rows checked as integers, as concatenating casts a bool to int
+    rows = np.concatenate([np.empty(0, np.int64), *map(_integer_rows, subjects.values())])
+    rows = corpus.checked_rows(rows)
     paper_ids = list(map(corpus.ids.__getitem__, rows.tolist()))
     journal_code = corpus.journal_code[rows].astype(np.int64)
     author_count = np.fromiter(map(len, corpus.authors), np.int64, len(corpus))[rows]
@@ -220,8 +222,7 @@ def score_example3(
     return _author_rule(corpus, subjects, "example3", points)
 
 
-@dataclass(frozen=True, slots=True)
-class DivergenceResult:
+class DivergenceResult(_Record):
     """Kendall tau-b between two rankings plus the discordant-pair share.
 
     ``kendall_tau`` is ``None`` when one ranking is entirely tied (the

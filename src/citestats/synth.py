@@ -33,14 +33,13 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from .compare import EmpiricalDistribution
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, utf8_encodable
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, _Record, utf8_encodable
 from .errors import InsufficientDataError, SynthConfigError, UnknownIdError
 from .journal_metrics import VariabilityResult, if_variability
 
@@ -64,8 +63,7 @@ def _check_types(spec, int_fields, float_fields, where: str = "") -> None:
             raise SynthConfigError(f"{where}{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class JournalSpec:
+class JournalSpec(_Record):
     """One synthetic journal: size, active years and latent quality scale."""
 
     journal_id: str
@@ -103,8 +101,7 @@ class JournalSpec:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class SynthConfig:
+class SynthConfig(_Record):
     """Parameters of the generative model; a deterministic function of
     ``seed`` once fixed."""
 
@@ -146,7 +143,7 @@ class SynthConfig:
 
 
 def config_to_json(config: SynthConfig) -> str:
-    return json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
+    return json.dumps(config._asdict(), indent=2, sort_keys=True) + "\n"
 
 
 def config_from_json(source: Union[str, Path, Mapping]) -> SynthConfig:
@@ -351,8 +348,7 @@ def generate(config: SynthConfig) -> Corpus:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ReplicateRun:
+class ReplicateRun(_Record):
     """Per-run metric summary: the run's seed and, per configured journal,
     its impact-factor series and variability (``None`` if undefined)."""
 
@@ -377,7 +373,7 @@ def replicate(
     runs: list[ReplicateRun] = []
     for run_index in range(n_runs):
         run_seed = derived_seed(config.seed, run_index)
-        corpus = generate(replace(config, seed=run_seed))
+        corpus = generate(config._replace(seed=run_seed))
         summaries: dict[str, VariabilityResult | None] = {}
         for spec in config.journals:
             try:

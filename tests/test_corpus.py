@@ -16,6 +16,7 @@ from citestats import (
     PaperRecord,
     RecordError,
     UnknownIdError,
+    UsageError,
     corpus_to_jsonl,
     iter_records,
     load_corpus,
@@ -353,6 +354,20 @@ class TestCitationsTo:
         ):
             with pytest.raises(UnknownIdError, match=f"^unknown row {row}$"):
                 count([0, row])
+
+    @pytest.mark.parametrize(
+        "rows", [[1.7], [True], np.array([0.9]), np.array([True]), ["0"], [0, True], [0, 1.0]],
+        ids=repr,
+    )
+    def test_rows_that_are_not_integers_raise(self, rows):
+        corpus = build_corpus(rec("a", year=2000), rec("b", year=2001, refs=("a",)))
+        for count in (
+            corpus.citation_counts,
+            lambda rows: corpus.citation_counts(rows, citing_years=[2001]),
+            corpus.incoming,
+        ):
+            with pytest.raises(UsageError, match="^rows must be integers$"):
+                count(rows)
 
     def test_no_rows(self):
         corpus = build_corpus(rec("a", year=2000), rec("b", year=2001, refs=("a",)))

@@ -41,6 +41,17 @@ class TestIFQuery:
         with pytest.raises(UsageError):
             IFQuery("jnl-a", 2007, self_citation_policy="whatever")
 
+    @pytest.mark.parametrize(
+        "field, value", [("census_year", 2007.0), ("census_year", True), ("census_year", "2007"),
+                         ("window_w", 2.5), ("window_w", 2.0), ("window_w", True)],
+    )
+    def test_rejects_a_year_or_window_that_is_not_an_int(self, if_fixture_corpus, field, value):
+        arguments = {"census_year": 2007, "window_w": 2, field: value}
+        with pytest.raises(UsageError, match=f"^{field} must be an int, got {value!r}$"):
+            IFQuery("jnl-a", **arguments)
+        with pytest.raises(UsageError, match=f"^{field} must be an int"):
+            impact_factor(if_fixture_corpus, IFQuery("jnl-a", *arguments.values()))
+
 
 class TestImpactFactor:
     def test_narrative_value_of_one_point_five(self, if_fixture_corpus):

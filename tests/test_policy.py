@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from citestats import (
     PolicyScore,
     TierTable,
     UnknownIdError,
+    UsageError,
     build_tiers,
     divergence,
     score_example1,
@@ -138,6 +140,22 @@ def test_rows_outside_the_corpus_raise(row):
             score([0, row])
         [empty] = score([])
         assert (empty.score, empty.breakdown) == (0, ())
+
+
+@pytest.mark.parametrize(
+    "subjects",
+    [{"s": [0.9]}, {"s": [True]}, {"s": np.array([0.9])}, {"a": np.array([0]), "s": np.array([True])},
+     {"s": [0, True]}],
+    ids=repr,
+)
+def test_rows_that_are_not_integers_raise(subjects):
+    corpus = build_corpus(rec("a", journal="j"), rec("b", journal="j"))
+    for score in (
+        lambda: score_example1(corpus, ["j"], [], subjects),
+        lambda: score_example3(corpus, {"j": Fraction(2)}, subjects),
+    ):
+        with pytest.raises(UsageError, match="^rows must be integers$"):
+            score()
 
 
 def score_five(papers, tiers):

@@ -254,9 +254,8 @@ class TestReplicate:
         assert run.run_index == 0
         assert run.seed == derived_seed(21, 0)
         from citestats import if_variability
-        from dataclasses import replace
 
-        corpus = generate(replace(config, seed=run.seed))
+        corpus = generate(config._replace(seed=run.seed))
         direct = if_variability(corpus, "alpha", 2001, 2004, 2)
         assert run.journals["alpha"].impact_factors == direct.impact_factors
         assert (
