@@ -11,6 +11,8 @@ from collections import Counter
 from collections.abc import Collection, Iterable
 from fractions import Fraction
 
+import numpy as np
+
 from .corpus import KIND_NAMES, Corpus, _Record
 from .errors import InsufficientDataError, UnknownIdError, UsageError
 
@@ -50,9 +52,18 @@ def author_record(
     return AuthorRecord(author_id, tuple(counts), int(corpus.year[rows].min()))
 
 
+def _counts(counts: Iterable[int]) -> list[int]:
+    """``counts`` as ints, each a non-negative int or numpy integer (no bool)."""
+    values = list(counts)
+    for c in values:
+        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
+            raise UsageError(f"a citation count must be a non-negative integer, got {c!r}")
+    return [int(c) for c in values]
+
+
 def h_index(counts: Iterable[int]) -> int:
     """Largest n such that at least n papers have at least n citations."""
-    ranked = sorted(counts, reverse=True)
+    ranked = sorted(_counts(counts), reverse=True)
     h = 0
     for i, c in enumerate(ranked, 1):
         if c >= i:
@@ -65,7 +76,7 @@ def h_index(counts: Iterable[int]) -> int:
 def g_index(counts: Iterable[int]) -> int:
     """Largest n (at most the paper count) whose n most cited papers total
     at least n^2 citations."""
-    ranked = sorted(counts, reverse=True)
+    ranked = sorted(_counts(counts), reverse=True)
     g = 0
     total = 0
     for i, c in enumerate(ranked, 1):
@@ -112,7 +123,7 @@ def citation_histogram(counts: Iterable[int], bucket_width: int = 1) -> Citation
     edges) and report the fraction of papers with at least h citations."""
     if bucket_width < 1:
         raise UsageError("bucket_width must be >= 1")
-    values = list(counts)
+    values = _counts(counts)
     h = h_index(values)
     buckets = Counter((c // bucket_width) * bucket_width for c in values)
     tail = None

@@ -144,6 +144,11 @@ class _Record:
         checked as any record is."""
         return type(self)(**{**{name: self.__dict__[name] for name in self._params}, **changes})
 
+    def __reduce__(self):
+        """Pickled as its constructor's arguments, a mapping proxy as a dict."""
+        args = (self.__dict__[name] for name in self._params)
+        return type(self), tuple(dict(a) if type(a) is MappingProxyType else a for a in args)
+
     def _asdict(self) -> dict:
         """The fields as a new dict, in which records, also inside tuples,
         lists and dicts, are dicts too."""

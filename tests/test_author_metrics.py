@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from citestats import (
@@ -218,3 +219,45 @@ class TestCitationHistogram:
     def test_rejects_bad_width(self):
         with pytest.raises(UsageError):
             citation_histogram([1], bucket_width=0)
+
+
+class TestBadCounts:
+    """A count that is not a non-negative integer is a usage error, for all
+    three functions; numpy integers count as integers."""
+
+    functions = pytest.mark.parametrize(
+        "function", [h_index, g_index, citation_histogram], ids=lambda f: f.__name__
+    )
+
+    def test_negative_count_no_longer_lifts_g(self):
+        # g_index([5, -1]) was 2: the -1 paper joined a total of 4 >= 2 * 2
+        with pytest.raises(UsageError, match="got -1"):
+            g_index([5, -1])
+
+    def test_float_counts_no_longer_give_an_h(self):
+        # h_index([3.5, 2.2, 1.9]) was 2
+        with pytest.raises(UsageError, match="got 3.5"):
+            h_index([3.5, 2.2, 1.9])
+
+    def test_float_count_no_longer_makes_a_float_bucket(self):
+        # citation_histogram([1.5, 2]) had the bucket key 1.0
+        with pytest.raises(UsageError, match="got 1.5"):
+            citation_histogram([1.5, 2])
+
+    @functions
+    @pytest.mark.parametrize("bad", [-1, 2.0, True, False, "3", None, Fraction(3), np.float64(3),
+                                     np.bool_(True), np.int64(-2)])
+    def test_rejected(self, function, bad):
+        with pytest.raises(UsageError, match="a citation count must be a non-negative integer"):
+            function([4, bad, 1])
+
+    @functions
+    def test_numpy_integers_give_the_int_answer(self, function):
+        counts = [12, 7, 7, 3, 0, 1]
+        for dtype in (np.int64, np.int32, np.uint8):
+            got = function(np.array(counts, dtype=dtype))
+            assert got == function(counts)
+            if function is citation_histogram:
+                assert all(type(key) is int for key in got.buckets)
+            else:
+                assert type(got) is int

@@ -1534,14 +1534,29 @@ class TestWithoutCycleCollector:
         assert gc.isenabled()
 
     def test_entrypoint_turns_the_collector_off(self, monkeypatch, capsys):
+        """The console script runs the ``atexit`` handlers, then ends in
+        ``os._exit``; both are stubbed, so that this process keeps its own
+        handlers and goes on."""
+        class Exited(Exception):
+            pass
+
+        calls = []
+
+        def _exit(code):
+            calls.append(("_exit", code, gc.isenabled()))
+            raise Exited
+
         monkeypatch.setattr(sys, "argv", ["citestats", "--version"])
+        monkeypatch.setattr(cli.atexit, "_run_exitfuncs", lambda: calls.append("atexit"))
+        monkeypatch.setattr(cli.os, "_exit", _exit)
         try:
-            with pytest.raises(SystemExit) as excinfo:
+            with pytest.raises(Exited):
                 cli.entrypoint()
-            assert excinfo.value.code == 0
+            assert calls == ["atexit", ("_exit", 0, False)]
             assert not gc.isenabled()
         finally:
             gc.enable()
+        assert capsys.readouterr().out == f"citestats {citestats.__version__}\n"
 
 
 class TestModuleEntry:
