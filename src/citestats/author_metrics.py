@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .corpus import KIND_NAMES, Corpus, _Record
+from .corpus import KIND_NAMES, Corpus, _check_int, _Record
 from .errors import InsufficientDataError, UnknownIdError, UsageError
 
 
@@ -97,6 +97,7 @@ def m_index(h: int, first_publication_year: int, evaluation_year: int) -> Fracti
     first-year author divides by one rather than zero; an inclusive count
     (elapsed + 1) would shift every m down slightly and is not used here.
     """
+    _check_int("h", h, 0)
     if evaluation_year < first_publication_year:
         raise UsageError(
             f"evaluation year {evaluation_year} precedes first publication "
@@ -121,8 +122,7 @@ class CitationHistogram(_Record):
 def citation_histogram(counts: Iterable[int], bucket_width: int = 1) -> CitationHistogram:
     """Bucket per-paper counts by ``bucket_width`` (keys are bucket lower
     edges) and report the fraction of papers with at least h citations."""
-    if bucket_width < 1:
-        raise UsageError("bucket_width must be >= 1")
+    _check_int("bucket_width", bucket_width, 1)
     values = _counts(counts)
     h = h_index(values)
     buckets = Counter((c // bucket_width) * bucket_width for c in values)

@@ -147,19 +147,10 @@ def _json_text(value) -> str:
 
 
 def _finish(args, argv: Sequence[str], files: dict, stdout: str, seeds) -> int:
-    """Write ``files`` (name -> CSV text, a ``Corpus`` written as JSON lines,
-    or a payload written as indented JSON) under ``--out`` and print
-    ``stdout``; then write the run manifest, which digests the file read:
-    ``--input`` or ``--config``.  The CLI's only writer."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, content in files.items():
-        if isinstance(content, Corpus):
-            write_corpus(content, out / name)
-        else:
-            text = content if isinstance(content, str) else _json_text(content) + "\n"
-            (out / name).write_text(text, encoding="utf-8")
-    print(stdout, end="")
+    """Build the run manifest, which digests the file read (``--input`` or
+    ``--config``), make ``--out``, print ``stdout``, then write there ``files``
+    (name -> CSV text, a ``Corpus`` as JSON lines, a payload as indented JSON)
+    and the manifest: a failed print writes no file.  The CLI's only writer."""
     source = getattr(args, "input", None) or getattr(args, "config", None)
     manifest = {  # the reproducibility record
         "command": ["citestats", *argv],
@@ -168,6 +159,15 @@ def _finish(args, argv: Sequence[str], files: dict, stdout: str, seeds) -> int:
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    print(stdout, end="")
+    for name, content in files.items():
+        if isinstance(content, Corpus):
+            write_corpus(content, out / name)
+        else:
+            text = content if isinstance(content, str) else _json_text(content) + "\n"
+            (out / name).write_text(text, encoding="utf-8")
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return EXIT_OK
 
@@ -277,14 +277,14 @@ def _resolve_config(args):
 def cmd_ingest(args, corpus: Corpus) -> tuple[dict, str]:
     report = validate(corpus)
     target = Path(args.out) / "corpus.jsonl"
-    return {"corpus.jsonl": corpus, "summary.json": report.to_dict()}, (
+    return {"corpus.jsonl": corpus, "summary.json": report._asdict()}, (
         f"ingested {report.paper_count} papers, {report.edge_count} edges, "
         f"{report.unresolved_references} unresolved references -> {target}\n"
     )
 
 
 def cmd_validate(args, corpus: Corpus) -> tuple[dict, str]:
-    summary = validate(corpus).to_dict()
+    summary = validate(corpus)._asdict()
     return {"validation.json": summary}, _json_text(summary) + "\n"
 
 

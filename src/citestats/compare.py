@@ -18,16 +18,16 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .corpus import SUBSTANTIVE_CODES, Corpus, _Record
+from .corpus import SUBSTANTIVE_CODES, Corpus, _check_int, _Record
 from .errors import InsufficientDataError
 
 
 class EmpiricalDistribution(_Record, derived=("article_total",)):
     """Histogram of per-article citation counts: count value -> articles.
 
-    Every entry counts at least one article; ``article_total`` is their
-    sum.  Provenance fields record where the distribution came from when it
-    was derived from a corpus.
+    Every entry maps an int count to an int number of articles, at least
+    one; ``article_total`` is their sum.  Provenance fields record where the
+    distribution came from when it was derived from a corpus.
     """
 
     histogram: Mapping[int, int]
@@ -41,10 +41,8 @@ class EmpiricalDistribution(_Record, derived=("article_total",)):
         if not hist:
             raise InsufficientDataError("empty citation distribution")
         for value, n in hist.items():
-            if value < 0:
-                raise ValueError(f"negative citation count {value}")
-            if n < 1:
-                raise ValueError(f"histogram entry for {value} counts no articles")
+            _check_int("citation count", value, 0)
+            _check_int(f"articles with {value} citations", n, 1)
         object.__setattr__(self, "article_total", sum(hist.values()))
         object.__setattr__(
             self, "histogram", MappingProxyType(dict(sorted(hist.items())))

@@ -32,6 +32,7 @@ ignored with a warning otherwise.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import warnings
@@ -75,9 +76,9 @@ class _Record:
     ``derived``, which ``__post_init__`` sets.  ``_replace`` and ``_asdict``
     stand for ``dataclasses.replace`` and ``dataclasses.asdict``.  Unlike a
     dataclass, whose code generation took most of the library's import time,
-    the base generates no code; a record built on a hot path has its own
-    ``__init__``, which fills ``__dict__``, as the generic one is slower than
-    a generated one.
+    the base generates no code: its one ``__init__`` binds any call but a
+    positional one through the class's ``__signature__``, and binding's
+    ``TypeError`` gets the class name in front.
     """
 
     __slots__ = ()
@@ -86,34 +87,24 @@ class _Record:
         cls._fields = tuple(cls.__annotations__)
         cls._params = cls.__match_args__ = tuple(f for f in cls._fields if f not in derived)
         cls._defaults = tuple(cls.__dict__[f] for f in cls._params if f in cls.__dict__)
+        kind, empty = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+        cls.__signature__ = inspect.Signature(
+            [inspect.Parameter(f, kind, default=cls.__dict__.get(f, empty)) for f in cls._params]
+        )
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self._params):
-            args = self._bind(args, kwargs)
+        missing = len(self._params) - len(args)
+        if kwargs or not 0 <= missing <= len(self._defaults):
+            try:
+                bound = self.__signature__.bind(*args, **kwargs)
+            except TypeError as error:
+                raise TypeError(f"{type(self).__name__}() {error}") from None
+            bound.apply_defaults()
+            args = bound.args
+        elif missing:
+            args += self._defaults[-missing:]
         self.__dict__.update(zip(self._params, args))
         self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The constructor's arguments in field order, defaults filled in, or
-        the ``TypeError`` a function with its signature would raise."""
-        name, params = cls.__name__, cls._params
-        if len(args) > len(params):
-            raise TypeError(
-                f"{name}() takes {len(params)} positional arguments but {len(args)} were given"
-            )
-        values = dict(zip(params[len(params) - len(cls._defaults):], cls._defaults))
-        values.update(zip(params, args))
-        for key, value in kwargs.items():
-            if key not in params:
-                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
-            if key in params[: len(args)]:
-                raise TypeError(f"{name}() got multiple values for argument {key!r}")
-            values[key] = value
-        missing = [repr(p) for p in params if p not in values]
-        if missing:
-            raise TypeError(f"{name}() missing required argument(s): {', '.join(missing)}")
-        return tuple(map(values.__getitem__, params))
 
     def __post_init__(self):
         """Check the fields, or derive some; records override it."""
@@ -243,6 +234,14 @@ def _integer_rows(rows) -> np.ndarray:
                        and any(isinstance(row, (bool, np.bool_)) for row in rows)):
         raise UsageError("rows must be integers")
     return array
+
+
+def _check_int(name: str, value, minimum: int | None = None) -> None:
+    """:class:`UsageError` unless ``value`` is an int, not a bool, and >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{name} must be an int, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise UsageError(f"{name} must be >= {minimum}")
 
 
 class Corpus:
@@ -445,9 +444,6 @@ class ValidationReport(_Record):
     unresolved_references: int
     negative_age_edges: int
     papers_without_authors: int
-
-    def to_dict(self) -> dict[str, int]:
-        return self._asdict()
 
 
 def validate(corpus: Corpus) -> ValidationReport:

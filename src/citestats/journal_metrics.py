@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .corpus import KIND_CODES, SUBSTANTIVE_CODES, YEAR_MIN, Corpus, _Record
+from .corpus import KIND_CODES, SUBSTANTIVE_CODES, YEAR_MIN, Corpus, _check_int, _Record
 from .errors import InsufficientDataError, UsageError
 
 DENOMINATOR_POLICIES = ("substantive-only", "all-items")
@@ -32,32 +32,22 @@ class IFQuery(_Record):
 
     journal_id: str
     census_year: int
-    window_w: int
-    denominator_policy: str
-    self_citation_policy: str
+    window_w: int = 2
+    denominator_policy: str = "substantive-only"
+    self_citation_policy: str = "include"
 
-    def __init__(
-        self, journal_id, census_year, window_w=2,
-        denominator_policy="substantive-only", self_citation_policy="include",
-    ):
-        for name, value in (("census_year", census_year), ("window_w", window_w)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise UsageError(f"{name} must be an int, got {value!r}")
-        if window_w < 1:
-            raise UsageError("window_w must be >= 1")
-        if census_year - window_w < YEAR_MIN:
+    def __post_init__(self):
+        _check_int("census_year", self.census_year)
+        _check_int("window_w", self.window_w, 1)
+        if self.census_year - self.window_w < YEAR_MIN:
             raise UsageError(
                 f"window would start before {YEAR_MIN} "
-                f"(census_year={census_year}, window_w={window_w})"
+                f"(census_year={self.census_year}, window_w={self.window_w})"
             )
-        if denominator_policy not in DENOMINATOR_POLICIES:
-            raise UsageError(f"unknown denominator policy {denominator_policy!r}")
-        if self_citation_policy not in SELF_CITATION_POLICIES:
-            raise UsageError(f"unknown self-citation policy {self_citation_policy!r}")
-        self.__dict__.update(
-            journal_id=journal_id, census_year=census_year, window_w=window_w,
-            denominator_policy=denominator_policy, self_citation_policy=self_citation_policy,
-        )
+        if self.denominator_policy not in DENOMINATOR_POLICIES:
+            raise UsageError(f"unknown denominator policy {self.denominator_policy!r}")
+        if self.self_citation_policy not in SELF_CITATION_POLICIES:
+            raise UsageError(f"unknown self-citation policy {self.self_citation_policy!r}")
 
     @property
     def window_years(self) -> range:
@@ -75,9 +65,6 @@ class IFResult(_Record):
     numerator: int
     denominator: int
     query: IFQuery
-
-    def __init__(self, numerator, denominator, query):
-        self.__dict__.update(numerator=numerator, denominator=denominator, query=query)
 
     @property
     def is_defined(self) -> bool:
@@ -134,6 +121,7 @@ def citation_age_profile(
 ) -> Counter:
     """Histogram of citation age over all edges whose citing year is
     ``census_year``; a journal filter restricts the cited side."""
+    _check_int("census_year", census_year)
     if journal_id is None:
         rows = np.arange(len(corpus))
     else:
@@ -156,8 +144,8 @@ def window_coverage(
 ) -> Fraction | None:
     """Fraction of the journal's census-year citations whose cited year falls
     inside the impact-factor window; ``None`` when it receives none."""
-    if window_w < 1:
-        raise UsageError("window_w must be >= 1")
+    _check_int("census_year", census_year)
+    _check_int("window_w", window_w, 1)
     _, rows = corpus.journal_rows(journal_id)
     owner, citing = corpus.incoming(rows)
     cited_years = corpus.year[rows][owner[corpus.year[citing] == census_year]]
@@ -246,8 +234,8 @@ def self_citation_fraction(
     (cited item published in the ``window_w`` years preceding the citing
     paper) are considered.  ``None`` when no citations qualify.
     """
-    if window_w is not None and window_w < 1:
-        raise UsageError("window_w must be >= 1")
+    if window_w is not None:
+        _check_int("window_w", window_w, 1)
     code, rows = corpus.journal_rows(journal_id)
     owner, citing = corpus.incoming(rows)
     if window_w is not None:

@@ -100,12 +100,9 @@ class PolicyScore(_Record, derived=("score",)):
     score: Fraction
     breakdown: tuple[tuple[str, Fraction], ...]
 
-    def __init__(self, subject_id, rule, breakdown):
-        breakdown = tuple(breakdown)
-        self.__dict__.update(
-            subject_id=subject_id, rule=rule,
-            score=_exact_sum(map(itemgetter(1), breakdown)), breakdown=breakdown,
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "breakdown", tuple(self.breakdown))
+        object.__setattr__(self, "score", _exact_sum(map(itemgetter(1), self.breakdown)))
 
 
 def _exact_sum(values: Iterable[Fraction | int]) -> Fraction:

@@ -39,7 +39,7 @@ from typing import Union
 import numpy as np
 
 from .compare import EmpiricalDistribution
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, _Record, utf8_encodable
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, _check_int, _Record, utf8_encodable
 from .errors import InsufficientDataError, SynthConfigError, UnknownIdError
 from .journal_metrics import VariabilityResult, if_variability
 
@@ -368,6 +368,7 @@ def replicate(
     ``(config.seed, run_index)`` and summarize impact-factor variability
     for every configured journal; ``None`` where it is undefined, as for a
     journal that publishes nothing."""
+    _check_int("n_runs", n_runs)
     if n_runs < 1:
         raise SynthConfigError("n_runs must be >= 1")
     runs: list[ReplicateRun] = []

@@ -672,7 +672,7 @@ def test_validate_and_journal_profile_match_the_oracles(lines, census_year):
         out = Path(tmp) / "validate"
         code, stdout, _ = _run(["validate", "--input", str(path), "--out", str(out)])
         assert code == 0
-        want = ref.validate(oracle).to_dict()
+        want = ref.validate(oracle)._asdict()
         assert json.loads(stdout) == json.loads((out / "validation.json").read_text()) == want
 
         for i, journal in enumerate((None, *_journals(oracle))):

@@ -468,7 +468,7 @@ class TestSerialization:
         a = load_corpus(list(lines))
         b = load_corpus(list(lines))
         assert corpus_to_jsonl(a) == corpus_to_jsonl(b)
-        assert validate(a).to_dict() == validate(b).to_dict()
+        assert validate(a)._asdict() == validate(b)._asdict()
 
     def test_write_corpus_to_path(self, tmp_path):
         corpus = build_corpus(rec("p1"))

@@ -2,6 +2,7 @@
 their defaults, read-only, compared, hashed, shown, copied with changes,
 converted to dicts and pickled as frozen dataclasses were."""
 
+import inspect
 import os
 import pickle
 import subprocess
@@ -176,6 +177,24 @@ def test_construction_checks_its_arguments_as_a_function_does(cls):
     for name in derived:
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
             cls(*args, **{name: derived[name]})
+
+
+@record_types
+def test_signature_is_the_constructors(cls):
+    """``inspect.signature`` lists the constructor's arguments and defaults,
+    and a call they do not bind raises a ``TypeError`` naming the class."""
+    fields, args, defaults, _, derived = EXAMPLES[cls]
+    parameters = inspect.signature(cls).parameters
+    assert list(parameters) == [name for name in fields if name not in derived]
+    assert {p.kind for p in parameters.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert {name: p.default for name, p in parameters.items() if p.default is not p.empty} == (
+        defaults
+    )
+    name = cls.__name__
+    with pytest.raises(TypeError, match=rf"^{name}\(\) missing a required argument: "):
+        cls(*args[:-1])
+    with pytest.raises(TypeError, match=rf"^{name}\(\) got an unexpected keyword argument 'nope'$"):
+        cls(*args, nope=1)
 
 
 @record_types
