@@ -11,8 +11,6 @@ from collections import Counter
 from collections.abc import Collection, Iterable
 from fractions import Fraction
 
-import numpy as np
-
 from .corpus import KIND_NAMES, Corpus, _check_int, _Record
 from .errors import InsufficientDataError, UnknownIdError, UsageError
 
@@ -53,12 +51,8 @@ def author_record(
 
 
 def _counts(counts: Iterable[int]) -> list[int]:
-    """``counts`` as ints, each a non-negative int or numpy integer (no bool)."""
-    values = list(counts)
-    for c in values:
-        if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or c < 0:
-            raise UsageError(f"a citation count must be a non-negative integer, got {c!r}")
-    return [int(c) for c in values]
+    """``counts`` as ints, each checked by :func:`_check_int` as at least 0."""
+    return [_check_int("citation count", c, 0) for c in counts]
 
 
 def h_index(counts: Iterable[int]) -> int:
@@ -97,7 +91,7 @@ def m_index(h: int, first_publication_year: int, evaluation_year: int) -> Fracti
     first-year author divides by one rather than zero; an inclusive count
     (elapsed + 1) would shift every m down slightly and is not used here.
     """
-    _check_int("h", h, 0)
+    h = _check_int("h", h, 0)
     if evaluation_year < first_publication_year:
         raise UsageError(
             f"evaluation year {evaluation_year} precedes first publication "
@@ -122,7 +116,7 @@ class CitationHistogram(_Record):
 def citation_histogram(counts: Iterable[int], bucket_width: int = 1) -> CitationHistogram:
     """Bucket per-paper counts by ``bucket_width`` (keys are bucket lower
     edges) and report the fraction of papers with at least h citations."""
-    _check_int("bucket_width", bucket_width, 1)
+    bucket_width = _check_int("bucket_width", bucket_width, 1)
     values = _counts(counts)
     h = h_index(values)
     buckets = Counter((c // bucket_width) * bucket_width for c in values)

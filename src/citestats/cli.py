@@ -85,10 +85,8 @@ def _json_text(value) -> str:
     ``json`` uses its C encoder only without ``indent``; this writer does the
     indented layout itself, leaves the scalars to ``json`` and joins its pieces
     once, so no large text is copied level by level.  A dict of scalars is
-    rendered once per object and depth: payloads share such cells, and a dict
-    whose values are all rendered cells is joined from their texts in one
-    call.  Larger values are not kept, as their texts would raise the peak
-    memory.
+    rendered once per object and depth, as payloads share such cells.  Larger
+    values are not kept, as their texts would raise the peak memory.
     """
     parts: list[str] = []
     put = parts.append
@@ -110,11 +108,6 @@ def _json_text(value) -> str:
             inner = indent + "  "
             keys = sorted(value)
             items = list(map(value.__getitem__, keys))
-            if inner in leaves:
-                texts = list(map(leaves[inner].get, map(id, items)))
-                if None not in texts:
-                    put(members(keys, texts, indent, inner))
-                    return
             if not any(isinstance(item, (dict, list, tuple)) for item in items):
                 texts = [_json_string(v) if isinstance(v, str) else json.dumps(v) for v in items]
                 text = members(keys, texts, indent, inner)
@@ -148,9 +141,10 @@ def _json_text(value) -> str:
 
 def _finish(args, argv: Sequence[str], files: dict, stdout: str, seeds) -> int:
     """Build the run manifest, which digests the file read (``--input`` or
-    ``--config``), make ``--out``, print ``stdout``, then write there ``files``
-    (name -> CSV text, a ``Corpus`` as JSON lines, a payload as indented JSON)
-    and the manifest: a failed print writes no file.  The CLI's only writer."""
+    ``--config``), make ``--out``, write there ``files`` (name -> CSV text, a
+    ``Corpus`` as JSON lines, a payload as indented JSON) and the manifest,
+    then print ``stdout``.  If a write or the print fails, the files written
+    are removed again before the error propagates.  The CLI's only writer."""
     source = getattr(args, "input", None) or getattr(args, "config", None)
     manifest = {  # the reproducibility record
         "command": ["citestats", *argv],
@@ -161,14 +155,21 @@ def _finish(args, argv: Sequence[str], files: dict, stdout: str, seeds) -> int:
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    print(stdout, end="")
-    for name, content in files.items():
-        if isinstance(content, Corpus):
-            write_corpus(content, out / name)
-        else:
-            text = content if isinstance(content, str) else _json_text(content) + "\n"
-            (out / name).write_text(text, encoding="utf-8")
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    files["manifest.json"] = json.dumps(manifest, indent=2) + "\n"
+    written = []
+    try:
+        for name, content in files.items():
+            if isinstance(content, Corpus):
+                write_corpus(content, out / name)
+            else:
+                text = content if isinstance(content, str) else _json_text(content) + "\n"
+                (out / name).write_text(text, encoding="utf-8")
+            written.append(out / name)
+        print(stdout, end="")
+    except BaseException:
+        for path in written:
+            path.unlink()
+        raise
     return EXIT_OK
 
 

@@ -37,12 +37,13 @@ class EmpiricalDistribution(_Record, derived=("article_total",)):
     citing_years: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        hist = dict(self.histogram)
+        hist = {
+            _check_int("citation count", value, 0):
+                _check_int(f"articles with {value} citations", n, 1)
+            for value, n in dict(self.histogram).items()
+        }
         if not hist:
             raise InsufficientDataError("empty citation distribution")
-        for value, n in hist.items():
-            _check_int("citation count", value, 0)
-            _check_int(f"articles with {value} citations", n, 1)
         object.__setattr__(self, "article_total", sum(hist.values()))
         object.__setattr__(
             self, "histogram", MappingProxyType(dict(sorted(hist.items())))
@@ -119,8 +120,8 @@ def journal_distribution(
     published in ``publication_years``, counting citations from
     ``citing_years`` only."""
     _, rows = corpus.journal_rows(journal_id)
-    pub_years = frozenset(publication_years)
-    cit_years = frozenset(citing_years)
+    pub_years = frozenset(_check_int("publication year", year) for year in publication_years)
+    cit_years = frozenset(_check_int("citing year", year) for year in citing_years)
     rows = rows[
         np.isin(corpus.year[rows], list(pub_years))
         & np.isin(corpus.kind_code[rows], SUBSTANTIVE_CODES)

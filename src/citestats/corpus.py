@@ -236,12 +236,15 @@ def _integer_rows(rows) -> np.ndarray:
     return array
 
 
-def _check_int(name: str, value, minimum: int | None = None) -> None:
-    """:class:`UsageError` unless ``value`` is an int, not a bool, and >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{name} must be an int, got {value!r}")
+def _check_int(name: str, value, minimum: int | None = None, error: type = UsageError) -> int:
+    """``value`` as an int if it is an int or numpy integer, not a bool, and
+    >= ``minimum``; else ``error``: ``<name> must be an int, got <value>`` or
+    ``<name> must be >= <minimum>``.  The library's one int check."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an int, got {value!r}")
     if minimum is not None and value < minimum:
-        raise UsageError(f"{name} must be >= {minimum}")
+        raise error(f"{name} must be >= {minimum}")
+    return int(value)
 
 
 class Corpus:
@@ -422,7 +425,7 @@ class Corpus:
         if citing_years is None:
             return (self._indptr[rows + 1] - self._indptr[rows]).tolist()
         owner, citing = self.incoming(rows)
-        counted = np.isin(self._year[citing], list(citing_years))
+        counted = np.isin(self._year[citing], [_check_int("citing year", y) for y in citing_years])
         return np.bincount(owner[counted], minlength=len(rows)).tolist()
 
     def __len__(self) -> int:
@@ -718,16 +721,16 @@ _KIND_TEXTS = tuple(map(_quote, KIND_NAMES))
 
 def corpus_to_jsonl(corpus: Corpus) -> str:
     """One canonical (byte-stable) JSON line a paper, fields in input order,
-    rendered from the columns with each distinct string quoted once as
-    ``json.dumps(..., ensure_ascii=False)`` quotes it; round-trips through load_corpus."""
+    rendered from the columns with strings quoted as ``json.dumps(...,
+    ensure_ascii=False)`` quotes them, each distinct reference name, journal
+    and kind once; round-trips through load_corpus."""
     names, codes, counts = corpus._reference_columns()
     references = _per_row(list(map(_quote, names)), codes, counts, ",".join)
     journals = tuple(map(_quote, corpus.journals))
-    author = {aid: _quote(aid) for aid in set(chain.from_iterable(corpus.authors))}.__getitem__
     return "".join(map(_LINE.__mod__, zip(
         map(_quote, corpus._ids), map(journals.__getitem__, corpus.journal_code.tolist()),
         corpus.year.tolist(), map(_KIND_TEXTS.__getitem__, corpus.kind_code.tolist()),
-        [",".join(map(author, row)) for row in corpus.authors], references,
+        [",".join(map(_quote, row)) for row in corpus.authors], references,
     )))
 
 

@@ -37,8 +37,8 @@ class IFQuery(_Record):
     self_citation_policy: str = "include"
 
     def __post_init__(self):
-        _check_int("census_year", self.census_year)
-        _check_int("window_w", self.window_w, 1)
+        object.__setattr__(self, "census_year", _check_int("census_year", self.census_year))
+        object.__setattr__(self, "window_w", _check_int("window_w", self.window_w, 1))
         if self.census_year - self.window_w < YEAR_MIN:
             raise UsageError(
                 f"window would start before {YEAR_MIN} "
@@ -121,7 +121,7 @@ def citation_age_profile(
 ) -> Counter:
     """Histogram of citation age over all edges whose citing year is
     ``census_year``; a journal filter restricts the cited side."""
-    _check_int("census_year", census_year)
+    census_year = _check_int("census_year", census_year)
     if journal_id is None:
         rows = np.arange(len(corpus))
     else:
@@ -144,8 +144,8 @@ def window_coverage(
 ) -> Fraction | None:
     """Fraction of the journal's census-year citations whose cited year falls
     inside the impact-factor window; ``None`` when it receives none."""
-    _check_int("census_year", census_year)
-    _check_int("window_w", window_w, 1)
+    census_year = _check_int("census_year", census_year)
+    window_w = _check_int("window_w", window_w, 1)
     _, rows = corpus.journal_rows(journal_id)
     owner, citing = corpus.incoming(rows)
     cited_years = corpus.year[rows][owner[corpus.year[citing] == census_year]]
@@ -235,7 +235,7 @@ def self_citation_fraction(
     paper) are considered.  ``None`` when no citations qualify.
     """
     if window_w is not None:
-        _check_int("window_w", window_w, 1)
+        window_w = _check_int("window_w", window_w, 1)
     code, rows = corpus.journal_rows(journal_id)
     owner, citing = corpus.incoming(rows)
     if window_w is not None:

@@ -109,19 +109,14 @@ def _exact_sum(values: Iterable[Fraction | int]) -> Fraction:
     """Exact sum over one common denominator, normalized once.
 
     Chained ``Fraction`` additions reduce by a gcd at every step; summing the
-    numerators scaled to the lcm of the denominators reduces only at the end.
-    Each distinct object is scaled once, as the rules' breakdowns share one
-    object a value.
+    numerators scaled to the lcm of the distinct denominators reduces only at
+    the end.
     """
     values = list(values)
-    ids = list(map(id, values))
-    distinct = dict(zip(ids, values))
-    denominator = math.lcm(*[value.denominator for value in distinct.values()])
-    scaled = {
-        key: value.numerator * (denominator // value.denominator)
-        for key, value in distinct.items()
-    }
-    return Fraction(sum(map(scaled.__getitem__, ids)), denominator)
+    denominator = math.lcm(*{value.denominator for value in values})
+    return Fraction(
+        sum(value.numerator * (denominator // value.denominator) for value in values), denominator
+    )
 
 
 def _author_rule(

@@ -48,13 +48,9 @@ from .journal_metrics import VariabilityResult, if_variability
 PAPERS_MAX = 2**31 - 1
 
 
-def _check_types(spec, int_fields, float_fields, where: str = "") -> None:
-    """Integers must be ints and numbers finite ints or floats; bools are
-    neither, though Python counts them as ints."""
-    for name in int_fields:
-        value = getattr(spec, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SynthConfigError(f"{where}{name} must be an integer, got {value!r}")
+def _check_numbers(spec, float_fields, where: str = "") -> None:
+    """Numbers must be finite ints or floats; a bool is neither, though
+    Python counts it as an int."""
     for name in float_fields:
         value = getattr(spec, name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -79,26 +75,17 @@ class JournalSpec(_Record):
             )
         if not utf8_encodable([self.journal_id]):
             raise SynthConfigError(f"journal_id {self.journal_id!r} holds a lone surrogate")
-        _check_types(
-            self, ("articles_per_year", "start_year", "end_year"), ("quality_scale",),
-            f"journal {self.journal_id!r}: ",
-        )
-        if self.articles_per_year < 0:
-            raise SynthConfigError(
-                f"journal {self.journal_id!r}: articles_per_year must be >= 0"
-            )
+        where = f"journal {self.journal_id!r}: "
+        for name, minimum in (("articles_per_year", 0), ("start_year", None), ("end_year", None)):
+            value = _check_int(where + name, getattr(self, name), minimum, SynthConfigError)
+            object.__setattr__(self, name, value)
+        _check_numbers(self, ("quality_scale",), where)
         if self.start_year > self.end_year:
-            raise SynthConfigError(
-                f"journal {self.journal_id!r}: start_year > end_year"
-            )
+            raise SynthConfigError(where + "start_year > end_year")
         if self.start_year < YEAR_MIN or self.end_year > YEAR_MAX:
-            raise SynthConfigError(
-                f"journal {self.journal_id!r}: years outside [{YEAR_MIN}, {YEAR_MAX}]"
-            )
+            raise SynthConfigError(where + f"years outside [{YEAR_MIN}, {YEAR_MAX}]")
         if self.quality_scale <= 0:
-            raise SynthConfigError(
-                f"journal {self.journal_id!r}: quality_scale must be > 0"
-            )
+            raise SynthConfigError(where + "quality_scale must be > 0")
 
 
 class SynthConfig(_Record):
@@ -115,13 +102,11 @@ class SynthConfig(_Record):
 
     def __post_init__(self):
         object.__setattr__(self, "journals", tuple(self.journals))
-        _check_types(
-            self, ("seed",),
-            ("latent_mu", "latent_sigma", "zero_inflation", "half_life_years",
-             "references_per_paper"),
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0, SynthConfigError))
+        _check_numbers(
+            self, ("latent_mu", "latent_sigma", "zero_inflation", "half_life_years",
+                   "references_per_paper"),
         )
-        if self.seed < 0:
-            raise SynthConfigError("seed must be >= 0")
         if not self.journals:
             raise SynthConfigError("config needs at least one journal")
         ids = [j.journal_id for j in self.journals]
@@ -368,9 +353,7 @@ def replicate(
     ``(config.seed, run_index)`` and summarize impact-factor variability
     for every configured journal; ``None`` where it is undefined, as for a
     journal that publishes nothing."""
-    _check_int("n_runs", n_runs)
-    if n_runs < 1:
-        raise SynthConfigError("n_runs must be >= 1")
+    n_runs = _check_int("n_runs", n_runs, 1)
     runs: list[ReplicateRun] = []
     for run_index in range(n_runs):
         run_seed = derived_seed(config.seed, run_index)

@@ -231,7 +231,7 @@ class TestBadCounts:
 
     def test_negative_count_no_longer_lifts_g(self):
         # g_index([5, -1]) was 2: the -1 paper joined a total of 4 >= 2 * 2
-        with pytest.raises(UsageError, match="got -1"):
+        with pytest.raises(UsageError, match="^citation count must be >= 0$"):
             g_index([5, -1])
 
     def test_float_counts_no_longer_give_an_h(self):
@@ -248,7 +248,7 @@ class TestBadCounts:
     @pytest.mark.parametrize("bad", [-1, 2.0, True, False, "3", None, Fraction(3), np.float64(3),
                                      np.bool_(True), np.int64(-2)])
     def test_rejected(self, function, bad):
-        with pytest.raises(UsageError, match="a citation count must be a non-negative integer"):
+        with pytest.raises(UsageError, match="^citation count must be (an int, got .+|>= 0)$"):
             function([4, bad, 1])
 
     @functions

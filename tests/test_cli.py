@@ -1025,6 +1025,28 @@ class TestSynthAndReplicate:
         payload = json.loads((out / "replicate.json").read_text())
         assert len(payload["runs"]) == 2
 
+    @pytest.mark.parametrize("command, blocked", [("synth", "corpus.jsonl"),
+                                                  ("report", "journals.csv")])
+    def test_failed_write_prints_nothing_and_leaves_no_file(
+        self, capsys, tmp_path, command, blocked
+    ):
+        """A directory in the place of one output file fails the write: no
+        success line is printed, and the files written before it are removed."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(self.CONFIG))
+        argv = ["synth", "--config", str(config_path)]
+        if command == "report":
+            assert main([*argv, "--out", str(tmp_path)]) == 0
+            argv = ["report", "--input", str(tmp_path / "corpus.jsonl"), "--census-year", "2005"]
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err.startswith("citestats: error: [Errno 21] Is a directory")
+        assert list(out.iterdir()) == [out / blocked]
+
     @pytest.mark.parametrize("case", ["report-unknown-pair-journal", "synth-zero-papers"])
     def test_failing_command_writes_nothing(self, capsys, tmp_path, case):
         # one fails after the corpus is loaded, the other inside generate

@@ -141,7 +141,7 @@ def test_stdout_pipe_without_a_reader(corpus, tmp_path, unbuffered, status, stde
     expected = "atexit ran\n" + stderr if status == 120 else stderr + "atexit ran\n"
     assert done.stderr == expected
     assert "Traceback" not in done.stderr
-    # main prints before it writes: a print that fails leaves no file, and
+    # main prints after it writes: a print that fails removes every file, and
     # the failed last flush comes after every file, the manifest included
     written = {path.name for path in (tmp_path / "out").glob("*")}
     assert not written if unbuffered else "manifest.json" in written

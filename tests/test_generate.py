@@ -264,11 +264,11 @@ GOOD_JOURNAL = {"journal_id": "a", "articles_per_year": 3, "start_year": 2000, "
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"articles_per_year": 2.5}, "articles_per_year must be an integer, got 2.5"),
-        ({"articles_per_year": True}, "articles_per_year must be an integer, got True"),
-        ({"articles_per_year": "3"}, "articles_per_year must be an integer"),
-        ({"start_year": 2000.0}, "start_year must be an integer"),
-        ({"end_year": False}, "end_year must be an integer"),
+        ({"articles_per_year": 2.5}, "articles_per_year must be an int, got 2.5"),
+        ({"articles_per_year": True}, "articles_per_year must be an int, got True"),
+        ({"articles_per_year": "3"}, "articles_per_year must be an int, got '3'"),
+        ({"start_year": 2000.0}, "start_year must be an int, got 2000.0"),
+        ({"end_year": False}, "end_year must be an int, got False"),
         ({"quality_scale": True}, "quality_scale must be a number, got True"),
         ({"quality_scale": "2"}, "quality_scale must be a number"),
         ({"journal_id": 5}, "journal_id must be a nonempty string, got 5"),
@@ -285,9 +285,9 @@ def test_synth_rejects_mistyped_journal_fields(tmp_path, capsys, change, message
 @pytest.mark.parametrize(
     "change, message",
     [
-        ({"seed": "x"}, "seed must be an integer, got 'x'"),
-        ({"seed": 1.0}, "seed must be an integer"),
-        ({"seed": True}, "seed must be an integer"),
+        ({"seed": "x"}, "seed must be an int, got 'x'"),
+        ({"seed": 1.0}, "seed must be an int, got 1.0"),
+        ({"seed": True}, "seed must be an int, got True"),
         ({"seed": -1}, "seed must be >= 0"),
         ({"latent_mu": True}, "latent_mu must be a number"),
         ({"zero_inflation": "0.3"}, "zero_inflation must be a number"),

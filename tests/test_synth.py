@@ -14,6 +14,7 @@ from citestats import (
     JournalSpec,
     SynthConfig,
     SynthConfigError,
+    UsageError,
     config_from_json,
     config_to_json,
     corpus_to_jsonl,
@@ -276,5 +277,5 @@ class TestReplicate:
                 )
 
     def test_rejects_zero_runs(self):
-        with pytest.raises(SynthConfigError):
+        with pytest.raises(UsageError, match="^n_runs must be >= 1$"):
             replicate(small_config(), 0, 2001, 2004)
