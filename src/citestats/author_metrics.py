@@ -11,7 +11,7 @@ from collections import Counter
 from collections.abc import Collection, Iterable
 from fractions import Fraction
 
-from .corpus import KIND_NAMES, Corpus, _check_int, _Record
+from .corpus import KIND_NAMES, Corpus, _check_int, _check_names, _Record
 from .errors import InsufficientDataError, UnknownIdError, UsageError
 
 
@@ -32,14 +32,18 @@ def author_record(
     """Citation counts for each of the author's papers.
 
     ``citing_years`` restricts the counting to citations from those source
-    years.  ``kinds`` restricts which of the author's items are counted as
-    papers; the default keeps every kind, books included.
+    years.  ``kinds``, a collection of kind names, restricts which of the
+    author's items are counted as papers; the default keeps every kind,
+    books included.
     """
     try:
         rows = corpus.author_rows[author_id]
     except KeyError:
         raise UnknownIdError(f"unknown author {author_id!r}") from None
     if kinds is not None:
+        unknown = [kind for kind in _check_names("kinds", kinds) if kind not in KIND_NAMES]
+        if unknown:
+            raise UsageError(f"kind {unknown[0]!r} not one of {sorted(KIND_NAMES)}")
         kept = [KIND_NAMES[code] in kinds for code in corpus.kind_code[rows].tolist()]
         if not any(kept):
             raise InsufficientDataError(
@@ -92,6 +96,8 @@ def m_index(h: int, first_publication_year: int, evaluation_year: int) -> Fracti
     (elapsed + 1) would shift every m down slightly and is not used here.
     """
     h = _check_int("h", h, 0)
+    first_publication_year = _check_int("first_publication_year", first_publication_year)
+    evaluation_year = _check_int("evaluation_year", evaluation_year)
     if evaluation_year < first_publication_year:
         raise UsageError(
             f"evaluation year {evaluation_year} precedes first publication "

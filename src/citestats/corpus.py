@@ -9,14 +9,13 @@ record order, the CSR layout of ``scipy.sparse.csr_matrix``.  Ids enter
 through :meth:`Corpus.rows`; every other call takes rows, checked by
 :meth:`Corpus.checked_rows`.  Metrics are numpy reductions over these
 arrays, and counts become Python ints before any ratio is formed.  Every
-corpus, loaded or generated, keeps its papers as columns only; a
-:class:`PaperRecord` is just the input of :meth:`Corpus.from_records`.
-The loader reads a path in 64 KiB blocks, decodes each line with ``json``'s
-C scanner (``json.loads`` only for its exact error) into the columns, and
-runs the field checks once per column; only when one fails does it check
-record by record, so that the error names the first bad line, as a
-line-by-line loader would.  ``edges`` gives the same citations as (citing
-row, cited row) pairs.  References pointing outside the corpus are *counted*
+corpus, loaded or generated, keeps its papers as columns only.  The loader
+reads a path in 64 KiB blocks, decodes each line with ``json``'s C scanner
+(``json.loads`` only for its exact error) into the columns, and runs the
+field checks once per column; only when one fails does it check record by
+record, so that the error names the first bad line, as a line-by-line
+loader would.  ``edges`` gives the same citations as (citing row, cited
+row) pairs.  References pointing outside the corpus are *counted*
 (``unresolved_reference_count``) rather than dropped silently, so coverage
 gaps in the underlying database stay visible in every downstream statistic.
 
@@ -37,7 +36,7 @@ import json
 import math
 import warnings
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -157,59 +156,6 @@ def _plain(value):
     return value
 
 
-class PaperRecord(_Record):
-    """One published item: journal, year, kind, authors, outgoing references.
-
-    Every record passes the loader's field checks, however it is built: the
-    id, journal and kind are nonempty strings, the year an int in
-    [YEAR_MIN, YEAR_MAX], the authors and references lists or tuples of
-    strings (stored as tuples), no string holds a lone surrogate, the
-    authors are distinct, and the references are distinct and exclude the
-    paper itself.  Errors name the fields as the JSON-lines format does.
-    """
-
-    id: str
-    journal_id: str
-    year: int
-    kind: str
-    author_ids: tuple[str, ...] = ()
-    reference_ids: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        values = (
-            self.id, self.journal_id, self.year, self.kind, self.author_ids, self.reference_ids
-        )
-        for field, value, kind in zip(_RECORD_FIELDS, values, (str, str, int, str)):
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ValueError(f"{field!r} must be of type {kind.__name__}")
-        for field, value in zip(_RECORD_FIELDS[4:], values[4:]):
-            if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-                raise ValueError(f"{field!r} must be an array of strings")
-        for field, value in zip(_RECORD_FIELDS, values):
-            if field != "year" and not utf8_encodable([value] if isinstance(value, str) else value):
-                raise ValueError(f"{field!r} holds a lone surrogate")
-        object.__setattr__(self, "author_ids", tuple(self.author_ids))
-        object.__setattr__(self, "reference_ids", tuple(self.reference_ids))
-        if not self.id:
-            raise ValueError("paper id must be a nonempty string")
-        if not self.journal_id:
-            raise ValueError(f"paper {self.id!r}: journal must be a nonempty string")
-        if not YEAR_MIN <= self.year <= YEAR_MAX:
-            raise ValueError(
-                f"paper {self.id!r}: year {self.year} outside [{YEAR_MIN}, {YEAR_MAX}]"
-            )
-        if self.kind not in KINDS:
-            raise ValueError(
-                f"paper {self.id!r}: kind {self.kind!r} not one of {sorted(KINDS)}"
-            )
-        if len(set(self.author_ids)) != len(self.author_ids):
-            raise ValueError(f"paper {self.id!r}: duplicate author ids")
-        if len(set(self.reference_ids)) != len(self.reference_ids):
-            raise ValueError(f"paper {self.id!r}: duplicate reference ids")
-        if self.id in self.reference_ids:
-            raise ValueError(f"paper {self.id!r}: paper references itself")
-
-
 def utf8_encodable(strings: Iterable[str]) -> bool:
     """Whether UTF-8 can encode the strings: not if one holds a lone surrogate."""
     try:
@@ -219,11 +165,11 @@ def utf8_encodable(strings: Iterable[str]) -> bool:
     return True
 
 
-def _per_row(names, codes, counts, join: Callable = tuple) -> list:
-    """Row ``i``'s ``join`` of the next ``counts[i]`` of ``codes`` into ``names``."""
+def _per_row(names, codes, counts) -> list:
+    """Row ``i``'s comma-joined next ``counts[i]`` of ``codes`` into ``names``."""
     refs = np.array(names, dtype=object)[codes].tolist()
     ends = np.cumsum(counts).tolist()
-    return [join(refs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+    return [",".join(refs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
 def _integer_rows(rows) -> np.ndarray:
@@ -247,11 +193,20 @@ def _check_int(name: str, value, minimum: int | None = None, error: type = Usage
     return int(value)
 
 
+def _check_names(name: str, names):
+    """``names``, unless it is a ``str`` or ``bytes``, whose characters would
+    be read as the names: then :class:`UsageError` ``<name> must be a
+    collection of names, got <value>``."""
+    if isinstance(names, (str, bytes)):
+        raise UsageError(f"{name} must be a collection of names, got {names!r}")
+    return names
+
+
 class Corpus:
     """Immutable, indexed collection of papers and their citation edges.
 
-    Construct with :meth:`from_records` or :func:`load_corpus`.  Safe for
-    concurrent read access: all exposed containers are read-only views.
+    Construct with :func:`load_corpus` or :func:`~citestats.synth.generate`.
+    Safe for concurrent read access: all exposed containers are read-only views.
     """
 
     __slots__ = (
@@ -260,14 +215,12 @@ class Corpus:
     )
 
     def __init__(self, *args, **kwargs):
-        raise TypeError("use Corpus.from_records() or load_corpus()")
+        raise TypeError("use load_corpus() or generate()")
 
     @classmethod
-    def from_records(cls, records: Iterable[PaperRecord]) -> "Corpus":
-        """Build a corpus: :func:`load_corpus` of the records as mappings."""
-        return load_corpus(dict(zip(_RECORD_FIELDS, (
-            r.id, r.journal_id, r.year, r.kind, list(r.author_ids), list(r.reference_ids)
-        ))) for r in records)
+    def from_records(cls, records: Iterable[Mapping]) -> "Corpus":
+        """:func:`load_corpus` of record mappings; kept for the benchmark harness."""
+        return load_corpus(records)
 
     @classmethod
     def _from_rows(
@@ -404,6 +357,7 @@ class Corpus:
 
     def rows(self, paper_ids: Iterable[str]) -> np.ndarray:
         """The row of each paper id; an unknown id raises :class:`UnknownIdError`."""
+        paper_ids = _check_names("paper_ids", paper_ids)
         try:
             return np.array([self._row[pid] for pid in paper_ids], dtype=np.int64)
         except KeyError as exc:
@@ -492,14 +446,44 @@ def _check_record(obj: Any, line_number: int, strict: bool, warned: set, pending
 
 
 def _check_fields(line_number: int, *values: Any) -> None:
-    """Check one record's field values, given in ``_RECORD_FIELDS`` order."""
-    try:
-        PaperRecord(*values)
-    except ValueError as exc:
-        raise RecordError(f"line {line_number}: {exc}", line_number) from exc
+    """Raise the :class:`RecordError` of the first check that one record's
+    field values, given in ``_RECORD_FIELDS`` order, fail: the id, journal
+    and kind are strings, the year an int (not a bool), the authors and
+    references lists or tuples of strings, no string holds a lone
+    surrogate, the id and journal are nonempty, the year is in [YEAR_MIN,
+    YEAR_MAX], the kind is known, the authors are distinct, and the
+    references are distinct and exclude the paper itself."""
+
+    def fail(problem: str):
+        raise RecordError(f"line {line_number}: {problem}", line_number)
+
+    pid, journal, year, kind, authors, references = values
+    for field, value, expected in zip(_RECORD_FIELDS, values, (str, str, int, str)):
+        if not isinstance(value, expected) or isinstance(value, bool):
+            fail(f"{field!r} must be of type {expected.__name__}")
+    for field, value in zip(_RECORD_FIELDS[4:], values[4:]):
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+            fail(f"{field!r} must be an array of strings")
+    for field, value in zip(_RECORD_FIELDS, values):
+        if field != "year" and not utf8_encodable([value] if isinstance(value, str) else value):
+            fail(f"{field!r} holds a lone surrogate")
+    if not pid:
+        fail("paper id must be a nonempty string")
+    if not journal:
+        fail(f"paper {pid!r}: journal must be a nonempty string")
+    if not YEAR_MIN <= year <= YEAR_MAX:
+        fail(f"paper {pid!r}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+    if kind not in KINDS:
+        fail(f"paper {pid!r}: kind {kind!r} not one of {sorted(KINDS)}")
+    if len(set(authors)) != len(authors):
+        fail(f"paper {pid!r}: duplicate author ids")
+    if len(set(references)) != len(references):
+        fail(f"paper {pid!r}: duplicate reference ids")
+    if pid in references:
+        fail(f"paper {pid!r}: paper references itself")
 
 
-def _settle(records: Iterable[tuple], pending: list, line_number: float, unique_ids: bool) -> None:
+def _settle(records: Iterable[tuple], pending: list, line_number: float) -> None:
     """Raise the error a record-at-a-time check raises first on ``records``
     (line number, then the field values), after emitting the queued
     warnings of the lines up to its line.  Without one, emit those up to
@@ -511,7 +495,7 @@ def _settle(records: Iterable[tuple], pending: list, line_number: float, unique_
             _check_fields(number, *values)
         except RecordError as exc:
             error = exc
-        if error is None and unique_ids and values[0] in seen:
+        if error is None and values[0] in seen:
             error = DuplicateIdError(f"duplicate paper id {values[0]!r}")
         if error is not None:
             line_number = number
@@ -548,11 +532,10 @@ class _Codes(dict):
         return code
 
 
-def _read_rows(source: Iterable, strict: bool, unique_ids: bool, build: Callable):
-    """``build`` called with the columns of the records in ``source`` (items
-    as for :func:`iter_records`; columns as for :meth:`Corpus._from_rows`),
-    raising the error and emitting the warnings a record-at-a-time check
-    would, in line order.
+def _read_rows(source: Iterable, strict: bool) -> Corpus:
+    """The corpus of the records in ``source`` (items as for
+    :func:`load_corpus`), raising the error and emitting the warnings a
+    record-at-a-time check would, in line order.
 
     Each line gets only the cheap work: decoding, one key-set test, and
     coding or interning its strings.  The field checks then run once per
@@ -602,7 +585,7 @@ def _read_rows(source: Iterable, strict: bool, unique_ids: bool, build: Callable
             except TypeError:  # an unhashable id, author or reference, which the check rejects
                 _check_record(obj, line_number, strict, warned, pending)
         except RecordError:  # the first bad line, unless an earlier line fails a column check
-            _settle(read_so_far(rows, list(memo)), pending, line_number, unique_ids)
+            _settle(read_so_far(rows, list(memo)), pending, line_number)
             raise
 
     # the columns and names hold the same values, and the build's peak
@@ -621,19 +604,21 @@ def _read_rows(source: Iterable, strict: bool, unique_ids: bool, build: Callable
         and YEAR_MIN <= min(years, default=YEAR_MIN) and max(years, default=YEAR_MAX) <= YEAR_MAX
         and set(map(type, chain.from_iterable(authors))) <= {str}
         and sum(map(len, authors)) == sum(map(len, map(frozenset, authors)))
-        and (not unique_ids or len(set(id_codes)) == len(ids))
+        and len(set(id_codes)) == len(ids)
     )
     if not checked:
-        _settle(read_so_far(zip(*columns), names), pending, math.inf, unique_ids)
-    built = build(ids, journal_ids, years, kinds, authors, names, id_codes, ref_codes, counts)
+        _settle(read_so_far(zip(*columns), names), pending, math.inf)
+    corpus = Corpus._from_rows(
+        ids, journal_ids, years, kinds, authors, names, id_codes, ref_codes, counts
+    )
     # after the build: freed before it, these checks' large temporaries raise
     # glibc's mmap threshold, and the build's arrays then fragment the heap
     # (peak RSS of a report on the 40 % math preset 56 -> 64 MB)
     if checked:
         checked = _distinct_references(id_codes, len(names), ref_codes, counts)
         checked = checked and utf8_encodable(chain(names, set(journal_ids), interned))
-        _settle(() if checked else read_so_far(zip(*columns), names), pending, math.inf, unique_ids)
-    return built
+        _settle(() if checked else read_so_far(zip(*columns), names), pending, math.inf)
+    return corpus
 
 
 def _distinct_references(id_codes, n_names, codes, counts) -> bool:
@@ -649,33 +634,28 @@ def _distinct_references(id_codes, n_names, codes, counts) -> bool:
 
 def iter_records(
     source: Iterable[Union[str, bytes, Mapping]], strict: bool = False
-) -> Iterator[PaperRecord]:
-    """Yield :class:`PaperRecord` from JSON lines (``str`` or ``bytes``) or mappings.
-
-    Blank lines are skipped.  Malformed items raise :class:`RecordError`
-    carrying the 1-based line number; the whole source is read and checked
-    before the first record is yielded.  Equal id and reference strings
-    decoded in one call share one object, as do equal author strings, so a
-    loaded corpus holds each distinct id once however often it is cited.
-    """
-    ids, journal_ids, years, kinds, authors, names, _, codes, counts = _read_rows(
-        source, strict, unique_ids=False, build=lambda *columns: columns
-    )
-    references = _per_row(names, codes, counts)
-    yield from map(PaperRecord, ids, journal_ids, years, kinds, authors, references)
+) -> Iterator[dict]:
+    """Yield the records :func:`load_corpus` reads from ``source``, as the
+    mappings its :func:`corpus_to_jsonl` lines decode to; kept for the
+    benchmark harness.  The whole source is loaded before the first record
+    is yielded."""
+    yield from map(json.loads, corpus_to_jsonl(_read_rows(source, strict)).split("\n")[:-1])
 
 
 def load_corpus(
     source: Union[str, Path, Iterable[Union[str, bytes, Mapping]]], strict: bool = False
 ) -> Corpus:
-    """Load a corpus from a JSON-lines path or items as for :func:`iter_records`,
-    such as a text file's lines (records go to :meth:`Corpus.from_records`); a
-    repeated id raises :class:`DuplicateIdError`."""
+    """Load a corpus from a JSON-lines path or an iterable of items: JSON
+    lines (``str`` or ``bytes``), such as a text file's lines, or their
+    decoded mappings.  Blank lines are skipped.  A malformed item raises
+    :class:`RecordError` carrying its 1-based line number, and a repeated id
+    :class:`DuplicateIdError`.  Equal id and reference strings decoded in one
+    call share one object, as do equal author strings, so a loaded corpus
+    holds each distinct id once however often it is cited."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
-            source = _file_lines(handle)
-            return _read_rows(source, strict, unique_ids=True, build=Corpus._from_rows)
-    return _read_rows(source, strict, unique_ids=True, build=Corpus._from_rows)
+            return _read_rows(_file_lines(handle), strict)
+    return _read_rows(source, strict)
 
 
 _BLOCK = 1 << 16  # below glibc's 128 KiB mmap threshold, so blocks reuse heap memory
@@ -725,7 +705,7 @@ def corpus_to_jsonl(corpus: Corpus) -> str:
     ensure_ascii=False)`` quotes them, each distinct reference name, journal
     and kind once; round-trips through load_corpus."""
     names, codes, counts = corpus._reference_columns()
-    references = _per_row(list(map(_quote, names)), codes, counts, ",".join)
+    references = _per_row(list(map(_quote, names)), codes, counts)
     journals = tuple(map(_quote, corpus.journals))
     return "".join(map(_LINE.__mod__, zip(
         map(_quote, corpus._ids), map(journals.__getitem__, corpus.journal_code.tolist()),

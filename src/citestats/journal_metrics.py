@@ -181,6 +181,8 @@ def if_variability(
 ) -> VariabilityResult:
     """Mean absolute relative change of the default-policy impact factor over
     census years ``start_year`` .. ``end_year``."""
+    start_year, end_year = _check_int("start_year", start_year), _check_int("end_year", end_year)
+    window_w = _check_int("window_w", window_w, 1)
     if end_year <= start_year:
         raise InsufficientDataError(
             "variability needs at least two census years "

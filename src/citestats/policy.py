@@ -6,14 +6,15 @@ author-share-weighted impact factors) plus a rank-correlation diagnostic
 for how far such scores drift from the citation record they stand in for.
 
 Every rule scores from the corpus columns: it reads each paper's journal
-and author count, builds no ``PaperRecord``, and computes a paper's points
-(for example3, its author share of the impact factor) once per distinct
-(journal, author count), so the papers of one pair share one ``Fraction``.
+and author count, and computes a paper's points (for example3, its author
+share of the impact factor) once per distinct (journal, author count), so
+the papers of one pair share one ``Fraction``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import itemgetter
@@ -21,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .corpus import Corpus, _integer_rows, _Record
+from .corpus import Corpus, _check_int, _check_names, _integer_rows, _Record
 from .errors import InsufficientDataError, PolicyError
 # impact_factor is unused here, but perfbench/layers.py patches policy.impact_factor
 # and test_benchmark_hooks_find_every_patched_name fails without the import
@@ -64,6 +65,8 @@ def build_tiers(corpus: Corpus, census_year: int, window_w: int = 2) -> TierTabl
     Tier sizes differ by at most one; when the count is not divisible by
     three the better tiers take the extra journals.
     """
+    census_year = _check_int("census_year", census_year)
+    window_w = _check_int("window_w", window_w, 1)
     values = impact_factors(corpus, census_year, window_w)
     defined = [(journal_id, value) for journal_id, value in values.items() if value is not None]
     unindexed = [journal_id for journal_id, value in values.items() if value is None]
@@ -162,8 +165,8 @@ def score_example1(
     other indexed journal, 0 otherwise.  The two lists must be disjoint.
     ``subjects`` maps each subject id to its papers' rows, such as
     ``corpus.author_rows[author_id]``; one score a subject, in that order."""
-    core = frozenset(core_journals)
-    indexed = frozenset(indexed_journals)
+    core = frozenset(_check_names("core_journals", core_journals))
+    indexed = frozenset(_check_names("indexed_journals", indexed_journals))
     overlap = core & indexed
     if overlap:
         raise PolicyError(
@@ -181,15 +184,19 @@ def score_example1(
 def score_example2(
     corpus: Corpus, paper_ids: Sequence[str], tiers: TierTable, subject_id: str = "paper-set"
 ) -> PolicyScore:
-    """Tercile points for exactly five selected papers of ``corpus``: 3 / 2 /
+    """Tercile points for exactly five distinct papers of ``corpus``: 3 / 2 /
     1 for top / middle / bottom tier journals, 0 for unindexed ones."""
-    if len(paper_ids) != 5:
+    if len(_check_names("paper_ids", paper_ids)) != 5:
         raise PolicyError(f"rule scores exactly 5 papers, got {len(paper_ids)}")
+    rows = corpus.rows(paper_ids)
+    repeated = [pid for pid, n in Counter(paper_ids).items() if n > 1]
+    if repeated:
+        raise PolicyError(f"rule scores 5 distinct papers, got {repeated[0]!r} more than once")
 
     def points(journal_id, author_count, paper_id):
         return Fraction(TIER_POINTS[tiers.tier_of(journal_id)])
 
-    [score] = _author_rule(corpus, {subject_id: corpus.rows(paper_ids)}, "example2", points)
+    [score] = _author_rule(corpus, {subject_id: rows}, "example2", points)
     return score
 
 

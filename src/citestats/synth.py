@@ -23,9 +23,8 @@ the same order, as per-paper ``Generator.choice`` calls would;
 drift between them.
 
 :func:`generate` hands the corpus its columns and (citing, cited) row pairs
-directly and builds no :class:`~citestats.corpus.PaperRecord`; its string
-references are rendered only when the corpus is written, so :func:`replicate`
-never renders them.
+directly; its string references are rendered only when the corpus is
+written, so :func:`replicate` never renders them.
 """
 
 from __future__ import annotations

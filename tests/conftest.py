@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import strategies as st
 
-from citestats import Corpus, PaperRecord
+import citestats.corpus
+from citestats import load_corpus
+from reference_metrics import PaperRecord, record_dict
 
 #: Characters a JSON writer must escape or could mishandle: the quote, the
 #: backslash, every control character, DEL, U+2028/U+2029, non-ASCII and astral.
@@ -29,16 +31,19 @@ def rec(pid, journal="jnl-a", year=2000, kind="research-article", authors=("au-1
 
 
 def build_corpus(*records):
-    return Corpus.from_records(records)
+    """The corpus ``load_corpus`` loads from the records as mappings."""
+    return load_corpus(map(record_dict, records))
 
 
-class NoRecords:
-    """Stands in for ``citestats.corpus.PaperRecord`` to show that no record
-    is built; ``__new__``, so that records built without ``__init__`` are
-    caught too."""
+def forbid_record_entry_points(monkeypatch):
+    """Make ``iter_records`` and ``Corpus.from_records``, the entry points
+    kept only for the benchmark harness, fail if anything calls them."""
 
-    def __new__(cls, *args, **kwargs):
-        raise AssertionError("a PaperRecord was built")
+    def called(*args, **kwargs):
+        raise AssertionError("a record entry point was called")
+
+    monkeypatch.setattr(citestats.corpus, "iter_records", called)
+    monkeypatch.setattr(citestats.corpus.Corpus, "from_records", called)
 
 
 @pytest.fixture

@@ -19,9 +19,13 @@ chained-``Fraction`` sum that came before the sum over one common
 denominator, and checks each derived ``PolicyScore.score`` against it.
 ``iter_records``, ``from_records`` and ``load_corpus`` are the
 record-at-a-time loader that built and checked one :class:`PaperRecord` per
-line before the columnar loader.  ``records`` is the record view a corpus
-kept before it kept only columns, and ``record_to_json`` the one-record
-writer that ``corpus_to_jsonl`` must match line for line.
+line before the columnar loader.  ``PaperRecord`` is the oracle's own
+record: its checks and ``_record_from_obj``'s are written out here, apart
+from the library's, so that the loader's checks are tested against a second
+statement of them.  ``records`` is the record view a corpus kept before it
+kept only columns, ``record_dict`` a record as the mapping ``load_corpus``
+reads, and ``record_to_json`` the one-record writer that ``corpus_to_jsonl``
+must match line for line.
 ``journal_counts`` and ``if_variability`` give what
 ``journal_distribution`` counts and ``if_variability`` sums, for the CLI
 oracle tests.
@@ -47,7 +51,6 @@ from citestats.corpus import (
     KIND_NAMES,
     SUBSTANTIVE_KINDS,
     Corpus,
-    PaperRecord,
     ValidationReport,
 )
 from citestats.errors import (
@@ -57,6 +60,7 @@ from citestats.errors import (
     RecordError,
     SynthConfigError,
     UnknownIdError,
+    UsageError,
 )
 from citestats.journal_metrics import IFQuery, IFResult
 from citestats.policy import TIER_POINTS, DivergenceResult, PolicyScore, TierTable
@@ -77,6 +81,48 @@ class CitationEdge:
     def age(self) -> int:
         """Citation age; negative for in-press anomalies."""
         return self.citing_year - self.cited_year
+
+
+@dataclass(frozen=True)
+class PaperRecord:
+    """One paper: journal, year, kind, authors and outgoing references,
+    stored as tuples.  Building one checks what ``_record_from_obj`` leaves
+    to it, raising ``ValueError`` with the text the loader puts after
+    ``line N: ``."""
+
+    id: str
+    journal_id: str
+    year: int
+    kind: str
+    author_ids: tuple[str, ...] = ()
+    reference_ids: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "author_ids", tuple(self.author_ids))
+        object.__setattr__(self, "reference_ids", tuple(self.reference_ids))
+        paper = f"paper {self.id!r}: "
+        if self.id == "":
+            raise ValueError("paper id must be a nonempty string")
+        if self.journal_id == "":
+            raise ValueError(paper + "journal must be a nonempty string")
+        if self.year < 1800 or self.year > 2100:
+            raise ValueError(paper + f"year {self.year} outside [1800, 2100]")
+        kinds = ["book", "editorial", "letter", "research-article", "review"]
+        if self.kind not in kinds:
+            raise ValueError(paper + f"kind {self.kind!r} not one of {kinds}")
+        if len(self.author_ids) > len(set(self.author_ids)):
+            raise ValueError(paper + "duplicate author ids")
+        if len(self.reference_ids) > len(set(self.reference_ids)):
+            raise ValueError(paper + "duplicate reference ids")
+        if self.id in self.reference_ids:
+            raise ValueError(paper + "paper references itself")
+
+
+def record_dict(record: PaperRecord) -> dict:
+    """The record as the mapping ``load_corpus`` reads, fields in input order."""
+    return {"id": record.id, "journal": record.journal_id, "year": record.year,
+            "kind": record.kind, "authors": list(record.author_ids),
+            "references": list(record.reference_ids)}
 
 
 # the year column of the corpus last viewed, weakly held so that the cache
@@ -299,12 +345,16 @@ def author_record(
 
     ``citing_years`` restricts the counting to citations from those source
     years.  ``kinds`` restricts which of the author's items are counted as
-    papers; the default keeps every kind, books included.
+    papers; the default keeps every kind, books included.  A kind name that
+    is not a kind is a usage error.
     """
     papers = [p for p in records(corpus).values() if author_id in p.author_ids]
     if not papers:
         raise UnknownIdError(f"unknown author {author_id!r}")
     if kinds is not None:
+        for kind in kinds:
+            if kind not in KIND_CODES:
+                raise UsageError(f"kind {kind!r} not one of {sorted(KIND_CODES)}")
         papers = [p for p in papers if p.kind in kinds]
         if not papers:
             raise InsufficientDataError(
@@ -400,10 +450,13 @@ def score_example2(
     tiers: TierTable,
     subject_id: str = "paper-set",
 ) -> PolicyScore:
-    """Tercile points for exactly five selected papers: 3 / 2 / 1 for
+    """Tercile points for exactly five distinct papers: 3 / 2 / 1 for
     top / middle / bottom tier journals, 0 for unindexed ones."""
     if len(papers) != 5:
         raise PolicyError(f"rule scores exactly 5 papers, got {len(papers)}")
+    for paper in papers:
+        if [p.id for p in papers].count(paper.id) > 1:
+            raise PolicyError(f"rule scores 5 distinct papers, got {paper.id!r} more than once")
     breakdown = [
         (paper.id, Fraction(TIER_POINTS[tiers.tier_of(paper.journal_id)]))
         for paper in papers
@@ -552,7 +605,7 @@ def _record_from_obj(
                 f"line {line_number}: {field!r} must be of type {kind.__name__}", line_number
             )
     for field, value in (("authors", obj["authors"]), ("references", obj["references"])):
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
             raise RecordError(
                 f"line {line_number}: {field!r} must be an array of strings",
                 line_number,
@@ -566,7 +619,7 @@ def _record_from_obj(
             raise RecordError(
                 f"line {line_number}: {field!r} holds a lone surrogate", line_number
             ) from None
-    # PaperRecord checks the rest: nonempty strings, the year range, the kind,
+    # the oracle's PaperRecord checks the rest: nonempty strings, the year range, the kind,
     # distinct authors, distinct references and no self-reference
     try:
         return PaperRecord(

@@ -26,7 +26,6 @@ from citestats import (
     Corpus,
     IFQuery,
     InsufficientDataError,
-    PaperRecord,
     cli,
     corpus_to_jsonl,
     load_corpus,
@@ -1606,11 +1605,11 @@ def test_benchmark_hooks_find_every_patched_name(monkeypatch):
     from_records = Corpus.__dict__["from_records"]
     tracer = layers.Tracer()
     with layers.installed(tracer):
-        corpus = Corpus.from_records([
-            PaperRecord("a", "j", 2001, "research-article"),
-            PaperRecord("b", "j", 2002, "review", (), ("a", "ghost")),
-            PaperRecord("c", "k", 2003, "letter", (), ("a", "b")),
-        ])
+        corpus = Corpus.from_records(map(ref.record_dict, [
+            ref.PaperRecord("a", "j", 2001, "research-article"),
+            ref.PaperRecord("b", "j", 2002, "review", (), ("a", "ghost")),
+            ref.PaperRecord("c", "k", 2003, "letter", (), ("a", "b")),
+        ]))
     assert Corpus.__dict__["from_records"] is from_records
     assert tracer.counts["corpus.records"] == len(corpus) == 3
     assert tracer.counts["corpus.edges"] == validate(corpus).edge_count == 3

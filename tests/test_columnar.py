@@ -20,9 +20,7 @@ import reference_metrics as ref
 from citestats import (
     KINDS,
     CitationStatsError,
-    Corpus,
     IFQuery,
-    PaperRecord,
     author_record,
     citation_age_profile,
     impact_factor,
@@ -31,6 +29,7 @@ from citestats import (
     window_coverage,
 )
 from citestats.journal_metrics import DENOMINATOR_POLICIES, SELF_CITATION_POLICIES
+from conftest import build_corpus, rec
 
 JOURNALS = ("j0", "j1", "j2")
 CENSUS_YEARS = st.integers(2000, 2010)
@@ -44,16 +43,16 @@ def corpora(draw):
         targets = st.integers(0, n + 2).map(lambda k: f"p{k}")  # p{n}.. are unresolved
         refs = draw(st.lists(targets, unique=True, max_size=6))
         records.append(
-            PaperRecord(
-                id=f"p{i}",
-                journal_id=draw(st.sampled_from(JOURNALS)),
+            rec(
+                f"p{i}",
+                journal=draw(st.sampled_from(JOURNALS)),
                 year=draw(st.integers(2000, 2008)),
                 kind=draw(st.sampled_from(sorted(KINDS))),
-                author_ids=tuple(draw(st.lists(st.sampled_from(("a0", "a1")), unique=True))),
-                reference_ids=tuple(r for r in refs if r != f"p{i}"),
+                authors=draw(st.lists(st.sampled_from(("a0", "a1")), unique=True)),
+                refs=[r for r in refs if r != f"p{i}"],
             )
         )
-    return Corpus.from_records(records)
+    return build_corpus(*records)
 
 
 def assert_exact(value, expected):
@@ -162,18 +161,16 @@ def test_edges_array_follows_record_order(corpus):
 
 
 def test_edges_array_of_a_small_corpus():
-    corpus = Corpus.from_records(
-        [
-            PaperRecord("a", "j", 2001, "research-article", ("x",)),
-            PaperRecord("b", "j", 2002, "review", (), ("a", "ghost")),
-        ]
+    corpus = build_corpus(
+        rec("a", "j", 2001, "research-article", ("x",)),
+        rec("b", "j", 2002, "review", (), ("a", "ghost")),
     )
     assert corpus.citation_counts(corpus.rows(["a"]), [2002]) == [1]
     assert validate(corpus).unresolved_references == 1
     assert self_citation_fraction(corpus, "j", 1) == Fraction(1)
     assert corpus.edges.tolist() == [[1, 0]]
-    assert Corpus.from_records([]).edges.shape == (0, 2)
-    assert Corpus.from_records([PaperRecord("a", "j", 2001, "book")]).edges.shape == (0, 2)
+    assert build_corpus().edges.shape == (0, 2)
+    assert build_corpus(rec("a", "j", 2001, "book")).edges.shape == (0, 2)
     assert not hasattr(citestats, "CitationEdge")
     assert not hasattr(citestats.corpus, "CitationEdge")
 
@@ -184,8 +181,8 @@ def test_corpus_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        corpus = Corpus.from_records(
-            [PaperRecord("a", "j", 2001, "letter"), PaperRecord("b", "j", 2002, "book", (), ("a",))]
+        corpus = build_corpus(
+            rec("a", "j", 2001, "letter"), rec("b", "j", 2002, "book", (), ("a",))
         )
         assert corpus.edges.tolist() == [[1, 0]]
         assert ref.edges(corpus)[0].cited_id == ref.incoming_edges(corpus, "a")[0].cited_id == "a"

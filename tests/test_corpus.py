@@ -13,7 +13,6 @@ from citestats import (
     KINDS,
     Corpus,
     DuplicateIdError,
-    PaperRecord,
     RecordError,
     UnknownIdError,
     UsageError,
@@ -26,7 +25,7 @@ from citestats import (
 
 import citestats.corpus
 import reference_metrics as ref
-from citestats.corpus import SUBSTANTIVE_KINDS
+from citestats.corpus import KIND_NAMES, SUBSTANTIVE_KINDS
 from citestats.synth import JournalSpec, SynthConfig, generate
 from conftest import AWKWARD_CHARS, awkward_text, build_corpus, rec
 
@@ -45,36 +44,42 @@ def jline(pid, journal="jnl-a", year=2000, kind="research-article", authors=("au
 
 
 class TestPaperRecord:
+    """The loader's field checks on one record, line 1 of a corpus."""
+
+    @staticmethod
+    def load(pid, **fields):
+        return load_corpus([jline(pid, **fields)])
+
     def test_valid_record(self):
-        paper = rec("p1", refs=("p0",))
-        assert paper.kind in SUBSTANTIVE_KINDS
-        assert paper.reference_ids == ("p0",)
+        corpus = self.load("p1", refs=("p0",))
+        assert KIND_NAMES[corpus.kind_code[0]] in SUBSTANTIVE_KINDS
+        assert ref.records(corpus)["p1"].reference_ids == ("p0",)
 
     def test_rejects_empty_id(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            rec("")
+        with pytest.raises(RecordError, match="^line 1: paper id must be a nonempty string$"):
+            self.load("")
 
     def test_rejects_year_out_of_range(self):
-        with pytest.raises(ValueError, match="year"):
-            rec("p1", year=1750)
-        with pytest.raises(ValueError, match="year"):
-            rec("p1", year=2150)
+        with pytest.raises(RecordError, match="year"):
+            self.load("p1", year=1750)
+        with pytest.raises(RecordError, match="year"):
+            self.load("p1", year=2150)
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            rec("p1", kind="preprint")
+        with pytest.raises(RecordError, match="kind"):
+            self.load("p1", kind="preprint")
 
     def test_rejects_duplicate_authors(self):
-        with pytest.raises(ValueError, match="^paper 'p1': duplicate author ids$"):
-            rec("p1", authors=("a", "b", "a"))
+        with pytest.raises(RecordError, match="^line 1: paper 'p1': duplicate author ids$"):
+            self.load("p1", authors=("a", "b", "a"))
 
     def test_rejects_duplicate_references(self):
-        with pytest.raises(ValueError, match="duplicate reference"):
-            rec("p1", refs=("p0", "p0"))
+        with pytest.raises(RecordError, match="duplicate reference"):
+            self.load("p1", refs=("p0", "p0"))
 
     def test_rejects_self_reference(self):
-        with pytest.raises(ValueError, match="references itself"):
-            rec("p1", refs=("p1",))
+        with pytest.raises(RecordError, match="references itself"):
+            self.load("p1", refs=("p1",))
 
     @pytest.mark.parametrize(
         "pid, authors, message",
@@ -86,8 +91,11 @@ class TestPaperRecord:
         ids=["lone-surrogate-id", "int-author", "string-authors"],
     )
     def test_rejects_what_the_loader_rejects(self, pid, authors, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            PaperRecord(pid, "jnl-a", 2000, "research-article", authors)
+        """A mapping item, whose arrays may also be tuples, is checked as a line is."""
+        record = {"id": pid, "journal": "jnl-a", "year": 2000, "kind": "research-article",
+                  "authors": authors, "references": ()}
+        with pytest.raises(RecordError, match=f"^line 1: {message}$"):
+            load_corpus([record])
 
 
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
@@ -101,7 +109,7 @@ _WRONG = st.one_of(
 
 @st.composite
 def record_fields(draw):
-    """PaperRecord arguments; in two draws of three, one of them is
+    """A record's field values; in two draws of three, one of them is
     replaced by any value, such as a string with a lone surrogate."""
     values = [
         draw(_TEXT), draw(_TEXT), draw(st.integers(1790, 2110)),
@@ -118,15 +126,17 @@ def record_fields(draw):
 @example(["p1", "j", 2000, "book", ["a\ud800"], ()])
 @example(["p1", "j", 2000, "book", ["\U0001f600", ""], ("\u2028",)])
 def test_every_buildable_record_can_be_written(values):
-    """A record either fails to build with ValueError, or its JSON line
-    encodes as UTF-8 and parses back to its fields."""
+    """A record mapping either fails to load with the reference loader's
+    RecordError, or its JSON line encodes as UTF-8 and parses back to its
+    fields."""
+    record = dict(zip(("id", "journal", "year", "kind", "authors", "references"), values))
     try:
-        record = PaperRecord(*values)
-    except ValueError:
+        corpus = load_corpus([record])
+    except RecordError as exc:
+        assert _outcome(ref.load_corpus, [record], False) == ((RecordError, str(exc), 1), [])
         return
-    line = corpus_to_jsonl(Corpus.from_records([record])).encode("utf-8")
-    assert json.loads(line) == _record_dict(record)
-    assert (record.author_ids, record.reference_ids) == tuple(map(tuple, values[4:]))
+    line = corpus_to_jsonl(corpus).encode("utf-8")
+    assert json.loads(line) == {**record, "authors": list(values[4]), "references": list(values[5])}
 
 
 class TestLoadCorpus:
@@ -500,7 +510,7 @@ def writable_corpora(draw):
     ids = draw(st.lists(awkward_text(), max_size=8, unique=True))
     pool = [*ids, "ghost", "gh\u2028ost"]
     records = [
-        PaperRecord(
+        ref.PaperRecord(
             pid, draw(awkward_text()), draw(st.integers(1990, 2010)),
             draw(st.sampled_from(sorted(KINDS))),
             draw(st.lists(awkward_text(0, 3), unique=True, max_size=4)),
@@ -511,12 +521,7 @@ def writable_corpora(draw):
     if how == "records":
         return build_corpus(*records)
     ensure_ascii = draw(st.booleans())
-    return load_corpus([json.dumps(_record_dict(r), ensure_ascii=ensure_ascii) for r in records])
-
-
-def _record_dict(p):
-    return {"id": p.id, "journal": p.journal_id, "year": p.year, "kind": p.kind,
-            "authors": list(p.author_ids), "references": list(p.reference_ids)}
+    return load_corpus([json.dumps(ref.record_dict(r), ensure_ascii=ensure_ascii) for r in records])
 
 
 AWKWARD = "".join(AWKWARD_CHARS)
@@ -535,7 +540,7 @@ def test_columnar_writer_matches_record_json_dumps(corpus):
     one-record writer do."""
     papers = ref.records(corpus).values()
     lines = corpus_to_jsonl(corpus).split("\n")
-    want = [json.dumps(_record_dict(p), separators=(",", ":"), ensure_ascii=False)
+    want = [json.dumps(ref.record_dict(p), separators=(",", ":"), ensure_ascii=False)
             for p in papers]
     assert lines == [*want, ""]
     assert [ref.record_to_json(p) for p in papers] == want
@@ -634,10 +639,15 @@ def test_columnar_loader_matches_record_loader(lines, strict, as_bytes):
         assert got == want
     else:
         _same_corpus(got, want)
-    # iter_records keeps its own contract: no duplicate-id check
+    # iter_records yields the records load_corpus reads, as mappings
     got, got_warnings = _outcome(lambda s, strict: list(iter_records(s, strict)), lines, strict)
-    want, want_warnings = _outcome(lambda s, strict: list(ref.iter_records(s, strict)), lines, strict)
+    want, want_warnings = _outcome(_reference_records, lines, strict)
     assert (got, got_warnings) == (want, want_warnings)
+
+
+def _reference_records(source, strict):
+    """The records of the reference loader's corpus, as mappings."""
+    return list(map(ref.record_dict, ref.records(ref.load_corpus(source, strict)).values()))
 
 
 @pytest.mark.parametrize(
@@ -650,7 +660,7 @@ def test_columnar_loader_matches_record_loader(lines, strict, as_bytes):
         [json.dumps({**json.loads(jline("p0")), "doi": 1}), jline("p1", year=1700),
          json.dumps({**json.loads(jline("p2")), "title": 1})],
         [jline("p0"), jline("p1", authors=["a", "b", "a"]), jline("p2")],
-        [PaperRecord("p0", "j", 2000, "review"), jline("p1")],
+        [ref.PaperRecord("p0", "j", 2000, "review"), jline("p1")],
     ],
     ids=["utf8-after-self-ref", "bad-bytes-after-dup-ref", "bool-year-first",
          "duplicate-id-before-bad-json", "warning-kept-before-error-only",

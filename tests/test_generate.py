@@ -2,8 +2,8 @@
 
 ``reference_metrics.generate`` is the generator as it was before it built
 columns: string ids, string reference tuples and eager records, indexed by
-``Corpus.from_records``.  Both must give the same corpus for any config,
-and the replicate path must never build a :class:`PaperRecord`.  The
+its own ``from_records``.  Both must give the same corpus for any config,
+and the replicate path must never call the record entry points.  The
 reference keeps numpy's per-paper ``Generator.choice`` author draws, and
 ``synth._sorted_choices``, which replays them in one pass, is also checked
 draw by draw against ``choice``, generator state included.
@@ -36,7 +36,7 @@ from citestats import (
 from citestats.cli import main
 from citestats.synth import _sorted_choices
 
-from conftest import NoRecords
+from conftest import forbid_record_entry_points
 from test_golden import CONFIG, GOLDEN
 
 ARRAYS = ("year", "journal_code", "kind_code", "indptr", "citing_idx")
@@ -203,7 +203,7 @@ def test_replicate_reports_a_journal_without_papers_as_undefined(tmp_path):
 
 
 def test_replicate_builds_no_records(monkeypatch, tmp_path):
-    monkeypatch.setattr(citestats.corpus, "PaperRecord", NoRecords)
+    forbid_record_entry_points(monkeypatch)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG))
     out = tmp_path / "replicate"

@@ -12,9 +12,8 @@ pinned by its SHA-256 digest; an intended format change must re-pin them.
 import hashlib
 import json
 
-import citestats.corpus
 from citestats.cli import main
-from conftest import NoRecords
+from conftest import forbid_record_entry_points
 
 CONFIG = {
     "seed": 11,
@@ -288,8 +287,9 @@ def test_loaded_corpus_commands_build_no_records(tmp_path, monkeypatch):
     validate, compare, journal-if, journal-profile, author-index and the
     three policy rules (example1 and example3 with divergence) read the
     loaded corpus's columns only, and replicate never loads one.  No pinned
-    command builds a record, and the outputs stay as pinned."""
-    monkeypatch.setattr(citestats.corpus, "PaperRecord", NoRecords)
+    command goes through the record entry points, and the outputs stay as
+    pinned."""
+    forbid_record_entry_points(monkeypatch)
     commands = dict(_commands(*_golden_inputs(tmp_path)))  # runs synth
     runs = {"synth", *commands}
     for out in runs - {"synth"}:

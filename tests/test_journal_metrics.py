@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from citestats import (
-    Corpus,
     IFQuery,
     InsufficientDataError,
     UnknownIdError,
@@ -147,9 +146,8 @@ class TestImpactFactor:
         for _ in range(20):
             corpus = _random_two_journal_corpus(rng)
             before = impact_factor(corpus, IFQuery("jnl-a", 2007, 2))
-            grown = Corpus.from_records(
-                list(ref.records(corpus).values())
-                + [rec("extra-uncited", journal="jnl-a", year=2006)]
+            grown = build_corpus(
+                *ref.records(corpus).values(), rec("extra-uncited", journal="jnl-a", year=2006)
             )
             after = impact_factor(grown, IFQuery("jnl-a", 2007, 2))
             if before.is_defined:
@@ -162,7 +160,7 @@ class TestImpactFactor:
         corpus = _random_two_journal_corpus(rng)
         papers = ref.records(corpus).values()
         mapping = {p.id: f"relabeled-{i}" for i, p in enumerate(papers)}
-        relabeled = Corpus.from_records(
+        relabeled = build_corpus(*(
             rec(
                 mapping[p.id],
                 journal=p.journal_id,
@@ -172,7 +170,7 @@ class TestImpactFactor:
                 refs=tuple(mapping.get(r, r) for r in p.reference_ids),
             )
             for p in papers
-        )
+        ))
         original = impact_factor(corpus, IFQuery("jnl-a", 2007, 2))
         renamed = impact_factor(relabeled, IFQuery("jnl-a", 2007, 2))
         assert (original.numerator, original.denominator) == (

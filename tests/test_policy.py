@@ -202,6 +202,14 @@ class TestScoreExample2:
         with pytest.raises(PolicyError, match="5"):
             score_five([rec("p1", journal="t1")], tiers)
 
+    def test_rejects_a_repeated_paper(self):
+        """Once scored five times; only the CLI's --papers check caught it."""
+        corpus = build_corpus(rec("p1", journal="t1"), rec("p2", journal="t2"))
+        with pytest.raises(PolicyError, match="^rule scores 5 distinct papers, got 'p1' more "):
+            score_example2(corpus, ["p1"] * 5, self._tiers())
+        with pytest.raises(PolicyError, match="^rule scores 5 distinct papers, got 'p2' more "):
+            score_example2(corpus, ["p2", "p1", "p1", "p2", "p2"], self._tiers())
+
 
 class TestScoreExample3:
     IF_LOOKUP = {
@@ -297,7 +305,8 @@ def author_rule_cases(draw):
     """A corpus of papers with 0-6 authors, journals whose IFs are ints,
     Fractions with varied denominators or undefined, and subjects that
     repeat paper ids and may name a paper outside the corpus; and for
-    example2, a tier per journal and five such paper ids."""
+    example2, a tier per journal and five such paper ids, in about half the
+    cases distinct."""
     journals = [f"j{i}" for i in range(draw(st.integers(1, 8)))]
     impact_factors = {j: draw(IMPACT_FACTORS) for j in journals}
     for journal_id in draw(st.sets(st.sampled_from([*journals, "j-missing"]), max_size=2)):
@@ -318,7 +327,9 @@ def author_rule_cases(draw):
     indexed = draw(st.sets(st.sampled_from(journals))) - core
     tier_names = st.sampled_from(sorted(TIER_POINTS))
     tiers = TierTable({j: draw(tier_names) for j in journals}, 2007, 2, ())
-    five = draw(st.lists(st.sampled_from(ids), min_size=5, max_size=5)) if ids else []
+    distinct = len(ids) >= 5 and draw(st.booleans())
+    five = draw(st.lists(st.sampled_from(ids), min_size=5, max_size=5, unique=distinct) if ids
+                else st.just([]))
     return build_corpus(*papers), impact_factors, subjects, core, indexed, tiers, five
 
 

@@ -1,4 +1,4 @@
-"""The contract of the 16 record types: built by position or keyword with
+"""The contract of the 15 record types: built by position or keyword with
 their defaults, read-only, compared, hashed, shown, copied with changes,
 converted to dicts and pickled as frozen dataclasses were."""
 
@@ -25,7 +25,6 @@ from citestats import (
     InsufficientDataError,
     JournalSpec,
     LogNormalFit,
-    PaperRecord,
     PolicyScore,
     ReplicateRun,
     SynthConfig,
@@ -43,13 +42,6 @@ SPEC = JournalSpec("j", 10, 2000, 2005)
 #: defaulted fields with their defaults, one changed argument, the derived
 #: fields with their values)
 EXAMPLES = {
-    PaperRecord: (
-        ("id", "journal_id", "year", "kind", "author_ids", "reference_ids"),
-        ("p1", "j", 2000, "review"),
-        {"author_ids": (), "reference_ids": ()},
-        {"reference_ids": ("p0",)},
-        {},
-    ),
     ValidationReport: (
         ("paper_count", "edge_count", "unresolved_references", "negative_age_edges",
          "papers_without_authors"),
@@ -147,7 +139,7 @@ def expected_fields(cls):
 def test_every_record_type_is_covered():
     public = {getattr(citestats, name) for name in citestats.__all__}
     records = {cls for cls in public if isinstance(cls, type) and issubclass(cls, _Record)}
-    assert records == set(EXAMPLES) and len(records) == 16
+    assert records == set(EXAMPLES) and len(records) == 15
 
 
 @record_types
@@ -307,8 +299,9 @@ def test_repr_is_the_dataclass_text(record, text):
 
 
 @pytest.mark.parametrize("build, error", [
-    (lambda: PaperRecord("", "j", 2000, "review"), ValueError),
-    (lambda: PaperRecord("p", "j", 2000, "review", author_ids=("a", "a")), ValueError),
+    # a UsageError is also a ValueError
+    (lambda: EmpiricalDistribution({-1: 2}), ValueError),
+    (lambda: IFQuery("j", 2007, window_w=2.5), ValueError),
     (lambda: JournalSpec("j", -1, 2000, 2005), SynthConfigError),
     (lambda: SynthConfig(seed=1, journals=()), SynthConfigError),
     (lambda: EmpiricalDistribution({}), InsufficientDataError),
