@@ -2,8 +2,10 @@
 
 A corpus is an immutable columnar index of papers.  Paper ``i`` (its *row*,
 in record order) has ``ids[i]``, ``year[i]``, ``journal_code[i]`` (into
-``journals``), ``kind_code[i]`` and ``authors[i]``, the tuple of its author
-ids; ``author_rows`` maps an author to the rows of their papers, and the
+``journals``), ``kind_code[i]`` and ``author_count[i]`` authors, whose
+ids, as its references, are the next ``counts[i]`` codes into ``names`` of
+``(names, codes, counts)`` columns; ``authors`` builds their row tuples.
+``author_rows`` maps an author to the rows of their papers, and the
 papers citing row ``i`` are ``citing_idx[indptr[i]:indptr[i + 1]]``, in
 record order, the CSR layout of ``scipy.sparse.csr_matrix``.  Ids enter
 through :meth:`Corpus.rows`; every other call takes rows, checked by
@@ -38,10 +40,10 @@ import warnings
 from array import array
 from collections.abc import Iterable, Iterator, Mapping
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Any, Union
+from typing import IO, Any, NoReturn, Union
 
 import numpy as np
 
@@ -165,11 +167,11 @@ def utf8_encodable(strings: Iterable[str]) -> bool:
     return True
 
 
-def _per_row(names, codes, counts) -> list:
-    """Row ``i``'s comma-joined next ``counts[i]`` of ``codes`` into ``names``."""
-    refs = np.array(names, dtype=object)[codes].tolist()
+def _per_row(names, codes, counts, join=",".join) -> list:
+    """``join`` of row ``i``'s next ``counts[i]`` of ``codes`` into ``names``."""
+    items = np.array(names, dtype=object)[codes].tolist()
     ends = np.cumsum(counts).tolist()
-    return [",".join(refs[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+    return [join(items[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
 def _integer_rows(rows) -> np.ndarray:
@@ -223,13 +225,11 @@ class Corpus:
         return load_corpus(records)
 
     @classmethod
-    def _from_rows(
-        cls, ids, journal_ids, years, kinds, authors, names, id_codes, codes, counts
-    ) -> "Corpus":
-        """Index the checked columns of :func:`_read_rows`: one id, journal
-        id, year, kind and author tuple a row; ids and references are also
-        codes into ``names``, row ``i``'s id ``names[id_codes[i]]`` and its
-        references the next ``counts[i]`` of ``codes``."""
+    def _from_rows(cls, ids, journal_ids, years, kinds, id_codes, authors, references) -> "Corpus":
+        """Index the checked columns of :func:`_read_rows`: one id, journal id,
+        year, kind and id code a row, and the authors' and references' ``(names,
+        codes, counts)``; row ``i``'s id is ``references[0][id_codes[i]]``."""
+        names, codes, counts = references
         n = len(ids)
         row_of = np.full(len(names), -1, dtype=np.int64)
         row_of[list(id_codes)] = np.arange(n)
@@ -250,7 +250,7 @@ class Corpus:
             cited,
             unresolved=unresolved,
             authors=authors,
-            references=(names, codes, counts),
+            references=references,
         )
 
     @classmethod
@@ -260,10 +260,10 @@ class Corpus:
     ) -> "Corpus":
         """Index papers given as columns in row order: ``ids``, ``year``,
         ``journal_code`` (into ``journals``, each of which has a paper),
-        ``kind_code`` and ``authors`` (a tuple of row tuples), plus the resolved
-        citations as (``citing``, ``cited``) row pairs in any order.  The
-        papers' references in input order, if known, are ``references`` (see
-        :meth:`_reference_columns`)."""
+        ``kind_code`` and ``authors`` (distinct names, codes, int64 counts),
+        plus the resolved citations as (``citing``, ``cited``) row pairs in
+        any order.  The papers' references in input order, if known, are
+        ``references``, laid out as the authors (see :meth:`_reference_columns`)."""
         corpus = object.__new__(cls)
         n = len(ids)
         corpus._ids = ids
@@ -282,7 +282,8 @@ class Corpus:
         corpus._citing_idx = keys.astype(np.int32)
         corpus._indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(cited, minlength=n), out=corpus._indptr[1:])
-        for array in (year, journal_code, kind_code, corpus._indptr, corpus._citing_idx):
+        for array in (year, journal_code, kind_code, authors[2], corpus._indptr,
+                      corpus._citing_idx):
             array.setflags(write=False)
 
         corpus._references = references
@@ -312,14 +313,14 @@ class Corpus:
         """Author id -> the rows of every paper listing that author, ascending,
         as read-only views of one array; authors in order of first appearance."""
         if self._author_rows is None:
-            code_of = _Codes()  # numbers the authors in order of first appearance
-            codes = np.fromiter(map(code_of.__getitem__, chain.from_iterable(self._authors)), int)
-            rows = np.repeat(np.arange(len(self), dtype=np.int64), list(map(len, self._authors)))
+            names, codes, counts = self._authors
+            rows = np.repeat(np.arange(len(self), dtype=np.int64), counts)
             rows = rows[np.argsort(codes, kind="stable")]
             rows.setflags(write=False)
-            ends = np.cumsum(np.bincount(codes, minlength=len(code_of))).tolist()
+            spans = [0, *np.cumsum(np.bincount(codes, minlength=len(names))).tolist()]
+            # in order of first appearance, which a generated corpus's pool codes do not follow
             self._author_rows = MappingProxyType(
-                {aid: rows[lo:hi] for aid, lo, hi in zip(code_of, [0, *ends], ends)}
+                {names[c]: rows[spans[c] : spans[c + 1]] for c in dict.fromkeys(codes.tolist())}
             )
         return self._author_rows
 
@@ -333,7 +334,8 @@ class Corpus:
     year = property(lambda self: self._year)
     journal_code = property(lambda self: self._journal_code)
     kind_code = property(lambda self: self._kind_code)
-    authors = property(lambda self: self._authors)
+    author_count = property(lambda self: self._authors[2])
+    authors = property(lambda self: tuple(_per_row(*self._authors, tuple)))  # a new tuple each time
     indptr = property(lambda self: self._indptr)
     citing_idx = property(lambda self: self._citing_idx)
 
@@ -411,8 +413,13 @@ def validate(corpus: Corpus) -> ValidationReport:
         edge_count=len(corpus.citing_idx),
         unresolved_references=corpus.unresolved_reference_count,
         negative_age_edges=int(np.count_nonzero(corpus.year[corpus.citing_idx] < cited_year)),
-        papers_without_authors=list(map(len, corpus.authors)).count(0),
+        papers_without_authors=int(np.count_nonzero(corpus.author_count == 0)),
     )
+
+
+def _fail(line_number: int, problem: str) -> NoReturn:
+    """Raise :class:`RecordError` ``line <line_number>: <problem>``."""
+    raise RecordError(f"line {line_number}: {problem}", line_number)
 
 
 def _check_record(obj: Any, line_number: int, strict: bool, warned: set, pending: list) -> None:
@@ -420,21 +427,14 @@ def _check_record(obj: Any, line_number: int, strict: bool, warned: set, pending
     raises first.  Each unknown field name not yet in ``warned`` is added
     to it, and its warning queued on ``pending`` as (line number, text)."""
     if not isinstance(obj, Mapping):
-        raise RecordError(
-            f"line {line_number}: record must be a JSON object", line_number
-        )
+        _fail(line_number, "record must be a JSON object")
     missing = [f for f in _RECORD_FIELDS if f not in obj]
     if missing:
-        raise RecordError(
-            f"line {line_number}: missing field(s) {', '.join(missing)}", line_number
-        )
+        _fail(line_number, f"missing field(s) {', '.join(missing)}")
     unknown = sorted(set(obj) - set(_RECORD_FIELDS))
     if unknown:
         if strict:
-            raise RecordError(
-                f"line {line_number}: unknown field(s) {', '.join(unknown)}",
-                line_number,
-            )
+            _fail(line_number, f"unknown field(s) {', '.join(unknown)}")
         for name in unknown:
             if name not in warned:
                 warned.add(name)
@@ -453,10 +453,7 @@ def _check_fields(line_number: int, *values: Any) -> None:
     surrogate, the id and journal are nonempty, the year is in [YEAR_MIN,
     YEAR_MAX], the kind is known, the authors are distinct, and the
     references are distinct and exclude the paper itself."""
-
-    def fail(problem: str):
-        raise RecordError(f"line {line_number}: {problem}", line_number)
-
+    fail = partial(_fail, line_number)
     pid, journal, year, kind, authors, references = values
     for field, value, expected in zip(_RECORD_FIELDS, values, (str, str, int, str)):
         if not isinstance(value, expected) or isinstance(value, bool):
@@ -489,37 +486,42 @@ def _settle(records: Iterable[tuple], pending: list, line_number: float) -> None
     warnings of the lines up to its line.  Without one, emit those up to
     ``line_number``."""
     seen: set[str] = set()
-    error = None
-    for number, *values in records:
-        try:
+    try:
+        for number, *values in records:
             _check_fields(number, *values)
-        except RecordError as exc:
-            error = exc
-        if error is None and values[0] in seen:
-            error = DuplicateIdError(f"duplicate paper id {values[0]!r}")
-        if error is not None:
-            line_number = number
-            break
-        seen.add(values[0])
-    for line, message in pending:
-        if line <= line_number:
-            warnings.warn(message, stacklevel=4)
-    if error is not None:
-        raise error
+            if values[0] in seen:
+                raise DuplicateIdError(f"line {number}: duplicate paper id {values[0]!r}", number)
+            seen.add(values[0])
+    except RecordError as exc:
+        line_number = exc.line_number
+        raise
+    finally:
+        for line, message in pending:
+            if line <= line_number:
+                warnings.warn(message, stacklevel=4)
 
 
-_scan = json.JSONDecoder().scan_once  # the C scanner that json.loads ends in
+def _object(pairs: list) -> dict:
+    """A JSON object's dict; :class:`RecordError` if it repeats a key."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise RecordError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
+_scan = json.JSONDecoder(object_pairs_hook=_object).scan_once  # the C scanner of json.loads
 
 
 def _decode(text: str) -> Any:
-    """``json.loads(text)``, calling the scanner directly when one value
-    fills the text.  Anything else goes to ``json.loads`` itself, for its
-    exact error: a BOM, surrounding whitespace, extra data, the digit limit."""
+    """``json.loads(text, object_pairs_hook=_object)``, calling the scanner
+    directly when one value fills the text; anything else goes to ``json.loads``
+    for its exact error: a BOM, surrounding whitespace, extra data, the digit limit."""
     try:
         value, end = _scan(text, 0)
     except (StopIteration, ValueError):
-        return json.loads(text)
-    return value if end == len(text) else json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
+    return value if end == len(text) else json.loads(text, object_pairs_hook=_object)
 
 
 class _Codes(dict):
@@ -537,25 +539,24 @@ def _read_rows(source: Iterable, strict: bool) -> Corpus:
     :func:`load_corpus`), raising the error and emitting the warnings a
     record-at-a-time check would, in line order.
 
-    Each line gets only the cheap work: decoding, one key-set test, and
-    coding or interning its strings.  The field checks then run once per
-    column; only when one fails are the records checked one at a time, to
-    find the first bad line.
+    Each line gets only the cheap work: decoding, one key-set test, and coding
+    its strings.  The field checks then run once per column; only when one
+    fails are the records checked one at a time, to find the first bad line.
     """
-    rows: list[tuple] = []  # line number, id code, journal, year, kind, authors, reference count
+    rows: list[tuple] = []  # line number, id code, journal, year, kind, author and reference count
     codes = array("q")  # every row's reference codes, in order
     code_of = (memo := _Codes()).__getitem__
-    interned: dict[str, str] = {}  # the distinct authors
-    intern = interned.setdefault
+    author_codes = array("q")  # every row's author codes, in order
+    author_of = (author_memo := _Codes()).__getitem__
     pending: list[tuple[int, str]] = []  # unknown-field warnings, emitted once checked
     warned: set[str] = set()
 
-    def read_so_far(rows, names):
-        end = 0
-        for number, code, journal, year, kind, authors, count in rows:
-            refs = [names[c] for c in codes[end : end + count]]
-            yield number, names[code], journal, year, kind, list(authors), refs
-            end += count
+    def read_so_far(rows, names, author_names):
+        authors = map(author_names.__getitem__, author_codes)
+        refs = map(names.__getitem__, codes)
+        for number, code, journal, year, kind, n_authors, n_refs in rows:
+            yield (number, names[code], journal, year, kind,
+                   [*islice(authors, n_authors)], [*islice(refs, n_refs)])
 
     for line_number, obj in enumerate(source, 1):
         try:
@@ -572,61 +573,66 @@ def _read_rows(source: Iterable, strict: bool) -> Corpus:
                     else f"invalid JSON ({getattr(exc, 'msg', exc)})"
                 )
                 raise RecordError(f"line {line_number}: {problem}", line_number) from exc
+            except RecordError as exc:  # a repeated key, which the decoder's hook cannot place
+                _fail(line_number, str(exc))
             if (type(obj) is not dict or obj.keys() != _FIELD_SET
                     or type(obj["authors"]) is not list or type(obj["references"]) is not list):
                 _check_record(obj, line_number, strict, warned, pending)
-            pid, authors, references = obj["id"], obj["authors"], obj["references"]
+            authors, references = obj["authors"], obj["references"]
             try:
+                author_codes.extend(map(author_of, authors))
                 codes.extend(map(code_of, references))
                 rows.append((
-                    line_number, code_of(pid), obj["journal"], obj["year"], obj["kind"],
-                    tuple(map(intern, authors, authors)), len(references),
+                    line_number, code_of(obj["id"]), obj["journal"], obj["year"], obj["kind"],
+                    len(authors), len(references),
                 ))
             except TypeError:  # an unhashable id, author or reference, which the check rejects
                 _check_record(obj, line_number, strict, warned, pending)
         except RecordError:  # the first bad line, unless an earlier line fails a column check
-            _settle(read_so_far(rows, list(memo)), pending, line_number)
+            _settle(read_so_far(rows, list(memo), list(author_memo)), pending, line_number)
             raise
 
     # the columns and names hold the same values, and the build's peak
-    # memory would count the row tuples and the memo
+    # memory would count the row tuples and the memos
     columns = tuple(zip(*rows)) or ((),) * 7
     rows.clear()
-    _, id_codes, journal_ids, years, kinds, authors, counts = columns
-    names = list(memo)
+    _, id_codes, journal_ids, years, kinds, author_counts, counts = columns
+    names, author_names = list(memo), list(author_memo)
     memo.clear()
+    author_memo.clear()
     ids = tuple(map(names.__getitem__, id_codes))
     ref_codes = np.frombuffer(codes, dtype=np.int64)
+    authors = author_names, np.frombuffer(author_codes, np.int64), np.array(author_counts, np.int64)
     checked = (
-        set(map(type, chain(names, journal_ids, kinds))) <= {str}
+        set(map(type, chain(names, author_names, journal_ids, kinds))) <= {str}
         and all(ids) and all(journal_ids) and set(kinds) <= KINDS
         and set(map(type, years)) <= {int}
         and YEAR_MIN <= min(years, default=YEAR_MIN) and max(years, default=YEAR_MAX) <= YEAR_MAX
-        and set(map(type, chain.from_iterable(authors))) <= {str}
-        and sum(map(len, authors)) == sum(map(len, map(frozenset, authors)))
         and len(set(id_codes)) == len(ids)
     )
     if not checked:
-        _settle(read_so_far(zip(*columns), names), pending, math.inf)
+        _settle(read_so_far(zip(*columns), names, author_names), pending, math.inf)
     corpus = Corpus._from_rows(
-        ids, journal_ids, years, kinds, authors, names, id_codes, ref_codes, counts
+        ids, journal_ids, years, kinds, id_codes, authors, (names, ref_codes, counts)
     )
     # after the build: freed before it, these checks' large temporaries raise
     # glibc's mmap threshold, and the build's arrays then fragment the heap
-    # (peak RSS of a report on the 40 % math preset 56 -> 64 MB)
+    # (peak RSS of a report on the 40 % math preset 56 -> 64 MB); one
+    # reference-sized temporary at a time, as they set a load's peak memory
     if checked:
-        checked = _distinct_references(id_codes, len(names), ref_codes, counts)
-        checked = checked and utf8_encodable(chain(names, set(journal_ids), interned))
-        _settle(() if checked else read_so_far(zip(*columns), names), pending, math.inf)
+        checked = (
+            not np.any(np.repeat(np.array(id_codes, dtype=np.int32), counts) == ref_codes)
+            and _distinct_per_row(*authors) and _distinct_per_row(names, ref_codes, counts)
+            and utf8_encodable(chain(names, set(journal_ids), author_names))
+        )
+        _settle(() if checked else read_so_far(zip(*columns), names, author_names),
+                pending, math.inf)
     return corpus
 
 
-def _distinct_references(id_codes, n_names, codes, counts) -> bool:
-    """Whether no row lists a reference twice or references itself."""
-    # one reference-sized temporary at a time, as they set a load's peak memory
-    if np.any(np.repeat(np.array(id_codes, dtype=np.int32), counts) == codes):
-        return False
-    keys = np.repeat(np.arange(len(id_codes), dtype=np.int64) * n_names, counts)
+def _distinct_per_row(names, codes, counts) -> bool:
+    """Whether no row of ``(names, codes, counts)`` lists a name twice."""
+    keys = np.repeat(np.arange(len(counts), dtype=np.int64) * len(names), counts)
     keys += codes
     keys.sort()
     return not np.any(keys[1:] == keys[:-1])
@@ -648,10 +654,10 @@ def load_corpus(
     """Load a corpus from a JSON-lines path or an iterable of items: JSON
     lines (``str`` or ``bytes``), such as a text file's lines, or their
     decoded mappings.  Blank lines are skipped.  A malformed item raises
-    :class:`RecordError` carrying its 1-based line number, and a repeated id
-    :class:`DuplicateIdError`.  Equal id and reference strings decoded in one
-    call share one object, as do equal author strings, so a loaded corpus
-    holds each distinct id once however often it is cited."""
+    :class:`RecordError` carrying its 1-based line number, as does a JSON
+    object that repeats a key, and a repeated id :class:`DuplicateIdError`.
+    Equal id and reference strings decoded in one call share one object, as
+    do equal author strings, so a loaded corpus holds each distinct id once."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             return _read_rows(_file_lines(handle), strict)
@@ -702,15 +708,15 @@ _KIND_TEXTS = tuple(map(_quote, KIND_NAMES))
 def corpus_to_jsonl(corpus: Corpus) -> str:
     """One canonical (byte-stable) JSON line a paper, fields in input order,
     rendered from the columns with strings quoted as ``json.dumps(...,
-    ensure_ascii=False)`` quotes them, each distinct reference name, journal
-    and kind once; round-trips through load_corpus."""
-    names, codes, counts = corpus._reference_columns()
-    references = _per_row(list(map(_quote, names)), codes, counts)
+    ensure_ascii=False)`` quotes them, each distinct author, reference name,
+    journal and kind once; round-trips through load_corpus."""
+    authors, references = (_per_row(list(map(_quote, columns[0])), *columns[1:])
+                           for columns in (corpus._authors, corpus._reference_columns()))
     journals = tuple(map(_quote, corpus.journals))
     return "".join(map(_LINE.__mod__, zip(
         map(_quote, corpus._ids), map(journals.__getitem__, corpus.journal_code.tolist()),
         corpus.year.tolist(), map(_KIND_TEXTS.__getitem__, corpus.kind_code.tolist()),
-        [",".join(map(_quote, row)) for row in corpus.authors], references,
+        authors, references,
     )))
 
 

@@ -21,8 +21,8 @@ class RecordError(CitationStatsError):
         self.line_number = line_number
 
 
-class DuplicateIdError(CitationStatsError):
-    """Two records share the same paper id."""
+class DuplicateIdError(RecordError):
+    """Two records share the same paper id; the line number is the second's."""
 
 
 class UnknownIdError(CitationStatsError, LookupError):

@@ -137,7 +137,7 @@ def _author_rule(
     rows = corpus.checked_rows(rows)
     paper_ids = list(map(corpus.ids.__getitem__, rows.tolist()))
     journal_code = corpus.journal_code[rows].astype(np.int64)
-    author_count = np.fromiter(map(len, corpus.authors), np.int64, len(corpus))[rows]
+    author_count = corpus.author_count[rows]
     # one int a (journal, author count) pair; np.unique numbers the distinct ones
     pair = journal_code * (int(author_count.max(initial=0)) + 1) + author_count
     _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)

@@ -22,9 +22,9 @@ the same order, as per-paper ``Generator.choice`` calls would;
 ``tests/test_generate.py`` compares the two draw by draw and fails on any
 drift between them.
 
-:func:`generate` hands the corpus its columns and (citing, cited) row pairs
-directly; its string references are rendered only when the corpus is
-written, so :func:`replicate` never renders them.
+:func:`generate` hands the corpus its columns, author codes and (citing,
+cited) row pairs directly; names and references are rendered only when the
+corpus is written, so :func:`replicate` never renders them.
 """
 
 from __future__ import annotations
@@ -268,20 +268,12 @@ def generate(config: SynthConfig) -> Corpus:
     rates = np.where(keep, rng.lognormal(config.latent_mu, config.latent_sigma, total), 0.0)
     rates *= np.repeat([j.quality_scale for j in specs], sizes)
 
-    # authors: 1-3 names from a small per-journal pool, all pools in one array
+    # authors: 1-3 names from a small per-journal pool, as codes into all pools' names
     pool_sizes = np.array([max(3, j.articles_per_year) for j in specs])
-    names = np.array(
-        [f"{j.journal_id}-au{a:03d}" for j, n in zip(specs, pool_sizes.tolist()) for a in range(n)],
-        dtype=object,
-    )
+    names = [f"{j.journal_id}-au{a:03d}" for j, n in zip(specs, pool_sizes) for a in range(n)]
     n_authors = rng.integers(1, 4, size=total)
     picks = _sorted_choices(rng, pool_sizes[journal_code], n_authors)
-    picks += (np.cumsum(pool_sizes) - pool_sizes)[journal_code][:, None]
-    # zip the gathered columns and slice off the -1 padding's names: a list
-    # for every row, all alive beside the tuples, would raise replicate's peak memory
-    authors = tuple(
-        row[3 - k :] for k, row in zip(n_authors.tolist(), zip(*names[picks.T].tolist()))
-    )
+    codes = (picks + (np.cumsum(pool_sizes) - pool_sizes)[journal_code][:, None])[picks >= 0]
 
     # references: per census year, weighted draw over strictly earlier papers
     decay = math.log(2.0) / config.half_life_years
@@ -328,7 +320,7 @@ def generate(config: SynthConfig) -> Corpus:
         np.zeros(total, dtype=np.int8),  # every paper is a research article
         np.concatenate([np.empty(0, np.int64), *citing_rows]),
         np.concatenate([np.empty(0, np.int64), *cited_rows]),
-        authors=authors,
+        authors=(names, codes, n_authors),
     )
 
 

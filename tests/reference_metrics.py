@@ -19,8 +19,9 @@ chained-``Fraction`` sum that came before the sum over one common
 denominator, and checks each derived ``PolicyScore.score`` against it.
 ``iter_records``, ``from_records`` and ``load_corpus`` are the
 record-at-a-time loader that built and checked one :class:`PaperRecord` per
-line before the columnar loader.  ``PaperRecord`` is the oracle's own
-record: its checks and ``_record_from_obj``'s are written out here, apart
+line before the columnar loader, and ``decode`` its ``json.loads`` with
+a repeated-key check.  ``PaperRecord`` is the oracle's own record: its
+checks, ``_record_from_obj``'s and ``decode``'s are written out here, apart
 from the library's, so that the loader's checks are tested against a second
 statement of them.  ``records`` is the record view a corpus kept before it
 kept only columns, ``record_dict`` a record as the mapping ``load_corpus``
@@ -639,13 +640,15 @@ def iter_records(
 ) -> Iterator[PaperRecord]:
     """Yield :class:`PaperRecord` from JSON lines or dicts.
 
-    Blank lines are skipped.  Malformed items raise :class:`RecordError`
-    carrying the 1-based line number.  Equal id, author and reference
+    Blank lines are skipped.  Malformed items, among them a line that
+    repeats a key and a repeated id (:class:`DuplicateIdError`), raise
+    :class:`RecordError` carrying the 1-based line number.  Equal id, author and reference
     strings decoded in one call share one object, so a loaded corpus holds
     each distinct id once however often it is cited.
     """
     warned: set = set()
     memo: dict[str, str] = {}
+    seen: set = set()  # the ids so far
     for line_number, item in enumerate(source, 1):
         if isinstance(item, bytes):
             try:
@@ -658,31 +661,49 @@ def iter_records(
             if not item.strip():
                 continue
             try:
-                obj = json.loads(item)
+                item = decode(item)
             except (ValueError, RecursionError) as exc:
                 # ValueError also covers integers longer than Python's digit limit
                 raise RecordError(
                     f"line {line_number}: invalid JSON ({getattr(exc, 'msg', exc)})",
                     line_number,
                 ) from exc
-            yield _record_from_obj(obj, line_number, strict, warned, memo)
-            continue
-        yield _record_from_obj(item, line_number, strict, warned, memo)
+            except RecordError as exc:
+                raise RecordError(f"line {line_number}: {exc}", line_number) from None
+        record = _record_from_obj(item, line_number, strict, warned, memo)
+        if record.id in seen:
+            raise DuplicateIdError(
+                f"line {line_number}: duplicate paper id {record.id!r}", line_number
+            )
+        seen.add(record.id)
+        yield record
+
+
+def _no_repeated_key(pairs: list) -> dict:
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise RecordError(f"repeated key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
+def decode(text: str) -> Any:
+    """``json.loads(text)``, but a JSON object that repeats a key, at any
+    depth, raises ``RecordError("repeated key 'k'")`` for the first repeat
+    the decoder meets, where ``json.loads`` would keep the last value."""
+    return json.loads(text, object_pairs_hook=_no_repeated_key)
 
 
 def _codes(references, ids):
     names = {name: code for code, name in enumerate(dict.fromkeys(chain(ids, *references)))}
     codes = np.array([names[r] for refs in references for r in refs], dtype=np.int64)
-    return list(names), codes, [len(refs) for refs in references]
+    return list(names), codes, np.array([len(refs) for refs in references], dtype=np.int64)
 
 
 def from_records(records: Iterable[PaperRecord]) -> Corpus:
     """Build a corpus, indexing edges for in-corpus references only."""
-    papers: dict[str, PaperRecord] = {}
-    for record in records:
-        if record.id in papers:
-            raise DuplicateIdError(f"duplicate paper id {record.id!r}")
-        papers[record.id] = record
+    papers = {record.id: record for record in records}  # ids distinct, as iter_records checks
 
     n = len(papers)
     values = papers.values()
@@ -709,7 +730,7 @@ def from_records(records: Iterable[PaperRecord]) -> Corpus:
         unresolved=unresolved,
         # the one change: the records' references handed over as codes into
         # the paper ids plus the unresolved references
-        authors=[p.author_ids for p in values],
+        authors=_codes([p.author_ids for p in values], ()),
         references=_codes([p.reference_ids for p in values], papers),
     )
 

@@ -209,6 +209,19 @@ class TestExitCodes:
         line = corpus_to_jsonl(build_corpus(rec("p1"))).strip()
         path.write_text(line + "\n" + line + "\n")
         assert main(["validate", "--input", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "citestats: error: line 2: duplicate paper id 'p1'\n"
+
+    @pytest.mark.parametrize("command", ["ingest", "validate"])
+    @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["lenient", "strict"])
+    def test_repeated_key_is_data_error_naming_the_key(self, capsys, tmp_path, command, strict):
+        line = corpus_to_jsonl(build_corpus(rec("p1"))).strip()
+        path = tmp_path / "repeated.jsonl"
+        second = line.replace('"p1"', '"p2"').replace(',"year"', ',"year":1999,"year"')
+        path.write_text(f"{line}\n{second}\n")
+        out = tmp_path / "out"
+        assert main([command, "--input", str(path), "--out", str(out), *strict]) == 2
+        assert capsys.readouterr().err == "citestats: error: line 2: repeated key 'year'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "second_line",

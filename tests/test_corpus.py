@@ -167,8 +167,15 @@ class TestLoadCorpus:
         assert corpus.unresolved_reference_count == 1
 
     def test_duplicate_id_is_hard_error_naming_the_id(self):
-        with pytest.raises(DuplicateIdError, match="p1"):
-            load_corpus([jline("p1"), jline("p1")])
+        with pytest.raises(DuplicateIdError, match="^line 3: duplicate paper id 'p1'$") as excinfo:
+            load_corpus([jline("p1"), "", jline("p1")])
+        assert isinstance(excinfo.value, RecordError) and excinfo.value.line_number == 3
+
+    def test_repeated_key_is_a_record_error_naming_the_key(self):
+        repeated = jline("p1").replace('"year": 2000', '"year": 2000, "year": 2001')
+        with pytest.raises(RecordError, match="^line 2: repeated key 'year'$") as excinfo:
+            load_corpus([jline("p0"), repeated])
+        assert excinfo.value.line_number == 2
 
     def test_malformed_json_reports_line_number(self):
         with pytest.raises(RecordError, match="line 2") as excinfo:
@@ -581,14 +588,16 @@ def mutated_corpora(draw):
         at = draw(st.integers(0, n - 1))
         record = dict(records[at])
         how = draw(st.sampled_from([
-            "type", "duplicate-ref", "self-ref", "missing", "unknown", "duplicate-id",
-            "blank", "not-object", "bad-json",
+            "type", "duplicate-ref", "duplicate-author", "self-ref", "missing", "unknown",
+            "duplicate-id", "repeated-key", "blank", "not-object", "bad-json",
         ]))
         if how == "type":
             field = draw(st.sampled_from(sorted(_BAD_VALUES)))
             record[field] = draw(st.sampled_from(_BAD_VALUES[field]))
         elif how == "duplicate-ref":
             record["references"] = [*record["references"], "ghost-3", "ghost-3"][-2:]
+        elif how == "duplicate-author":
+            record["authors"] = [*record["authors"], "au4", "au4"][-2:]
         elif how == "self-ref":
             record["references"] = [*record["references"], record["id"]]
         elif how == "missing":
@@ -599,6 +608,9 @@ def mutated_corpora(draw):
             record["id"] = records[draw(st.integers(0, len(records) - 1))]["id"]
         if how == "blank":
             blanks[at] = draw(st.sampled_from(["", "   ", "\n"]))
+        elif how == "repeated-key":  # the key's first value, then the whole record
+            key = draw(st.sampled_from(sorted(record)))
+            lines[at] = json.dumps({key: "x"})[:-1] + ", " + json.dumps(record)[1:]
         else:
             lines[at] = {"not-object": "[1, 2]", "bad-json": "{not json"}.get(how, json.dumps(record))
     return [text for at, line in enumerate(lines) for text in [blanks.get(at), line] if text is not None]
@@ -609,7 +621,7 @@ def _outcome(load, lines, strict):
         warnings.simplefilter("always")
         try:
             result = load(lines, strict)
-        except (RecordError, DuplicateIdError) as exc:
+        except RecordError as exc:
             result = (type(exc), str(exc), getattr(exc, "line_number", None))
     return result, [(w.category, str(w.message)) for w in caught]
 
@@ -661,10 +673,17 @@ def _reference_records(source, strict):
          json.dumps({**json.loads(jline("p2")), "title": 1})],
         [jline("p0"), jline("p1", authors=["a", "b", "a"]), jline("p2")],
         [ref.PaperRecord("p0", "j", 2000, "review"), jline("p1")],
+        [jline("p0", year=1700), jline("p1").replace('"kind"', '"year": 2000, "kind"')],
+        [jline("p0", refs=["p0"]), jline("p1").replace('{"id": "p1"', '{"id": "p1", "id": "p1"')],
+        [json.dumps({**json.loads(jline("p0")), "doi": 1}),
+         jline("p1").replace('"authors"', '"doi": {"a": 1, "a": 2}, "authors"')],
+        [jline("p0"), jline("p0"), jline("p2").replace('"kind"', '"kind": 1, "kind"')],
     ],
     ids=["utf8-after-self-ref", "bad-bytes-after-dup-ref", "bool-year-first",
          "duplicate-id-before-bad-json", "warning-kept-before-error-only",
-         "duplicate-author", "record-item"],
+         "duplicate-author", "record-item", "repeated-key-after-bad-year",
+         "repeated-id-key-after-self-ref", "repeated-key-nested-after-warning",
+         "duplicate-id-before-repeated-key"],
 )
 @pytest.mark.parametrize("strict", [False, True])
 def test_first_bad_line_is_reported_as_before(lines, strict):
@@ -764,7 +783,7 @@ def test_file_reader_matches_the_reference_loader(tmp_path_factory, data, strict
 def _decoded(decode, text):
     try:
         return repr(decode(text))  # repr, as NaN is unequal to itself
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError, RecordError) as exc:
         return type(exc), str(exc)
 
 
@@ -787,5 +806,8 @@ JSON_TEXTS = st.one_of(
 @example("[" * 100_000 + "]" * 100_000)
 @example('{"a": NaN, "b": -Infinity}')
 @example('"\udc00"')
+@example('{"a": 1, "b": [{"c": 2, "d": 3, "c": 4}], "a": 5}')
+@example(' {"a": 1, "a": 2} x')
 def test_decode_is_json_loads(text):
-    assert _decoded(citestats.corpus._decode, text) == _decoded(json.loads, text)
+    """``_decode`` is ``json.loads``, but for a repeated key, as the oracle decodes."""
+    assert _decoded(citestats.corpus._decode, text) == _decoded(ref.decode, text)

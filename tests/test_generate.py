@@ -272,6 +272,10 @@ GOOD_JOURNAL = {"journal_id": "a", "articles_per_year": 3, "start_year": 2000, "
         ({"quality_scale": True}, "quality_scale must be a number, got True"),
         ({"quality_scale": "2"}, "quality_scale must be a number"),
         ({"journal_id": 5}, "journal_id must be a nonempty string, got 5"),
+        ({"start_year": 1799}, "journal 'a': years outside [1800, 2100]"),
+        ({"end_year": 2101}, "journal 'a': years outside [1800, 2100]"),
+        ({"quality_scale": 0}, "journal 'a': quality_scale must be > 0"),
+        ({"quality_scale": -1.5}, "journal 'a': quality_scale must be > 0"),
     ],
 )
 def test_synth_rejects_mistyped_journal_fields(tmp_path, capsys, change, message):
@@ -294,6 +298,8 @@ def test_synth_rejects_mistyped_journal_fields(tmp_path, capsys, change, message
         ({"references_per_paper": None}, "references_per_paper must be a number"),
         ({"half_life_years": float("inf")}, "half_life_years must be finite"),
         ({"latent_sigma": float("nan")}, "latent_sigma must be finite"),
+        ({"latent_sigma": -0.1}, "latent_sigma must be >= 0"),
+        ({"references_per_paper": -1}, "references_per_paper must be >= 0"),
     ],
 )
 def test_synth_rejects_mistyped_config_fields(tmp_path, capsys, change, message):

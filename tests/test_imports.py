@@ -1,5 +1,6 @@
-"""Every module of the package uses what it imports, and the package reads
-every private name it defines.
+"""Every module of the package uses what it imports, the package reads
+every private name it defines, and every module parses as the oldest
+Python that ``pyproject.toml`` declares (3.10).
 
 A deletion can leave an import or a helper behind; this finds, with the
 stdlib ``ast``, each imported name a module never reads, and each private
@@ -98,3 +99,13 @@ def test_finds_unread_private_names():
 def test_package_reads_every_private_name():
     sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
     assert unread_private_names(sources) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+def test_module_parses_as_python_3_10(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=(3, 10))
+
+
+def test_python_3_10_parse_rejects_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
