@@ -2,16 +2,18 @@
 
 A corpus is an immutable columnar index of papers.  Paper ``i`` (its *row*,
 in record order) has ``ids[i]``, ``year[i]``, ``journal_code[i]`` (into
-``journals``), ``kind_code[i]`` and ``author_count[i]`` authors, whose
-ids, as its references, are the next ``counts[i]`` codes into ``names`` of
-``(names, codes, counts)`` columns; ``authors`` builds their row tuples.
+``journals``), ``kind_code[i]`` and ``author_count[i]`` authors.  Its
+authors' ids, and its references in the order its record lists them, are
+each the next ``counts[i]`` codes into ``names`` of one ``(names, codes,
+counts)`` layout; ``authors`` builds the author row tuples.
 ``author_rows`` maps an author to the rows of their papers, and the
 papers citing row ``i`` are ``citing_idx[indptr[i]:indptr[i + 1]]``, in
 record order, the CSR layout of ``scipy.sparse.csr_matrix``.  Ids enter
 through :meth:`Corpus.rows`; every other call takes rows, checked by
 :meth:`Corpus.checked_rows`.  Metrics are numpy reductions over these
 arrays, and counts become Python ints before any ratio is formed.  Every
-corpus, loaded or generated, keeps its papers as columns only.  The loader
+corpus, loaded or generated, is built by one constructor from these
+columns, and keeps its papers as columns only.  The loader
 reads a path in 64 KiB blocks, decodes each line with ``json``'s C scanner
 (``json.loads`` only for its exact error) into the columns, and runs the
 field checks once per column; only when one fails does it check record by
@@ -225,82 +227,47 @@ class Corpus:
         return load_corpus(records)
 
     @classmethod
-    def _from_rows(cls, ids, journal_ids, years, kinds, id_codes, authors, references) -> "Corpus":
-        """Index the checked columns of :func:`_read_rows`: one id, journal id,
-        year, kind and id code a row, and the authors' and references' ``(names,
-        codes, counts)``; row ``i``'s id is ``references[0][id_codes[i]]``."""
-        names, codes, counts = references
+    def _from_columns(
+        cls, ids, journals, year, journal_code, kind_code, authors, references, id_codes
+    ) -> "Corpus":
+        """Index papers given as columns in row order: ``ids``, ``year``,
+        ``journal_code`` (into ``journals``, each of which has a paper),
+        ``kind_code``, and the authors' and references' ``(names, codes,
+        counts)``, row ``i``'s being the next ``counts[i]`` codes into
+        ``names``; row ``i``'s id is ``references[0][id_codes[i]]``."""
+        corpus = object.__new__(cls)
         n = len(ids)
+        names, codes, counts = references
         row_of = np.full(len(names), -1, dtype=np.int64)
-        row_of[list(id_codes)] = np.arange(n)
+        row_of[np.asarray(id_codes, dtype=np.int64)] = np.arange(n)
         cited = row_of[codes]
         citing = np.repeat(np.arange(n, dtype=np.int32), counts)
         resolved = cited >= 0
         unresolved = len(cited) - int(np.count_nonzero(resolved))
         if unresolved:  # copying only then, as the copies would raise a large load's peak memory
             cited, citing = cited[resolved], citing[resolved]
-        journals = {jid: code for code, jid in enumerate(dict.fromkeys(journal_ids))}
-        return cls._from_columns(
-            ids,
-            tuple(journals),
-            np.array(years, dtype=np.int32),
-            np.fromiter(map(journals.__getitem__, journal_ids), np.int32, n),
-            np.fromiter(map(KIND_CODES.__getitem__, kinds), np.int8, n),
-            citing,
-            cited,
-            unresolved=unresolved,
-            authors=authors,
-            references=references,
-        )
-
-    @classmethod
-    def _from_columns(
-        cls, ids, journals, year, journal_code, kind_code, citing, cited,
-        unresolved=0, *, authors, references=None,
-    ) -> "Corpus":
-        """Index papers given as columns in row order: ``ids``, ``year``,
-        ``journal_code`` (into ``journals``, each of which has a paper),
-        ``kind_code`` and ``authors`` (distinct names, codes, int64 counts),
-        plus the resolved citations as (``citing``, ``cited``) row pairs in
-        any order.  The papers' references in input order, if known, are
-        ``references``, laid out as the authors (see :meth:`_reference_columns`)."""
-        corpus = object.__new__(cls)
-        n = len(ids)
+        corpus._indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cited, minlength=n), out=corpus._indptr[1:])
+        # sorting (cited, citing) keys keeps each paper's citations in record
+        # order; in place on the fresh ``cited``, since the temporaries set a
+        # large load's peak memory
+        cited *= n
+        cited += citing
+        cited.sort()
+        cited %= n
+        corpus._citing_idx = cited.astype(np.int32)
         corpus._ids = ids
         corpus._row = {paper_id: i for i, paper_id in enumerate(ids)}
         corpus._journals = journals
         corpus._journal_codes = {jid: code for code, jid in enumerate(journals)}
         corpus._year, corpus._journal_code, corpus._kind_code = year, journal_code, kind_code
-        corpus._authors = authors
-        # sorting (cited, citing) keys keeps each paper's citations in record
-        # order; in place, since the temporaries set a large load's peak memory
-        keys = cited.astype(np.int64)
-        keys *= n
-        keys += citing
-        keys.sort()
-        keys %= n
-        corpus._citing_idx = keys.astype(np.int32)
-        corpus._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cited, minlength=n), out=corpus._indptr[1:])
         for array in (year, journal_code, kind_code, authors[2], corpus._indptr,
                       corpus._citing_idx):
             array.setflags(write=False)
-
-        corpus._references = references
+        corpus._authors, corpus._references = authors, references
         corpus._author_rows = None
         corpus._unresolved = unresolved
         return corpus
-
-    def _reference_columns(self) -> tuple:
-        """Every paper's references as ``(names, codes, counts)``, row ``i``'s
-        being the next ``counts[i]`` of ``codes`` into ``names``: in input
-        order for a loaded corpus, the cited rows ascending for a generated one."""
-        if self._references is not None:
-            return self._references
-        n = len(self._ids)
-        cited = np.repeat(np.arange(n, dtype=np.int64), np.diff(self._indptr))
-        by_citing = np.sort(self._citing_idx.astype(np.int64) * n + cited) % n
-        return self._ids, by_citing, np.bincount(self._citing_idx, minlength=n)
 
     @property
     def edges(self) -> np.ndarray:
@@ -612,8 +579,12 @@ def _read_rows(source: Iterable, strict: bool) -> Corpus:
     )
     if not checked:
         _settle(read_so_far(zip(*columns), names, author_names), pending, math.inf)
-    corpus = Corpus._from_rows(
-        ids, journal_ids, years, kinds, id_codes, authors, (names, ref_codes, counts)
+    journals = {jid: code for code, jid in enumerate(dict.fromkeys(journal_ids))}
+    corpus = Corpus._from_columns(
+        ids, tuple(journals), np.array(years, dtype=np.int32),
+        np.fromiter(map(journals.__getitem__, journal_ids), np.int32, len(ids)),
+        np.fromiter(map(KIND_CODES.__getitem__, kinds), np.int8, len(ids)),
+        authors, (names, ref_codes, counts), id_codes,
     )
     # after the build: freed before it, these checks' large temporaries raise
     # glibc's mmap threshold, and the build's arrays then fragment the heap
@@ -711,7 +682,7 @@ def corpus_to_jsonl(corpus: Corpus) -> str:
     ensure_ascii=False)`` quotes them, each distinct author, reference name,
     journal and kind once; round-trips through load_corpus."""
     authors, references = (_per_row(list(map(_quote, columns[0])), *columns[1:])
-                           for columns in (corpus._authors, corpus._reference_columns()))
+                           for columns in (corpus._authors, corpus._references))
     journals = tuple(map(_quote, corpus.journals))
     return "".join(map(_LINE.__mod__, zip(
         map(_quote, corpus._ids), map(journals.__getitem__, corpus.journal_code.tolist()),

@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .corpus import Corpus, _check_int, _check_names, _integer_rows, _Record
+from .corpus import Corpus, _check_int, _check_names, _distinct_per_row, _integer_rows, _Record
 from .errors import InsufficientDataError, PolicyError
 # impact_factor is unused here, but perfbench/layers.py patches policy.impact_factor
 # and test_benchmark_hooks_find_every_patched_name fails without the import
@@ -133,8 +133,17 @@ def _author_rule(
     pair with the first paper in subject order that has it, the paper an
     error names."""
     # each subject's rows checked as integers, as concatenating casts a bool to int
-    rows = np.concatenate([np.empty(0, np.int64), *map(_integer_rows, subjects.values())])
-    rows = corpus.checked_rows(rows)
+    arrays = list(map(_integer_rows, subjects.values()))
+    rows = corpus.checked_rows(np.concatenate([np.empty(0, np.int64), *arrays]))
+    lengths = list(map(len, arrays))
+    ends = np.cumsum(lengths).tolist()
+    if not _distinct_per_row(corpus.ids, rows, lengths):  # a paper listed twice would score twice
+        for subject_id, lo, hi in zip(subjects, [0, *ends], ends):
+            repeated = [row for row, n in Counter(rows[lo:hi].tolist()).items() if n > 1]
+            if repeated:
+                raise PolicyError(
+                    f"subject {subject_id!r} lists paper {corpus.ids[repeated[0]]!r} more than once"
+                )
     paper_ids = list(map(corpus.ids.__getitem__, rows.tolist()))
     journal_code = corpus.journal_code[rows].astype(np.int64)
     author_count = corpus.author_count[rows]
@@ -147,12 +156,7 @@ def _author_rule(
         journal_id = corpus.journals[journal_code[at]]
         values[key] = points(journal_id, int(author_count[at]), paper_ids[at])
     breakdown = tuple(zip(paper_ids, map(values.__getitem__, inverse.tolist())))
-    scores = []
-    start = 0
-    for subject_id, subject_rows in subjects.items():
-        scores.append(PolicyScore(subject_id, rule, breakdown[start : start + len(subject_rows)]))
-        start += len(subject_rows)
-    return scores
+    return [PolicyScore(s, rule, breakdown[lo:hi]) for s, lo, hi in zip(subjects, [0, *ends], ends)]
 
 
 def score_example1(
@@ -215,6 +219,10 @@ def score_example3(
         value = impact_factors.get(journal_id)
         if value is None:
             raise PolicyError(f"journal {journal_id!r} has no defined impact factor")
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise PolicyError(
+                f"journal {journal_id!r}: impact factor must be an int or a Fraction, got {value!r}"
+            )
         # from the two ints: Fraction(value) takes the slow numbers.Rational path
         return Fraction(value.numerator, value.denominator * author_count)
 

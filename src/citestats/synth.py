@@ -22,9 +22,10 @@ the same order, as per-paper ``Generator.choice`` calls would;
 ``tests/test_generate.py`` compares the two draw by draw and fails on any
 drift between them.
 
-:func:`generate` hands the corpus its columns, author codes and (citing,
-cited) row pairs directly; names and references are rendered only when the
-corpus is written, so :func:`replicate` never renders them.
+:func:`generate` hands the corpus the columns the loader hands it: each
+paper's author codes and its references as cited rows, in row order; names
+and references are rendered only when the corpus is written, so
+:func:`replicate` never renders them.
 """
 
 from __future__ import annotations
@@ -243,8 +244,8 @@ def generate(config: SynthConfig) -> Corpus:
     """Generate a corpus; deterministic function of ``config``.
 
     Ids, years and journals are filled one (journal, year) slice at a time,
-    and the references go to the index as (citing, cited) row pairs.  A
-    journal with no articles gets no journal code, as if it were loaded.
+    and each paper's references are its cited rows, ascending.  A journal
+    with no articles gets no journal code, as if it were loaded.
     """
     specs = [j for j in config.journals if j.articles_per_year]
     if not specs:
@@ -312,15 +313,24 @@ def generate(config: SynthConfig) -> Corpus:
         citing_rows.append(citing[keys // targets.size])
         cited_rows.append(targets[keys % targets.size])
 
+    # each year's rows come out citing-ascending and a journal's rows run year
+    # by year, so each journal's cut of every year in turn is in row order
+    bounds = np.cumsum([0, *sizes])
+    cuts = [np.searchsorted(citing, bounds).tolist() for citing in citing_rows]
+    cited = np.concatenate([np.empty(0, np.int64), *(
+        rows[cut[j] : cut[j + 1]] for j in range(len(specs)) for rows, cut in zip(cited_rows, cuts)
+    )])
+    counts = np.bincount(np.concatenate([np.empty(0, np.int64), *citing_rows]), minlength=total)
+    ids = tuple(ids)
     return Corpus._from_columns(
-        tuple(ids),
+        ids,
         tuple(j.journal_id for j in specs),
         years,
         journal_code,
         np.zeros(total, dtype=np.int8),  # every paper is a research article
-        np.concatenate([np.empty(0, np.int64), *citing_rows]),
-        np.concatenate([np.empty(0, np.int64), *cited_rows]),
-        authors=(names, codes, n_authors),
+        (names, codes, n_authors),
+        (ids, cited, counts),
+        np.arange(total),
     )
 
 

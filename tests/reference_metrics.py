@@ -26,7 +26,8 @@ from the library's, so that the loader's checks are tested against a second
 statement of them.  ``records`` is the record view a corpus kept before it
 kept only columns, ``record_dict`` a record as the mapping ``load_corpus``
 reads, and ``record_to_json`` the one-record writer that ``corpus_to_jsonl``
-must match line for line.
+must match line for line, and ``citations`` the resolved citations and
+unresolved count that the CSR index must hold.
 ``journal_counts`` and ``if_variability`` give what
 ``journal_distribution`` counts and ``if_variability`` sums, for the CLI
 oracle tests.
@@ -40,7 +41,7 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from types import MappingProxyType
 from typing import Any, Union
 
@@ -133,14 +134,14 @@ _last_view: tuple = (lambda: None, None)
 
 def records(corpus: Corpus) -> Mapping[str, PaperRecord]:
     """Paper id -> its record, in row order, rebuilt from the public columns
-    and the references in input order (ascending by row if generated).
+    and the references' columns.
     The oracles call it per paper and per query, so the last view is kept."""
     global _last_view
     year_of_last, view = _last_view
     if year_of_last() is corpus.year:
         return view
     journals = corpus.journals
-    names, codes, counts = corpus._reference_columns()
+    names, codes, counts = corpus._references
     codes, ends = codes.tolist(), np.cumsum(counts, dtype=np.int64).tolist()
     references = [[names[c] for c in codes[lo:hi]] for lo, hi in zip([0, *ends], ends)]
     view = MappingProxyType({
@@ -702,37 +703,39 @@ def _codes(references, ids):
 
 
 def from_records(records: Iterable[PaperRecord]) -> Corpus:
-    """Build a corpus, indexing edges for in-corpus references only."""
+    """Build a corpus of the records through the library's one constructor,
+    each reference coded into the paper ids followed by the ids outside the
+    corpus."""
     papers = {record.id: record for record in records}  # ids distinct, as iter_records checks
 
     n = len(papers)
     values = papers.values()
-    row = {paper_id: i for i, paper_id in enumerate(papers)}
     journals: dict[str, int] = {}  # codes in order of first appearance
     journal_code = np.fromiter(
         (journals.setdefault(p.journal_id, len(journals)) for p in values), np.int32, n
     )
-    ref_counts = np.fromiter((len(p.reference_ids) for p in values), np.int64, n)
-    refs = chain.from_iterable(p.reference_ids for p in values)
-    cited = np.fromiter(map(row.get, refs, repeat(-1)), np.int64, int(ref_counts.sum()))
-    citing = np.repeat(np.arange(n, dtype=np.int32), ref_counts)
-    resolved = cited >= 0
-    unresolved = len(cited) - int(np.count_nonzero(resolved))
-    cited, citing = cited[resolved], citing[resolved]
     return Corpus._from_columns(
         tuple(papers),
         tuple(journals),
         np.fromiter((p.year for p in values), np.int32, n),
         journal_code,
         np.fromiter((KIND_CODES[p.kind] for p in values), np.int8, n),
-        citing,
-        cited,
-        unresolved=unresolved,
-        # the one change: the records' references handed over as codes into
-        # the paper ids plus the unresolved references
-        authors=_codes([p.author_ids for p in values], ()),
-        references=_codes([p.reference_ids for p in values], papers),
+        _codes([p.author_ids for p in values], ()),
+        _codes([p.reference_ids for p in values], papers),
+        np.arange(n),
     )
+
+
+def citations(corpus: Corpus) -> tuple[list[list[int]], int]:
+    """The corpus's resolved citations as [citing row, cited row] pairs,
+    ordered as ``corpus.edges`` orders them (by cited row, then citing row),
+    and its count of unresolved references: found from the records with an
+    id -> row dict of its own, never from the CSR index built by
+    ``Corpus._from_columns``, against which the tests check them."""
+    row = {paper_id: i for i, paper_id in enumerate(corpus.ids)}
+    refs = [(i, ref) for i, p in enumerate(records(corpus).values()) for ref in p.reference_ids]
+    pairs = sorted([row[ref], i] for i, ref in refs if ref in row)
+    return [[citing, cited] for cited, citing in pairs], len(refs) - len(pairs)
 
 
 def load_corpus(source, strict: bool = False) -> Corpus:

@@ -11,7 +11,11 @@ ages, ``replicate(config, True, ...)`` made 1 run, ``m_index(True, 2000,
 ``citation_counts([0, 1, 2], [2010.0, 2009.5])`` was ``[0, 0, 1]``,
 ``if_variability(corpus, j, 2002.0, 2003)`` a ``TypeError`` from ``range``,
 ``score_example1(corpus, "jk", [], subjects)`` read journals ``j`` and ``k``,
-and ``author_record(..., kinds={"artcle"})`` was an ``InsufficientDataError``."""
+and ``author_record(..., kinds={"artcle"})`` was an ``InsufficientDataError``.
+A policy argument a rule cannot score is a ``PolicyError`` naming it:
+``score_example3`` raised ``AttributeError`` for an impact factor of 1.5
+and scored ``True`` as 1, and ``score_example1`` scored a paper that a
+subject listed twice twice."""
 
 import re
 
@@ -22,6 +26,7 @@ from citestats import (
     EmpiricalDistribution,
     IFQuery,
     JournalSpec,
+    PolicyError,
     SynthConfig,
     TierTable,
     UsageError,
@@ -37,6 +42,7 @@ from citestats import (
     replicate,
     score_example1,
     score_example2,
+    score_example3,
     self_citation_fraction,
     window_coverage,
 )
@@ -102,6 +108,20 @@ KINDS = "['book', 'editorial', 'letter', 'research-article', 'review']"
 ])
 def test_a_coercible_argument_is_a_usage_error(if_fixture_corpus, call, message):
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call(if_fixture_corpus)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda c: score_example3(c, {"jnl-a": 1.5}, {"s": [0]}),
+     "journal 'jnl-a': impact factor must be an int or a Fraction, got 1.5"),
+    (lambda c: score_example3(c, {"jnl-a": True}, {"s": [0]}),
+     "journal 'jnl-a': impact factor must be an int or a Fraction, got True"),
+    (lambda c: score_example1(c, [], [], {"s": [1], "t": [2, 0, 2]}),
+     "subject 't' lists paper 'a3' more than once"),
+], ids=["score_example3-float-impact-factor", "score_example3-bool-impact-factor",
+        "score_example1-repeated-paper"])
+def test_a_malformed_policy_argument_is_a_policy_error(if_fixture_corpus, call, message):
+    with pytest.raises(PolicyError, match=f"^{re.escape(message)}$"):
         call(if_fixture_corpus)
 
 

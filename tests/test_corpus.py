@@ -634,6 +634,8 @@ def _same_corpus(a, b):
     assert list(a.author_rows) == list(b.author_rows)
     assert all(np.array_equal(rows, b.author_rows[aid]) for aid, rows in a.author_rows.items())
     assert a.unresolved_reference_count == b.unresolved_reference_count
+    for corpus in (a, b):
+        assert ref.citations(corpus) == (corpus.edges.tolist(), corpus.unresolved_reference_count)
     assert validate(a) == validate(b)
     assert ref.records(a) == ref.records(b)
     assert corpus_to_jsonl(a) == corpus_to_jsonl(b)

@@ -90,6 +90,8 @@ def test_generate_matches_reference(config):
     for author_id, rows in corpus.author_rows.items():
         assert np.array_equal(rows, expected.author_rows[author_id])
     assert np.array_equal(corpus.edges, expected.edges)
+    for built in (corpus, expected):
+        assert ref.citations(built) == (built.edges.tolist(), built.unresolved_reference_count)
     assert ref.edges(corpus) == ref.edges(expected)
     assert validate(corpus) == validate(expected)
 

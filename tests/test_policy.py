@@ -348,11 +348,16 @@ def _by_rows(rule, corpus, *rule_args):
 
 
 def _record_loop(corpus, subjects, rule, *rule_args):
-    """``rule`` of each subject's records; every id is looked up first."""
+    """``rule`` of each subject's records; every id is looked up first, and
+    then, for the author-level rules, no subject may list a paper twice."""
     papers = ref.records(corpus)
     for pid in chain.from_iterable(subjects.values()):
         if pid not in papers:
             raise UnknownIdError(f"unknown paper id {pid!r}")
+    for subject_id, pids in subjects.items() if rule is not ref.score_example2 else ():
+        for pid in pids:
+            if pids.count(pid) > 1:
+                raise PolicyError(f"subject {subject_id!r} lists paper {pid!r} more than once")
     return [
         rule([papers[pid] for pid in pids], *rule_args, subject_id=subject_id)
         for subject_id, pids in subjects.items()
@@ -364,9 +369,14 @@ TIERS = TierTable({"j0": "middle"}, 2007, 2, ())
 
 @settings(max_examples=400, deadline=None)
 @given(author_rule_cases())
-@example((  # a repeated paper, and a paper without authors
+@example((  # a paper without authors
     build_corpus(rec("p0", journal="j0", authors=()), rec("p1", journal="j0")),
-    {"j0": Fraction(1, 3)}, {"s0": ["p1", "p1"], "s1": ["p0"]}, {"j0"}, set(),
+    {"j0": Fraction(1, 3)}, {"s0": ["p1"], "s1": ["p0"]}, {"j0"}, set(),
+    TIERS, ["p1", "p0", "p1", "p1", "p0"],
+))
+@example((  # a repeated paper is reported before an earlier paper without authors
+    build_corpus(rec("p0", journal="j0", authors=()), rec("p1", journal="j0")),
+    {"j0": Fraction(1, 3)}, {"s0": ["p1", "p0"], "s1": ["p0", "p1", "p1", "p0"]}, {"j0"}, set(),
     TIERS, ["p1", "p0", "p1", "p1", "p0"],
 ))
 @example((  # an unknown id is reported before the earlier paper without authors
