@@ -13,8 +13,8 @@ through :meth:`Corpus.rows`; every other call takes rows, checked by
 :meth:`Corpus.checked_rows`.  Metrics are numpy reductions over these
 arrays, and counts become Python ints before any ratio is formed.  Every
 corpus, loaded or generated, is built by one constructor from these
-columns, and keeps its papers as columns only.  The loader
-reads a path in 64 KiB blocks, decodes each line with ``json``'s C scanner
+columns, and keeps its papers as columns only.  The loader reads a path
+with text mode's line reader, decodes each line with ``json``'s C scanner
 (``json.loads`` only for its exact error) into the columns, and runs the
 field checks once per column; only when one fails does it check record by
 record, so that the error names the first bad line, as a line-by-line
@@ -45,7 +45,7 @@ from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Any, NoReturn, Union
+from typing import Any, NoReturn, TextIO, Union
 
 import numpy as np
 
@@ -534,12 +534,10 @@ def _read_rows(source: Iterable, strict: bool) -> Corpus:
                     if not obj or obj.isspace():
                         continue
                     obj = _decode(obj)
+            except UnicodeDecodeError as exc:
+                _fail(line_number, f"invalid UTF-8 ({exc.reason})")
             except (ValueError, RecursionError) as exc:  # or an int past the digit limit
-                problem = (
-                    f"invalid UTF-8 ({exc.reason})" if isinstance(exc, UnicodeDecodeError)
-                    else f"invalid JSON ({getattr(exc, 'msg', exc)})"
-                )
-                raise RecordError(f"line {line_number}: {problem}", line_number) from exc
+                _fail(line_number, f"invalid JSON ({getattr(exc, 'msg', exc)})")
             except RecordError as exc:  # a repeated key, which the decoder's hook cannot place
                 _fail(line_number, str(exc))
             if (type(obj) is not dict or obj.keys() != _FIELD_SET
@@ -630,45 +628,28 @@ def load_corpus(
     Equal id and reference strings decoded in one call share one object, as
     do equal author strings, so a loaded corpus holds each distinct id once."""
     if isinstance(source, (str, Path)):
-        with open(source, "rb") as handle:
+        with open(source, encoding="utf-8") as handle:
             return _read_rows(_file_lines(handle), strict)
     return _read_rows(source, strict)
 
 
-_BLOCK = 1 << 16  # below glibc's 128 KiB mmap threshold, so blocks reuse heap memory
-
-
-def _file_lines(handle: IO[bytes]) -> Iterator[Union[str, bytes]]:
-    """The lines of a binary file without their ends, split where
-    ``bytes.splitlines`` splits: at ``\\n``, ``\\r\\n`` and a lone ``\\r``, as
-    in text mode.  The whole lines of each block are decoded and split in
-    one go; lines that hold ``\\r`` or invalid UTF-8 are split as bytes
-    instead, so that an error names its line."""
-    carry: list[bytes] = []  # what was read after the last \n
-    for block in iter(partial(handle.read, _BLOCK), b""):
-        cut = block.rfind(b"\n") + 1
-        if not cut:
-            carry.append(block)
-            continue
-        yield from _split_lines(b"".join([*carry, block[:cut]]))
-        carry = [block[cut:]]
-    last = b"".join(carry)
-    if last:
-        yield from _split_lines(last + b"\n")
-
-
-def _split_lines(text: bytes) -> list:
-    """The lines of ``text``, which ends in ``\\n``.  Never ``str.splitlines``,
-    which also splits at ``\\x0b``, ``\\x0c``, ``\\x85`` and ``\\u2028``."""
-    if b"\r" not in text:
-        try:
-            lines = text.decode("utf-8").split("\n")
-        except UnicodeDecodeError:
-            pass
-        else:
-            lines.pop()
-            return lines
-    return text.splitlines()
+def _file_lines(handle: TextIO) -> Iterator[Union[str, bytes]]:
+    """The lines of a text file opened for UTF-8 with universal newlines,
+    without their ends: split at ``\\n``, ``\\r\\n`` and a lone ``\\r``, as
+    ``bytes.splitlines`` splits, and never at ``\\x0b``, ``\\x0c`` or ``\\x85``,
+    where ``str.splitlines`` also splits.  Text mode raises on the chunk that
+    holds an invalid byte before it yields that chunk's lines; only then is
+    the file read again from its start as bytes, and the lines after those
+    yielded are yielded as bytes, so that the error names its line.  A file
+    that cannot seek, such as a pipe, then raises ``OSError``."""
+    read = 0
+    try:
+        for read, line in enumerate(handle, 1):
+            yield line.removesuffix("\n")
+    except UnicodeDecodeError:
+        handle.buffer.seek(0)
+        # a binary file's lines end at \n only, so each is split at \r too
+        yield from islice(chain.from_iterable(map(bytes.splitlines, handle.buffer)), read, None)
 
 
 _quote = json.encoder.encode_basestring  # json.dumps's quoting with ensure_ascii=False

@@ -131,7 +131,8 @@ def _author_rule(
     """One ``rule`` score a subject, in ``subjects`` order.  A paper scores
     ``points(journal id, author count, paper id)``, called once per distinct
     pair with the first paper in subject order that has it, the paper an
-    error names."""
+    error names.  The calls go in journal id order, then author count, so
+    that an error names the least journal id, whatever the corpus's line order."""
     # each subject's rows checked as integers, as concatenating casts a bool to int
     arrays = list(map(_integer_rows, subjects.values()))
     rows = corpus.checked_rows(np.concatenate([np.empty(0, np.int64), *arrays]))
@@ -150,11 +151,12 @@ def _author_rule(
     # one int a (journal, author count) pair; np.unique numbers the distinct ones
     pair = journal_code * (int(author_count.max(initial=0)) + 1) + author_count
     _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
+    journal_ids = list(map(corpus.journals.__getitem__, journal_code[first].tolist()))
     values: list = [None] * len(first)
-    for key in np.argsort(first).tolist():  # in order of first appearance
+    # a stable sort, so that a journal's keys stay in author count order
+    for key in sorted(range(len(first)), key=journal_ids.__getitem__):
         at = first[key]
-        journal_id = corpus.journals[journal_code[at]]
-        values[key] = points(journal_id, int(author_count[at]), paper_ids[at])
+        values[key] = points(journal_ids[key], int(author_count[at]), paper_ids[at])
     breakdown = tuple(zip(paper_ids, map(values.__getitem__, inverse.tolist())))
     return [PolicyScore(s, rule, breakdown[lo:hi]) for s, lo, hi in zip(subjects, [0, *ends], ends)]
 

@@ -1,8 +1,11 @@
 """Corpus loading, validation and citation counting."""
 
+import ast
 import json
 import random
 import warnings
+from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ import reference_metrics as ref
 from citestats.corpus import KIND_NAMES, SUBSTANTIVE_KINDS
 from citestats.synth import JournalSpec, SynthConfig, generate
 from conftest import AWKWARD_CHARS, awkward_text, build_corpus, rec
+from test_messages import pinned, raised_messages
 
 
 def jline(pid, journal="jnl-a", year=2000, kind="research-article", authors=("au-1",), refs=()):
@@ -557,19 +561,60 @@ def test_columnar_writer_matches_record_json_dumps(corpus):
 # the columnar loader against the record-at-a-time loader it replaced
 # ---------------------------------------------------------------------------
 
-_BAD_VALUES = {  # lone surrogates are valid JSON escapes that UTF-8 cannot encode
-    "id": ["", 7, None, ["p"], True, "\ud800"],
-    "journal": ["", 5, {}, False, "j\udfff"],
-    "year": ["2000", True, 2000.5, 1799, 2101, None, [2000]],
-    "kind": ["preprint", ["x"], 3, "", "\udc00"],
-    "authors": ["au", [1], [[]], None, [True], {"a": 1}, ["au1", "\udbff"], ["au1", "au1"]],
-    "references": ["p0", [None], [{}], [[]], 3, ["p0", "\udfff"]],
+# one mutation kind a loader message, each with the (field, value) pairs it
+# sets; lone surrogates are valid JSON escapes that UTF-8 cannot encode
+_BAD_VALUES = {
+    "wrong-type": [
+        ("id", 7), ("id", None), ("id", ["p"]), ("id", True), ("journal", 5), ("journal", {}),
+        ("journal", False), ("year", "2000"), ("year", True), ("year", 2000.5), ("year", None),
+        ("year", [2000]), ("kind", ["x"]), ("kind", 3),
+    ],
+    "not-an-array-of-strings": [
+        ("authors", "au"), ("authors", [1]), ("authors", [[]]), ("authors", None),
+        ("authors", [True]), ("authors", {"a": 1}), ("references", "p0"), ("references", [None]),
+        ("references", [{}]), ("references", [[]]), ("references", 3),
+    ],
+    "lone-surrogate": [
+        ("id", "\ud800"), ("journal", "j\udfff"), ("kind", "\udc00"),
+        ("authors", ["au1", "\udbff"]), ("references", ["p0", "\udfff"]),
+    ],
+    "empty-id": [("id", "")],
+    "empty-journal": [("journal", "")],
+    "year-out-of-range": [("year", 1799), ("year", 2101)],
+    "unknown-kind": [("kind", "preprint"), ("kind", "")],
+    "duplicate-author": [("authors", ["au1", "au1"])],
+    "duplicate-ref": [("references", ["ghost-3", "ghost-3"])],
 }
+# those kinds and the kinds that break a whole line, also one loader message each
+_MUTATIONS = sorted([*_BAD_VALUES, "self-ref", "missing", "unknown", "duplicate-id",
+                     "repeated-key", "not-object", "bad-json", "invalid-utf8"])
+
+
+def _mutated(how, record, records, choose):
+    """The line of ``record`` mutated by ``how``; ``choose(options)`` picks each variant."""
+    record = dict(record)
+    if how in _BAD_VALUES:
+        field, value = choose(_BAD_VALUES[how])
+        record[field] = value
+    elif how == "self-ref":
+        record["references"] = [*record["references"], record["id"]]
+    elif how == "missing":
+        del record[choose(sorted(record))]
+    elif how == "unknown":
+        record[choose(["doi", "title", "zz"])] = "x"
+    elif how == "duplicate-id":
+        record["id"] = choose(records)["id"]
+    elif how == "repeated-key":  # the key's first value, then the whole record
+        return json.dumps({choose(sorted(record)): "x"})[:-1] + ", " + json.dumps(record)[1:]
+    elif how == "invalid-utf8":
+        return b"\xff" + json.dumps(record).encode()
+    return {"not-object": "[1, 2]", "bad-json": "{not json"}.get(how, json.dumps(record))
 
 
 @st.composite
 def mutated_corpora(draw):
-    """JSON lines of a valid corpus with one or two lines broken."""
+    """JSON lines of a valid corpus with one or two lines broken, each by a
+    mutation kind drawn uniformly, or with a blank line inserted."""
     n = draw(st.integers(1, 6))
     records = []
     for i in range(n):
@@ -586,34 +631,37 @@ def mutated_corpora(draw):
     blanks = {}
     for _ in range(draw(st.integers(1, 2))):
         at = draw(st.integers(0, n - 1))
-        record = dict(records[at])
-        how = draw(st.sampled_from([
-            "type", "duplicate-ref", "duplicate-author", "self-ref", "missing", "unknown",
-            "duplicate-id", "repeated-key", "blank", "not-object", "bad-json",
-        ]))
-        if how == "type":
-            field = draw(st.sampled_from(sorted(_BAD_VALUES)))
-            record[field] = draw(st.sampled_from(_BAD_VALUES[field]))
-        elif how == "duplicate-ref":
-            record["references"] = [*record["references"], "ghost-3", "ghost-3"][-2:]
-        elif how == "duplicate-author":
-            record["authors"] = [*record["authors"], "au4", "au4"][-2:]
-        elif how == "self-ref":
-            record["references"] = [*record["references"], record["id"]]
-        elif how == "missing":
-            del record[draw(st.sampled_from(sorted(record)))]
-        elif how == "unknown":
-            record[draw(st.sampled_from(["doi", "title", "zz"]))] = "x"
-        elif how == "duplicate-id":
-            record["id"] = records[draw(st.integers(0, len(records) - 1))]["id"]
+        how = draw(st.sampled_from([*_MUTATIONS, "blank"]))
         if how == "blank":
             blanks[at] = draw(st.sampled_from(["", "   ", "\n"]))
-        elif how == "repeated-key":  # the key's first value, then the whole record
-            key = draw(st.sampled_from(sorted(record)))
-            lines[at] = json.dumps({key: "x"})[:-1] + ", " + json.dumps(record)[1:]
         else:
-            lines[at] = {"not-object": "[1, 2]", "bad-json": "{not json"}.get(how, json.dumps(record))
+            lines[at] = _mutated(how, records[at], records, lambda o: draw(st.sampled_from(o)))
     return [text for at, line in enumerate(lines) for text in [blanks.get(at), line] if text is not None]
+
+
+#: The functions of ``corpus.py`` that check what the loader reads.
+_LOADER = ("_fail", "_check_record", "_check_fields", "_settle", "_object", "_read_rows")
+
+
+def test_mutation_kinds_reach_every_loader_message():
+    """Every message the loader raises, as ``test_messages`` collects them,
+    is raised on a line that one of ``mutated_corpora``'s kinds broke."""
+    source = Path(citestats.corpus.__file__).read_text(encoding="utf-8")
+    messages = [parts for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name in _LOADER
+                for parts in raised_messages(ast.get_source_segment(source, node)).values()]
+    records = [{"id": f"p{i}", "journal": "j", "year": 2000, "kind": "review", "authors": ["a"],
+                "references": []} for i in range(2)]
+    raised = []
+    for how in _MUTATIONS:
+        line = _mutated(how, records[1], records, itemgetter(0))
+        try:
+            load_corpus([json.dumps(records[0]), line], strict=True)
+        except RecordError as exc:
+            raised.append(str(exc))
+    assert len(raised) == len(_MUTATIONS)
+    assert len(messages) > 15
+    assert [parts for parts in messages if not pinned(parts, raised)] == []
 
 
 def _outcome(load, lines, strict):
@@ -645,7 +693,7 @@ def _same_corpus(a, b):
 @given(mutated_corpora(), st.booleans(), st.booleans())
 def test_columnar_loader_matches_record_loader(lines, strict, as_bytes):
     if as_bytes:
-        lines = [line.encode() for line in lines]
+        lines = [line.encode() if type(line) is str else line for line in lines]
     got, got_warnings = _outcome(load_corpus, lines, strict)
     want, want_warnings = _outcome(ref.load_corpus, lines, strict)
     assert got_warnings == want_warnings
@@ -694,7 +742,7 @@ def test_first_bad_line_is_reported_as_before(lines, strict):
     assert got == _outcome(ref.load_corpus, lines, strict)
 
 
-_BAD_PAIRS = [(field, value) for field, values in _BAD_VALUES.items() for value in values]
+_BAD_PAIRS = [pair for pairs in _BAD_VALUES.values() for pair in pairs]
 
 
 @pytest.mark.parametrize(
@@ -702,7 +750,7 @@ _BAD_PAIRS = [(field, value) for field, values in _BAD_VALUES.items() for value 
 )
 @pytest.mark.parametrize("strict", [False, True])
 def test_every_bad_value_is_reported_as_before(field, value, strict):
-    """Each bad value on line 2, which mutated_corpora draws only rarely."""
+    """Each bad value on line 2, as mutated_corpora draws each one rarely."""
     bad = json.dumps({**json.loads(jline("p1")), field: value})
     lines = [jline("p0").encode(), bad.encode(), jline("p2", refs=["p0"]).encode()]
     got = _outcome(load_corpus, lines, strict)
@@ -711,8 +759,10 @@ def test_every_bad_value_is_reported_as_before(field, value, strict):
 
 
 # ---------------------------------------------------------------------------
-# the block reader of load_corpus(path) against the reference loader
+# the text-mode reader of load_corpus(path) against the reference loader
 # ---------------------------------------------------------------------------
+
+CHUNK = 8192  # the bytes a text file decodes at a time, TextIOWrapper's _CHUNK_SIZE
 
 
 def _file_record(i, raw=""):
@@ -721,6 +771,16 @@ def _file_record(i, raw=""):
         "id": f"p{i}{raw}", "journal": "j", "year": 2000, "kind": "review", "authors": ["a"],
         "references": [f"p{i - 1}"] if i else [],
     }, ensure_ascii=False).encode()
+
+
+def _padded(line, at, size):
+    """``line`` padded with JSON whitespace after its first ``{``, or in front
+    of a line that is not an object, so that what sits at file offset ``at``
+    moves to ``size``; as is if ``at`` is already past ``size``."""
+    pad = size - at
+    if pad <= 0:
+        return line
+    return line[:1] + b" " * pad + line[1:] if line.startswith(b"{") else b" " * pad + line
 
 
 # each takes the line's index and gives its bytes
@@ -733,11 +793,13 @@ _FILE_LINES = {
     "form-feed": lambda i: b"\x0c\x0b",
     "nel": lambda i: "\x85".encode(),
     "line-separator": lambda i: " \u2028".encode(),
+    "group-separators": lambda i: b"\x1c\x1d\x1e",
     "bom": lambda i: "\ufeff".encode() + _file_record(i),
     "surrounding-spaces": lambda i: b"  " + _file_record(i) + b" \t",
     "form-feed-before": lambda i: b"\x0c" + _file_record(i),
     "two-objects": lambda i: _file_record(i) + b" " + _file_record(i + 100),
     "two-numbers": lambda i: b"1, 2",
+    "multi-byte": lambda i: _file_record(i, "\u00e9\u20ac\U0001f600"),
     "invalid-utf8": lambda i: _file_record(i).replace(b'"j"', b'"\xe9"'),
     "unterminated-string": lambda i: b'{"id": "p',
 }
@@ -747,8 +809,7 @@ _FILE_LINES = {
 def jsonl_files(draw):
     """The bytes of a JSON-lines file: records, blank and broken lines under
     any mix of line ends, one line perhaps padded so that its end falls at
-    a block boundary or the line spans a whole block."""
-    block = citestats.corpus._BLOCK
+    a chunk boundary of the text reader or the line spans a whole chunk."""
     kinds = draw(st.lists(st.sampled_from(sorted(_FILE_LINES)), max_size=8))
     lines = [_FILE_LINES[kind](i) for i, kind in enumerate(kinds)]
     one_end = draw(st.sampled_from([b"\n", b"\r\n", b"\r", None]))
@@ -757,19 +818,35 @@ def jsonl_files(draw):
         ends[-1] = b""
     if lines and draw(st.booleans()):
         at = draw(st.integers(0, len(lines) - 1))
-        end_at = draw(st.sampled_from([*range(block - 3, block + 3), 2 * block + 5]))
-        pad = end_at - sum(map(len, lines[:at] + ends[:at])) - len(lines[at])
-        if pad > 0 and lines[at].startswith(b"{"):
-            lines[at] = b"{" + b" " * pad + lines[at][1:]  # JSON whitespace
-        elif pad > 0:
-            lines[at] = b" " * pad + lines[at]
+        end_at = draw(st.sampled_from([*range(CHUNK - 3, CHUNK + 3), 2 * CHUNK + 5]))
+        lines[at] = _padded(lines[at], sum(map(len, lines[:at + 1] + ends[:at])), end_at)
     return b"".join(line + end for line, end in zip(lines, ends))
+
+
+def _straddling(char):
+    """A record whose id holds ``char``, its first byte the last of the first chunk."""
+    line = _file_record(0, char)
+    return _padded(line, line.index(char.encode()), CHUNK - 1) + b"\n" + _file_record(1)
+
+
+def _late_invalid_byte():
+    """Valid lines in the first chunk, then a line across the chunk boundary,
+    valid lines ended by a lone CR in the second chunk, and a line of it not UTF-8."""
+    first = _file_record(0) + b"\n"
+    spanning = _padded(_file_record(1), len(first), CHUNK + 10) + b"\r\n"
+    return first + spanning + _file_record(2) + b"\r" + _file_record(3) + b"\r" + \
+        _FILE_LINES["invalid-utf8"](4) + b"\n" + _file_record(5)
 
 
 @settings(max_examples=150, deadline=None)
 @given(jsonl_files(), st.booleans())
-@example(b"{}\r" + b" " * (1 << 16) + b"\r\n\n[", False)
+@example(b"{}\r" + b" " * CHUNK + b"\r\n\n[", False)
 @example("p\u2028\x85\n".encode() * 3, False)
+@example(_padded(_file_record(0), len(_file_record(0)), CHUNK - 1) + b"\r\n" + _file_record(1),
+         False)  # a CR ends the first chunk, and its LF starts the second
+@example(_straddling("\u00e9"), False)
+@example(_straddling("\U0001f600"), True)
+@example(_late_invalid_byte(), False)
 def test_file_reader_matches_the_reference_loader(tmp_path_factory, data, strict):
     path = tmp_path_factory.getbasetemp() / "file_reader.jsonl"
     path.write_bytes(data)
@@ -780,6 +857,22 @@ def test_file_reader_matches_the_reference_loader(tmp_path_factory, data, strict
         assert got == want
     else:
         _same_corpus(got, want)
+    # text lines, then from the chunk that is not UTF-8 on, bytes lines
+    with open(path, encoding="utf-8") as handle:
+        assert handle._CHUNK_SIZE == CHUNK
+        lines = list(citestats.corpus._file_lines(handle))
+    assert [line.encode() if type(line) is str else line for line in lines] == data.splitlines()
+    text = [type(line) is str for line in lines]
+    assert text == sorted(text, reverse=True)
+    assert all(text) == _is_utf8(data)
+
+
+def _is_utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def _decoded(decode, text):

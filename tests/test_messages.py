@@ -2,7 +2,8 @@
 
 With the stdlib ``ast``, this finds each ``raise`` in ``src/`` whose
 message, the exception's first argument, is a string literal, an f-string
-or a ``+`` of them.  Its constant text, with each f-string hole and each
+or a ``+`` of them, and each such message passed to the loader's raise
+helpers ``RAISERS``.  Its constant text, with each f-string hole and each
 operand that is not a literal as a wildcard, must occur in one string of
 the tests: an expected message, a ``match`` pattern (read with its regex
 escapes removed), or an oracle's message that a test compares with the
@@ -12,6 +13,7 @@ reason.  ``test_message`` pins the messages that no other test matched.
 
 import argparse
 import ast
+import json
 import math
 import re
 from pathlib import Path
@@ -26,6 +28,7 @@ from citestats import (
     InsufficientDataError,
     JournalSpec,
     PolicyError,
+    RecordError,
     SynthConfig,
     SynthConfigError,
     UsageError,
@@ -64,14 +67,24 @@ def message_parts(node: ast.expr) -> list | None:
     return None
 
 
+#: The loader's helpers that raise ``RecordError`` ``line N: <their last argument>``.
+RAISERS = ("_fail", "fail")
+
+
 def raised_messages(source: str) -> dict[int, list]:
-    """Line -> the parts of the message of each ``raise`` in ``source`` that has one."""
+    """Line -> the parts of the message of each ``raise`` in ``source`` that
+    has one, and of each call of one of ``RAISERS``."""
     messages = {}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
-            parts = message_parts(node.exc.args[0])
-            if parts is not None:
-                messages[node.lineno] = parts
+            message = node.exc.args[0]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", "") in RAISERS and node.args:
+            message = node.args[-1]
+        else:
+            continue
+        parts = message_parts(message)
+        if parts is not None:
+            messages[node.lineno] = parts
     return messages
 
 
@@ -105,9 +118,12 @@ def test_finds_messages_and_their_holes():
         "    raise UsageError(where + 'start > end')\n"
         "    raise TypeError(x)\n"
         "    raise\n"
+        "    fail(f'{x} is bad')\n"
+        "    _fail(3, 'worse')\n"
     )
     assert raised_messages(source) == {
-        2: ["plain"], 3: ["bad ", None, " here"], 4: [None, "start > end"]}
+        2: ["plain"], 3: ["bad ", None, " here"], 4: [None, "start > end"],
+        7: [None, " is bad"], 8: ["worse"]}
     assert pinned(["bad ", None, " here"], ["match=r'^bad 'x' here$'"])
     assert not pinned(["bad ", None, " here"], ["bad x", "here"])
 
@@ -137,6 +153,11 @@ def _config_file(tmp_path, text):
 
 
 J = JournalSpec("j", 5, 2000, 2004)
+
+
+def _load_record(**fields):
+    return load_corpus([json.dumps({"id": "p", "journal": "j", "year": 2000, "kind": "review",
+                                    "authors": [], "references": [], **fields})])
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -179,6 +200,17 @@ J = JournalSpec("j", 5, 2000, 2004)
      "half_life_years must be > 0"),
     (lambda tmp_path: _config_file(tmp_path, "[1]"), SynthConfigError,
      "invalid synth config: expected a JSON object"),
+    (lambda _: _load_record(journal=""), RecordError,
+     "line 1: paper 'p': journal must be a nonempty string"),
+    (lambda _: _load_record(year=1799), RecordError,
+     "line 1: paper 'p': year 1799 outside [1800, 2100]"),
+    (lambda _: _load_record(kind="x"), RecordError,
+     "line 1: paper 'p': kind 'x' not one of ['book', 'editorial', 'letter', 'research-article', "
+     "'review']"),
+    (lambda _: _load_record(references=["q", "q"]), RecordError,
+     "line 1: paper 'p': duplicate reference ids"),
+    (lambda _: _load_record(references=["p"]), RecordError,
+     "line 1: paper 'p': paper references itself"),
 ], ids=[
     "m_index-evaluation-before-first", "year-span-reversed", "author-index-empty-corpus",
     "lognormal-fit-one-positive-count", "empty-distribution", "corpus-constructor",
@@ -187,6 +219,8 @@ J = JournalSpec("j", 5, 2000, 2004)
     "divergence-nan", "synth-infinite-number", "synth-journal-surrogate",
     "synth-start-after-end", "synth-no-journal", "synth-repeated-journal",
     "synth-zero-inflation-range", "synth-zero-half-life", "synth-config-not-object",
+    "loader-empty-journal", "loader-year-range", "loader-unknown-kind",
+    "loader-duplicate-reference", "loader-self-reference",
 ])
 def test_message(tmp_path, call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

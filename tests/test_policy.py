@@ -349,7 +349,9 @@ def _by_rows(rule, corpus, *rule_args):
 
 def _record_loop(corpus, subjects, rule, *rule_args):
     """``rule`` of each subject's records; every id is looked up first, and
-    then, for the author-level rules, no subject may list a paper twice."""
+    then, for the author-level rules, no subject may list a paper twice.
+    example3 then scores each paper alone, by journal id and author count
+    and then in subject order, so that the first to fail names the error."""
     papers = ref.records(corpus)
     for pid in chain.from_iterable(subjects.values()):
         if pid not in papers:
@@ -358,6 +360,10 @@ def _record_loop(corpus, subjects, rule, *rule_args):
         for pid in pids:
             if pids.count(pid) > 1:
                 raise PolicyError(f"subject {subject_id!r} lists paper {pid!r} more than once")
+    if rule is ref.score_example3:
+        scored = [papers[pid] for pid in chain.from_iterable(subjects.values())]
+        for paper in sorted(scored, key=lambda p: (p.journal_id, len(p.author_ids))):
+            rule([paper], *rule_args)
     return [
         rule([papers[pid] for pid in pids], *rule_args, subject_id=subject_id)
         for subject_id, pids in subjects.items()
@@ -383,6 +389,11 @@ TIERS = TierTable({"j0": "middle"}, 2007, 2, ())
     build_corpus(rec("p0", journal="j0", authors=()), rec("p1", journal="j0")),
     {"j0": Fraction(1, 3)}, {"s0": ["p1", "p0"], "s1": ["ghost"]}, set(), set(),
     TIERS, ["p1", "p0", "ghost", "p1", "p0"],
+))
+@example((  # the least journal id without an impact factor, not the first in subject order
+    build_corpus(rec("p0", journal="jb"), rec("p1", journal="ja"), rec("p2", journal="j0")),
+    {"j0": 1}, {"s0": ["p0", "p2"], "s1": ["p1"]}, set(), set(),
+    TIERS, ["p0", "p1", "p2", "p0", "p1"],
 ))
 def test_author_rules_match_record_loops(case):
     corpus, impact_factors, subjects, core, indexed, tiers, five = case
