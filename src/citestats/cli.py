@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .author_metrics import author_record, citation_histogram, g_index, h_index, m_index
 from .compare import journal_distribution, prob_at_least
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, load_corpus, validate, write_corpus
+from .corpus import YEAR_MAX, YEAR_MIN, Corpus, _load_file, validate, write_corpus
 from .errors import CitationStatsError, InsufficientDataError, UnknownIdError, UsageError
 from .journal_metrics import (
     IFQuery,
@@ -65,15 +65,6 @@ class _Parser(argparse.ArgumentParser):
 
 _POLICY_MAP = {"substantive": "substantive-only", "all": "all-items"}
 _SELF_MAP = {"include": "include", "exclude": "exclude-same-journal"}
-
-
-def _sha256(path: Path) -> str:
-    # in 1 MiB chunks: one whole-file read would set a large input's peak memory
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(partial(handle.read, 1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 _json_string = json.encoder.encode_basestring_ascii
@@ -139,16 +130,16 @@ def _json_text(value) -> str:
     return "".join(parts)
 
 
-def _finish(args, argv: Sequence[str], files: dict, stdout: str, seeds) -> int:
-    """Build the run manifest, which digests the file read (``--input`` or
-    ``--config``), make ``--out``, write there ``files`` (name -> CSV text, a
-    ``Corpus`` as JSON lines, a payload as indented JSON) and the manifest,
+def _finish(args, argv: Sequence[str], files: dict, stdout: str, seeds, digest: str) -> int:
+    """Build the run manifest, which gives ``digest`` of the file read
+    (``--input`` or ``--config``), make ``--out``, write there ``files`` (name
+    -> CSV text, a ``Corpus`` as JSON lines, a payload as indented JSON) and the manifest,
     then print ``stdout``.  If a write or the print fails, the files written
     are removed again before the error propagates.  The CLI's only writer."""
     source = getattr(args, "input", None) or getattr(args, "config", None)
     manifest = {  # the reproducibility record
         "command": ["citestats", *argv],
-        "inputs": {str(Path(source)): _sha256(Path(source))} if source else {},
+        "inputs": {str(Path(source)): digest} if source else {},
         "seeds": list(seeds),
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -260,9 +251,11 @@ def _comparison(corpus, journal_a, journal_b, pub_years, citing_years):
     return dist_a, dist_b, prob_at_least(dist_a, dist_b)
 
 
-def _resolve_config(args):
+def _resolve_config(args, digest):
     if args.config is not None:
-        config = config_from_json(Path(args.config))
+        data = Path(args.config).read_bytes()
+        digest.update(data)
+        config = config_from_json(data)
     else:
         config = PRESETS[args.preset]()
     if args.seed is not None:
@@ -721,13 +714,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        digest = hashlib.sha256()
         if args.synthetic:
-            source = _resolve_config(args)
+            source = _resolve_config(args, digest)
             seeds = [source.seed]
         else:
-            source, seeds = load_corpus(args.input, strict=args.strict), []
+            source, seeds = _load_file(args.input, args.strict, digest.update), []
         files, stdout = args.func(args, source)
-        return _finish(args, argv, files, stdout, seeds)
+        return _finish(args, argv, files, stdout, seeds, digest.hexdigest())
     except (CitationStatsError, OSError) as exc:
         print(f"citestats: error: {exc}", file=sys.stderr)
         # UsageError: argument values that survive argparse but violate a

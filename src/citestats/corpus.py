@@ -14,7 +14,7 @@ through :meth:`Corpus.rows`; every other call takes rows, checked by
 arrays, and counts become Python ints before any ratio is formed.  Every
 corpus, loaded or generated, is built by one constructor from these
 columns, and keeps its papers as columns only.  The loader reads a path
-with text mode's line reader, decodes each line with ``json``'s C scanner
+once, as bytes, decodes each line as UTF-8 and with ``json``'s C scanner
 (``json.loads`` only for its exact error) into the columns, and runs the
 field checks once per column; only when one fails does it check record by
 record, so that the error names the first bad line, as a line-by-line
@@ -40,12 +40,12 @@ import json
 import math
 import warnings
 from array import array
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, NoReturn, TextIO, Union
+from typing import Any, NoReturn, Union
 
 import numpy as np
 
@@ -628,28 +628,29 @@ def load_corpus(
     Equal id and reference strings decoded in one call share one object, as
     do equal author strings, so a loaded corpus holds each distinct id once."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as handle:
-            return _read_rows(_file_lines(handle), strict)
+        return _load_file(source, strict)
     return _read_rows(source, strict)
 
 
-def _file_lines(handle: TextIO) -> Iterator[Union[str, bytes]]:
-    """The lines of a text file opened for UTF-8 with universal newlines,
-    without their ends: split at ``\\n``, ``\\r\\n`` and a lone ``\\r``, as
-    ``bytes.splitlines`` splits, and never at ``\\x0b``, ``\\x0c`` or ``\\x85``,
-    where ``str.splitlines`` also splits.  Text mode raises on the chunk that
-    holds an invalid byte before it yields that chunk's lines; only then is
-    the file read again from its start as bytes, and the lines after those
-    yielded are yielded as bytes, so that the error names its line.  A file
-    that cannot seek, such as a pipe, then raises ``OSError``."""
-    read = 0
-    try:
-        for read, line in enumerate(handle, 1):
-            yield line.removesuffix("\n")
-    except UnicodeDecodeError:
-        handle.buffer.seek(0)
-        # a binary file's lines end at \n only, so each is split at \r too
-        yield from islice(chain.from_iterable(map(bytes.splitlines, handle.buffer)), read, None)
+def _load_file(
+    path: Union[str, Path], strict: bool, seen: Union[Callable[[bytes], None], None] = None
+) -> Corpus:
+    """Load the corpus at ``path``, opened and read once, as bytes, so that a
+    pipe or FIFO loads too; each binary line goes first through ``seen``
+    (such as a digest's ``update``), if given, then is split and decoded."""
+    with open(path, "rb") as handle:
+        # seen returns None, so filterfalse passes each line on
+        return _read_rows(_file_lines(handle if seen is None else filterfalse(seen, handle)), strict)
+
+
+def _file_lines(lines: Iterable[bytes]) -> Iterator[bytes]:
+    """The lines of a file, given as a binary file's lines (each but perhaps
+    the last ended by ``\\n``), without their ends: split at ``\\n``, ``\\r\\n``
+    and a lone ``\\r``, as ``bytes.splitlines`` splits, and never at ``\\x0b``,
+    ``\\x0c`` or ``\\x85``, where ``str.splitlines`` also splits.  Being bytes,
+    the lines reach ``_read_rows`` undecoded, so an invalid byte is reported
+    with its line number, from a pipe as from a file."""
+    return chain.from_iterable(map(bytes.splitlines, lines))
 
 
 _quote = json.encoder.encode_basestring  # json.dumps's quoting with ensure_ascii=False

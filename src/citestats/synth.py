@@ -131,14 +131,16 @@ def config_to_json(config: SynthConfig) -> str:
     return json.dumps(config._asdict(), indent=2, sort_keys=True) + "\n"
 
 
-def config_from_json(source: Union[str, Path, Mapping]) -> SynthConfig:
-    """Read a config from a JSON file's path (``str`` or ``Path``) or from its
-    decoded mapping; for JSON text, pass ``json.loads(text)``."""
+def config_from_json(source: Union[str, Path, bytes, Mapping]) -> SynthConfig:
+    """Read a config from a JSON file's path (``str`` or ``Path``), its bytes
+    (as ``Path.read_text(encoding="utf-8")`` reads them: UTF-8 only, universal
+    newlines) or its decoded mapping; for JSON text, pass ``json.loads(text)``."""
     if isinstance(source, Mapping):
         payload = dict(source)
     else:
-        try:
-            payload = json.loads(Path(source).read_text(encoding="utf-8"))
+        data = source if isinstance(source, bytes) else Path(source).read_bytes()
+        try:  # read_text's newlines, so a JSON error names the line an editor shows
+            payload = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
         except (ValueError, RecursionError) as exc:  # ValueError covers invalid UTF-8
             raise SynthConfigError(f"invalid synth config: {exc}") from exc
         if not isinstance(payload, dict):

@@ -90,6 +90,20 @@ class TestConfig:
         with pytest.raises(SynthConfigError):
             config_from_json({"seed": 1})
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_bytes_read_as_a_text_file_reads(self, end):
+        """A config's bytes load as ``read_text`` reads their file, so a JSON
+        error names the line and column of its universal newlines."""
+        text = config_to_json(small_config())
+        broken = text.replace('"seed"', '"seed" 0', 1)
+        assert config_from_json(text.replace("\n", end).encode()) == small_config()
+        with pytest.raises(SynthConfigError) as caught:
+            config_from_json(broken.replace("\n", end).encode())
+        with pytest.raises(ValueError) as want:
+            json.loads(broken)
+        assert str(caught.value) == f"invalid synth config: {want.value}"
+        assert "line 1 " not in str(want.value)
+
 
 class TestGenerate:
     def test_leaves_numpy_ma_unimported(self):

@@ -1,6 +1,6 @@
 """The entry point, run as separate processes: ingest reproduces synth's
 corpus byte for byte, also from copies with CRLF and lone-CR line ends
-(which the loader's block reader splits as bytes), and replicate, policy,
+(which the loader's binary reader splits as ``bytes.splitlines`` does), and replicate, policy,
 author-index and report print and write the same bytes in two processes,
 one with ``PYTHONHASHSEED`` 1 and one with 2, so that no output hangs on set
 or dict order, on policy's cells grouped by object id, or on the author order
