@@ -24,17 +24,19 @@ import os
 import sys
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .author_metrics import author_record, citation_histogram, g_index, h_index, m_index
 from .compare import journal_distribution, prob_at_least
-from .corpus import YEAR_MAX, YEAR_MIN, Corpus, _load_file, validate, write_corpus
+from .corpus import (
+    YEAR_MAX, YEAR_MIN, Corpus, _load_file, _write_text, utf8_encodable, validate, write_corpus,
+)
 from .errors import CitationStatsError, InsufficientDataError, UnknownIdError, UsageError
 from .journal_metrics import (
     IFQuery,
@@ -70,72 +72,72 @@ _SELF_MAP = {"include": "include", "exclude": "exclude-same-journal"}
 _json_string = json.encoder.encode_basestring_ascii
 
 
-def _json_text(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for string-keyed values.
+def _json_pieces(value) -> Iterator[str]:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for
+    string-keyed values, in pieces of about a member each, so that it is
+    written without being built whole.
 
     ``json`` uses its C encoder only without ``indent``; this writer does the
-    indented layout itself, leaves the scalars to ``json`` and joins its pieces
-    once, so no large text is copied level by level.  A dict of scalars is
-    rendered once per object and depth, as payloads share such cells.  Larger
-    values are not kept, as their texts would raise the peak memory.
+    indented layout itself and leaves the scalars to ``json``.  A dict of
+    scalars is rendered once per object and depth, as payloads share such
+    cells; a member holding one already rendered goes out as one piece,
+    without a generator of its own.  Larger values are not kept, as their
+    texts would raise the peak memory.
     """
-    parts: list[str] = []
-    put = parts.append
     leaves: dict[str, dict[int, str]] = {}  # indent -> id -> text; the value keeps the ids alive
 
-    def members(keys, texts, indent, inner) -> str:
-        pairs = map(str.__add__, map(_json_string, keys), map(": ".__add__, texts))
-        return "{" + inner + ("," + inner).join(pairs) + indent + "}"
+    def scalar(value) -> str:
+        return _json_string(value) if isinstance(value, str) else json.dumps(value)
 
-    def write(value, indent):
+    def pieces(value, indent):
+        if not isinstance(value, (dict, list, tuple)):
+            yield scalar(value)
+            return
+        if not value:
+            yield "{}" if isinstance(value, dict) else "[]"
+            return
+        inner = indent + "  "
         if isinstance(value, dict):
-            text = leaves.get(indent, {}).get(id(value))
-            if text is not None:
-                put(text)
-                return
-            if not value:
-                put("{}")
-                return
-            inner = indent + "  "
             keys = sorted(value)
             items = list(map(value.__getitem__, keys))
             if not any(isinstance(item, (dict, list, tuple)) for item in items):
-                texts = [_json_string(v) if isinstance(v, str) else json.dumps(v) for v in items]
-                text = members(keys, texts, indent, inner)
-                put(leaves.setdefault(indent, {}).setdefault(id(value), text))
+                texts = map(": ".__add__, map(scalar, items))
+                pairs = map(str.__add__, map(_json_string, keys), texts)
+                text = "{" + inner + ("," + inner).join(pairs) + indent + "}"
+                yield leaves.setdefault(indent, {}).setdefault(id(value), text)
                 return
-            put("{")
-            for key, item in zip(keys, items):
-                put(inner + _json_string(key) + ": ")
-                write(item, inner)
-                put(",")
-            parts[-1] = indent + "}"
-        elif isinstance(value, str):
-            put(_json_string(value))
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                put("[]")
-                return
-            inner = indent + "  "
-            put("[")
-            for item in value:
-                put(inner)
-                write(item, inner)
-                put(",")
-            parts[-1] = indent + "]"
+            heads = (inner + _json_string(key) + ": " for key in keys)
+            first, last = "{", indent + "}"
         else:
-            put(json.dumps(value))
+            items, heads, first, last = value, repeat(inner), "[", indent + "]"
+        kept = leaves.setdefault(inner, {})
+        separator = first
+        for head, item in zip(heads, items):
+            text = kept.get(id(item))
+            if text is None:
+                yield separator + head
+                yield from pieces(item, inner)
+            else:
+                yield separator + head + text
+            separator = ","
+        yield last
 
-    write(value, "\n")
-    return "".join(parts)
+    return pieces(value, "\n")
+
+
+def _json_text(value) -> str:
+    """The text of :func:`_json_pieces`, ``json.dumps(value, indent=2, sort_keys=True)``."""
+    return "".join(_json_pieces(value))
 
 
 def _finish(args, argv: Sequence[str], files: dict, stdout: str, seeds, digest: str) -> int:
     """Build the run manifest, which gives ``digest`` of the file read
     (``--input`` or ``--config``), make ``--out``, write there ``files`` (name
     -> CSV text, a ``Corpus`` as JSON lines, a payload as indented JSON) and the manifest,
-    then print ``stdout``.  If a write or the print fails, the files written
-    are removed again before the error propagates.  The CLI's only writer."""
+    then print ``stdout``.  Each file is written a piece at a time, and a
+    write that fails removes its file; if a write or the print fails, the
+    files written before are removed too, before the error propagates.  The
+    CLI's only writer."""
     source = getattr(args, "input", None) or getattr(args, "config", None)
     manifest = {  # the reproducibility record
         "command": ["citestats", *argv],
@@ -150,12 +152,14 @@ def _finish(args, argv: Sequence[str], files: dict, stdout: str, seeds, digest: 
     written = []
     try:
         for name, content in files.items():
+            path = out / name
             if isinstance(content, Corpus):
-                write_corpus(content, out / name)
+                write_corpus(content, path)  # looked up by name, where a benchmark trace times it
+            elif isinstance(content, str):
+                _write_text(path, [content])
             else:
-                text = content if isinstance(content, str) else _json_text(content) + "\n"
-                (out / name).write_text(text, encoding="utf-8")
-            written.append(out / name)
+                _write_text(path, chain(_json_pieces(content), "\n"))
+            written.append(path)
         print(stdout, end="")
     except BaseException:
         for path in written:
@@ -437,6 +441,9 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
     paper_ids = args.paper_ids or []
     if args.rule == "example2" and (len(paper_ids) != 5 or len(set(paper_ids)) != 5):
         raise UsageError("--papers must list exactly 5 distinct paper ids")
+    if args.rule == "example2" and not utf8_encodable([args.subject]):
+        # such as an argument byte that is not UTF-8, decoded to a lone surrogate
+        raise UsageError(f"--subject {args.subject!r} cannot be written as UTF-8")
     authors = _distinct_authors(args)
     if args.rule == "example2":
         tiers = build_tiers(corpus, args.census_year, args.window)

@@ -169,11 +169,17 @@ def utf8_encodable(strings: Iterable[str]) -> bool:
     return True
 
 
-def _per_row(names, codes, counts, join=",".join) -> list:
-    """``join`` of row ``i``'s next ``counts[i]`` of ``codes`` into ``names``."""
-    items = np.array(names, dtype=object)[codes].tolist()
-    ends = np.cumsum(counts).tolist()
-    return [join(items[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+def _bounds(counts) -> np.ndarray:
+    """Row ``i``'s codes of ``(names, codes, counts)`` are ``codes[bounds[i]:bounds[i + 1]]``."""
+    return np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+
+
+def _per_row(names, codes, bounds: np.ndarray, join=",".join) -> list:
+    """``join`` of each row's names, row ``i``'s being ``names[codes[bounds[i]:bounds[i + 1]]]``;
+    the names of all the rows are looked up in one call."""
+    spans = bounds.tolist()
+    items = np.asarray(names, dtype=object)[codes[spans[0] : spans[-1]]].tolist()
+    return [join(items[lo - spans[0] : hi - spans[0]]) for lo, hi in zip(spans, spans[1:])]
 
 
 def _integer_rows(rows) -> np.ndarray:
@@ -302,7 +308,9 @@ class Corpus:
     journal_code = property(lambda self: self._journal_code)
     kind_code = property(lambda self: self._kind_code)
     author_count = property(lambda self: self._authors[2])
-    authors = property(lambda self: tuple(_per_row(*self._authors, tuple)))  # a new tuple each time
+    authors = property(  # a new tuple each time
+        lambda self: tuple(_per_row(*self._authors[:2], _bounds(self._authors[2]), tuple))
+    )
     indptr = property(lambda self: self._indptr)
     citing_idx = property(lambda self: self._citing_idx)
 
@@ -482,13 +490,17 @@ _scan = json.JSONDecoder(object_pairs_hook=_object).scan_once  # the C scanner o
 
 def _decode(text: str) -> Any:
     """``json.loads(text, object_pairs_hook=_object)``, calling the scanner
-    directly when one value fills the text; anything else goes to ``json.loads``
-    for its exact error: a BOM, surrounding whitespace, extra data, the digit limit."""
+    directly when one value starts the text and JSON whitespace (`` \\t\\n\\r``),
+    such as a text file's line end, is all that follows it; anything else goes
+    to ``json.loads`` for its exact error: a BOM, leading whitespace, extra
+    data, the digit limit."""
     try:
         value, end = _scan(text, 0)
     except (StopIteration, ValueError):
         return json.loads(text, object_pairs_hook=_object)
-    return value if end == len(text) else json.loads(text, object_pairs_hook=_object)
+    if end == len(text) or not text[end:].strip(" \t\n\r"):
+        return value
+    return json.loads(text, object_pairs_hook=_object)
 
 
 class _Codes(dict):
@@ -614,7 +626,7 @@ def iter_records(
     mappings its :func:`corpus_to_jsonl` lines decode to; kept for the
     benchmark harness.  The whole source is loaded before the first record
     is yielded."""
-    yield from map(json.loads, corpus_to_jsonl(_read_rows(source, strict)).split("\n")[:-1])
+    yield from map(json.loads, _corpus_lines(_read_rows(source, strict)))
 
 
 def load_corpus(
@@ -656,25 +668,50 @@ def _file_lines(lines: Iterable[bytes]) -> Iterator[bytes]:
 _quote = json.encoder.encode_basestring  # json.dumps's quoting with ensure_ascii=False
 _LINE = '{"id":%s,"journal":%s,"year":%d,"kind":%s,"authors":[%s],"references":[%s]}\n'
 _KIND_TEXTS = tuple(map(_quote, KIND_NAMES))
+_BATCH_ROWS = 256  # the rows ``_corpus_lines`` renders with one lookup of their names
+
+
+def _corpus_lines(corpus: Corpus) -> Iterator[str]:
+    """One canonical (byte-stable) JSON line a paper, ending in ``\\n``, fields
+    in input order, with strings quoted as ``json.dumps(..., ensure_ascii=False)``
+    quotes them, each distinct author, reference name, journal and kind once.
+    The lines are rendered from the columns ``_BATCH_ROWS`` rows at a time,
+    so that no list as long as the corpus is built."""
+    lists = [(np.fromiter(map(_quote, names), object, len(names)), codes, _bounds(counts))
+             for names, codes, counts in (corpus._authors, corpus._references)]
+    journals = tuple(map(_quote, corpus.journals))
+    for first in range(0, len(corpus), _BATCH_ROWS):
+        rows = slice(first, first + _BATCH_ROWS)
+        authors, references = (_per_row(names, codes, bounds[first : first + _BATCH_ROWS + 1])
+                                for names, codes, bounds in lists)
+        journal, year, kind = (column[rows].tolist() for column in
+                               (corpus.journal_code, corpus.year, corpus.kind_code))
+        yield from map(_LINE.__mod__, zip(
+            map(_quote, corpus._ids[rows]), map(journals.__getitem__, journal), year,
+            map(_KIND_TEXTS.__getitem__, kind), authors, references,
+        ))
 
 
 def corpus_to_jsonl(corpus: Corpus) -> str:
-    """One canonical (byte-stable) JSON line a paper, fields in input order,
-    rendered from the columns with strings quoted as ``json.dumps(...,
-    ensure_ascii=False)`` quotes them, each distinct author, reference name,
-    journal and kind once; round-trips through load_corpus."""
-    authors, references = (_per_row(list(map(_quote, columns[0])), *columns[1:])
-                           for columns in (corpus._authors, corpus._references))
-    journals = tuple(map(_quote, corpus.journals))
-    return "".join(map(_LINE.__mod__, zip(
-        map(_quote, corpus._ids), map(journals.__getitem__, corpus.journal_code.tolist()),
-        corpus.year.tolist(), map(_KIND_TEXTS.__getitem__, corpus.kind_code.tolist()),
-        authors, references,
-    )))
+    """The text of :func:`_corpus_lines`, which round-trips through load_corpus."""
+    return "".join(_corpus_lines(corpus))
 
 
 def write_corpus(corpus: Corpus, path: Union[str, Path]) -> None:
-    """Write :func:`corpus_to_jsonl` of ``corpus`` to ``path`` as UTF-8; for
-    an open text file, ``handle.write(corpus_to_jsonl(corpus))``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(corpus_to_jsonl(corpus))
+    """Write :func:`corpus_to_jsonl` of ``corpus`` to ``path`` as UTF-8, a
+    line at a time, so that neither the text nor its encoded copy is built
+    whole; for an open text file, ``handle.write(corpus_to_jsonl(corpus))``."""
+    _write_text(path, _corpus_lines(corpus))
+
+
+def _write_text(path: Union[str, Path], pieces: Iterable[str]) -> None:
+    """Write the concatenation of ``pieces`` to ``path`` as UTF-8, a piece at
+    a time.  If a write fails, the file is removed before the error
+    propagates, so no partial file is left."""
+    handle = open(path, "w", encoding="utf-8")
+    try:
+        with handle:
+            handle.writelines(pieces)
+    except BaseException:
+        Path(path).unlink()
+        raise

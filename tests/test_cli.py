@@ -1056,6 +1056,18 @@ class TestSynthAndReplicate:
         assert printed.err.startswith("citestats: error: [Errno 21] Is a directory")
         assert list(out.iterdir()) == [out / blocked]
 
+    @pytest.mark.parametrize("content", ["x\udcff\n", {"a": "ok", "b": [1, {2, 3}]}],
+                             ids=["csv-lone-surrogate", "json-set"])
+    def test_write_failing_partway_leaves_no_file(self, tmp_path, content):
+        """A file that fails after it is opened, on a string UTF-8 cannot
+        encode or a value JSON cannot hold, is removed, as is the file written
+        before it."""
+        out = tmp_path / "out"
+        files = {"first.csv": "a\n", "second": content}
+        with pytest.raises((UnicodeEncodeError, TypeError)):
+            cli._finish(SimpleNamespace(out=str(out)), [], files, "", [], "")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("case", ["report-unknown-pair-journal", "synth-zero-papers"])
     def test_failing_command_writes_nothing(self, capsys, tmp_path, case):
         # one fails after the corpus is loaded, the other inside generate
@@ -1219,6 +1231,19 @@ class TestPolicy:
         assert payload["scores"]["alice"]["breakdown"] == {"p1": one, "p2": two, "p3": one}
         assert payload["scores"]["alice"]["score"] == {"exact": "4/1", "decimal": "4.0000"}
         assert payload["scores"]["bob"]["breakdown"] == {"p3": one}
+
+    def test_subject_not_utf8_is_a_usage_error_and_writes_nothing(self, capsys, tmp_path):
+        """A ``--subject`` byte that is not UTF-8 reaches ``sys.argv`` as a lone
+        surrogate, which no output file can hold."""
+        path = tmp_path / "c.jsonl"
+        path.write_text(corpus_to_jsonl(build_corpus(*(rec(f"p{i}") for i in range(5)))))
+        out = tmp_path / "out"
+        argv = ["policy", "--input", str(path), "--rule", "example2", "--census-year", "2001",
+                "--papers", "p0,p1,p2,p3,p4", "--subject", "\udcff", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "citestats: error: --subject '\\udcff' cannot be written as UTF-8\n"
+        assert not out.exists()
 
     def test_example2_five_papers(self, tmp_path):
         records = []

@@ -558,6 +558,37 @@ def test_columnar_writer_matches_record_json_dumps(corpus):
     assert [ref.record_to_json(p) for p in papers] == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(writable_corpora(), st.integers(1, 3))
+def test_columnar_writer_matches_record_json_dumps_in_batches(corpus, batch_rows):
+    """Rendered a few rows at a time, so that a batch ends inside the corpus,
+    the lines are still each record's json.dumps."""
+    want = corpus_to_jsonl(corpus)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(citestats.corpus, "_BATCH_ROWS", batch_rows)
+        got = list(citestats.corpus._corpus_lines(corpus))
+    assert [line[:-1] for line in got] == [
+        json.dumps(ref.record_dict(p), separators=(",", ":"), ensure_ascii=False)
+        for p in ref.records(corpus).values()
+    ]
+    assert "".join(got) == want
+
+
+def test_write_corpus_removes_a_file_it_cannot_finish(tmp_path):
+    """A write that fails partway removes the file, so no truncated corpus is left."""
+    corpus = build_corpus(*(rec(f"p{i}") for i in range(3)))
+    path = tmp_path / "out.jsonl"
+
+    def lines(corpus):
+        yield "first\n"
+        raise OSError("disk full")
+
+    with pytest.MonkeyPatch.context() as patch, pytest.raises(OSError, match="disk full"):
+        patch.setattr(citestats.corpus, "_corpus_lines", lines)
+        write_corpus(corpus, path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # the columnar loader against the record-at-a-time loader it replaced
 # ---------------------------------------------------------------------------
@@ -862,6 +893,47 @@ def test_file_reader_matches_the_reference_loader(tmp_path_factory, data, strict
         _same_corpus(got, want)
     with open(path, "rb") as handle:
         assert list(citestats.corpus._file_lines(handle)) == data.splitlines()
+
+
+@settings(max_examples=150, deadline=None)
+@given(jsonl_files(), st.booleans())
+@example(_late_invalid_byte(), False)
+@example(b"{}\r" + b" " * CHUNK + b"\r\n\n[", False)
+def test_text_file_lines_load_as_the_path(tmp_path_factory, data, strict):
+    """A text file's lines, each with its line end, load as the file's path
+    does, and fail on the same line with the same error; only ``json``'s
+    detail of an invalid line may differ, as the line end is part of the
+    text it is given.  A file that is not UTF-8 may fail in the text reader
+    instead, which decodes ahead of the lines it gives."""
+    path = tmp_path_factory.getbasetemp() / "text_lines.jsonl"
+    path.write_bytes(data)
+    want, want_warnings = _outcome(load_corpus, path, strict)
+    with open(path, encoding="utf-8") as handle:
+        try:
+            got, got_warnings = _outcome(load_corpus, handle, strict)
+        except UnicodeDecodeError:
+            with pytest.raises(UnicodeDecodeError):
+                data.decode("utf-8")
+            return
+    assert got_warnings == want_warnings
+    if not isinstance(want, tuple):
+        _same_corpus(got, want)
+    elif "invalid JSON (" in want[1]:
+        assert (got[0], got[1].split("(")[0], got[2]) == (want[0], want[1].split("(")[0], want[2])
+    else:
+        assert got == want
+
+
+def test_a_line_end_takes_the_scanner(monkeypatch):
+    """A line ended by JSON whitespace, as a text file's lines are, is decoded
+    by the scanner alone, without the slower ``json.loads``."""
+    def loads(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    lines = [jline("p1") + end for end in ("\n", "\r\n", " \t\n")]
+    lines[1:] = [line.replace("p1", f"p{i}", 1) for i, line in enumerate(lines[1:], 2)]
+    monkeypatch.setattr(citestats.corpus.json, "loads", loads)
+    assert load_corpus(lines).ids == ("p1", "p2", "p3")
 
 
 def _decoded(decode, text):
