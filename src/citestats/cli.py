@@ -72,17 +72,24 @@ _SELF_MAP = {"include": "include", "exclude": "exclude-same-journal"}
 _json_string = json.encoder.encode_basestring_ascii
 
 
+class _SharedCell(dict):
+    """A dict of scalars that a payload holds in many places, so that
+    :func:`_json_pieces` keeps its text."""
+
+    __slots__ = ()
+
+
 def _json_pieces(value) -> Iterator[str]:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for
     string-keyed values, in pieces of about a member each, so that it is
     written without being built whole.
 
     ``json`` uses its C encoder only without ``indent``; this writer does the
-    indented layout itself and leaves the scalars to ``json``.  A dict of
-    scalars is rendered once per object and depth, as payloads share such
-    cells; a member holding one already rendered goes out as one piece,
-    without a generator of its own.  Larger values are not kept, as their
-    texts would raise the peak memory.
+    indented layout itself and leaves the scalars to ``json``.  A
+    :class:`_SharedCell` of scalars is rendered once per object and depth; a
+    member holding one already rendered goes out as one piece, without a
+    generator of its own.  No other text is kept, as the texts of cells held
+    once would raise the peak memory.
     """
     leaves: dict[str, dict[int, str]] = {}  # indent -> id -> text; the value keeps the ids alive
 
@@ -104,7 +111,9 @@ def _json_pieces(value) -> Iterator[str]:
                 texts = map(": ".__add__, map(scalar, items))
                 pairs = map(str.__add__, map(_json_string, keys), texts)
                 text = "{" + inner + ("," + inner).join(pairs) + indent + "}"
-                yield leaves.setdefault(indent, {}).setdefault(id(value), text)
+                if type(value) is _SharedCell:
+                    leaves.setdefault(indent, {})[id(value)] = text
+                yield text
                 return
             heads = (inner + _json_string(key) + ": " for key in keys)
             first, last = "{", indent + "}"
@@ -465,7 +474,7 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
     # One cell per points object, shared by the entries that hold it; the
     # scores keep every object, and so its id, alive.
     distinct = {id(points): points for s in scores for _, points in s.breakdown}
-    cells = {key: _cell(points) for key, points in distinct.items()}
+    cells = {key: _SharedCell(_cell(points)) for key, points in distinct.items()}
 
     payload = {
         "rule": args.rule,

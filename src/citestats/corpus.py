@@ -4,13 +4,15 @@ A corpus is an immutable columnar index of papers.  Paper ``i`` (its *row*,
 in record order) has ``ids[i]``, ``year[i]``, ``journal_code[i]`` (into
 ``journals``), ``kind_code[i]`` and ``author_count[i]`` authors.  Its
 authors' ids, and its references in the order its record lists them, are
-each the next ``counts[i]`` codes into ``names`` of one ``(names, codes,
-counts)`` layout; ``authors`` builds the author row tuples.
+each the next ``counts[i]`` int32 codes into ``names`` of one ``(names,
+codes, counts)`` layout; ``authors`` builds the author row tuples.
 ``author_rows`` maps an author to the rows of their papers, and the
-papers citing row ``i`` are ``citing_idx[indptr[i]:indptr[i + 1]]``, in
-record order, the CSR layout of ``scipy.sparse.csr_matrix``.  Ids enter
-through :meth:`Corpus.rows`; every other call takes rows, checked by
-:meth:`Corpus.checked_rows`.  Metrics are numpy reductions over these
+papers citing row ``i`` are ``citing_idx[indptr[i]:indptr[i + 1]]`` (int32
+rows), in record order, the CSR layout of ``scipy.sparse.csr_matrix``; they
+are built by sorting one int32 key an edge in place (int64 past 46,340
+papers), and :meth:`Corpus.incoming` gathers them at four bytes an edge.
+Ids enter through :meth:`Corpus.rows`; every other call takes rows, checked
+by :meth:`Corpus.checked_rows`.  Metrics are numpy reductions over these
 arrays, and counts become Python ints before any ratio is formed.  Every
 corpus, loaded or generated, is built by one constructor from these
 columns, and keeps its papers as columns only.  The loader reads a path
@@ -244,24 +246,24 @@ class Corpus:
         corpus = object.__new__(cls)
         n = len(ids)
         names, codes, counts = references
-        row_of = np.full(len(names), -1, dtype=np.int64)
-        row_of[np.asarray(id_codes, dtype=np.int64)] = np.arange(n)
-        cited = row_of[codes]
-        citing = np.repeat(np.arange(n, dtype=np.int32), counts)
-        resolved = cited >= 0
-        unresolved = len(cited) - int(np.count_nonzero(resolved))
-        if unresolved:  # copying only then, as the copies would raise a large load's peak memory
-            cited, citing = cited[resolved], citing[resolved]
-        corpus._indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cited, minlength=n), out=corpus._indptr[1:])
-        # sorting (cited, citing) keys keeps each paper's citations in record
-        # order; in place on the fresh ``cited``, since the temporaries set a
-        # large load's peak memory
-        cited *= n
-        cited += citing
-        cited.sort()
-        cited %= n
-        corpus._citing_idx = cited.astype(np.int32)
+        # one (cited row, citing row) key an edge, cited * n + citing, sorted:
+        # each paper's citations then run in record order, and the -1 of an
+        # unresolved reference puts it in the negative prefix.  Built in place,
+        # four bytes wide while n * n fits, as the keys set a load's peak memory
+        dtype = np.int32 if (n + 1) * n < 2**31 else np.int64
+        row_of = np.full(len(names), -1, dtype=dtype)
+        row_of[np.asarray(id_codes, dtype=np.int64)] = np.arange(n, dtype=dtype)
+        key = row_of[codes]
+        key *= n
+        key += np.repeat(np.arange(n, dtype=dtype), counts)
+        key.sort()
+        # where each cited row's keys start, the first nonnegative key being
+        # the edges' start; sought in the keys' dtype, which makes no copy
+        bounds = key.searchsorted(np.arange(n + 1, dtype=dtype) * n)
+        corpus._indptr = bounds - bounds[0]
+        key = key[bounds[0] :]
+        key %= n
+        corpus._citing_idx = key.astype(np.int32, copy=False)
         corpus._ids = ids
         corpus._row = {paper_id: i for i, paper_id in enumerate(ids)}
         corpus._journals = journals
@@ -272,7 +274,7 @@ class Corpus:
             array.setflags(write=False)
         corpus._authors, corpus._references = authors, references
         corpus._author_rows = None
-        corpus._unresolved = unresolved
+        corpus._unresolved = int(bounds[0])
         return corpus
 
     @property
@@ -324,13 +326,22 @@ class Corpus:
 
     def incoming(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """CSR slice of the citations ``rows`` receive: for each, the position
-        in ``rows`` of the cited paper and the citing row."""
+        in ``rows`` of the cited paper and the citing row, both int32."""
         rows = self.checked_rows(rows)
         starts = self._indptr[rows]
         counts = self._indptr[rows + 1] - starts
-        owner = np.repeat(np.arange(len(rows)), counts)
-        offsets = np.cumsum(counts) - counts
-        return owner, self._citing_idx[starts[owner] + np.arange(len(owner)) - offsets[owner]]
+        owner = np.repeat(np.arange(len(rows), dtype=np.int32), counts)
+        # the positions in citing_idx, summed in place: a step of one, and at
+        # each nonempty row's first place the jump to its start from the last
+        # position before it (from 0 for the first); four bytes wide while
+        # citing_idx's length fits, as they set the call's peak memory
+        nonempty = counts > 0
+        starts, counts = starts[nonempty], counts[nonempty]
+        positions = np.ones(len(owner), np.int32 if len(self._citing_idx) < 2**31 else np.int64)
+        lasts = starts + counts - 1
+        positions[np.cumsum(counts) - counts] = starts - np.concatenate(([0], lasts[:-1]))
+        np.cumsum(positions, dtype=positions.dtype, out=positions)
+        return owner, self._citing_idx[positions]
 
     def rows(self, paper_ids: Iterable[str]) -> np.ndarray:
         """The row of each paper id; an unknown id raises :class:`UnknownIdError`."""
@@ -523,9 +534,9 @@ def _read_rows(source: Iterable, strict: bool) -> Corpus:
     fails are the records checked one at a time, to find the first bad line.
     """
     rows: list[tuple] = []  # line number, id code, journal, year, kind, author and reference count
-    codes = array("q")  # every row's reference codes, in order
+    codes = array("i")  # every row's reference codes, in order, as int32
     code_of = (memo := _Codes()).__getitem__
-    author_codes = array("q")  # every row's author codes, in order
+    author_codes = array("i")  # every row's author codes, in order, as int32
     author_of = (author_memo := _Codes()).__getitem__
     pending: list[tuple[int, str]] = []  # unknown-field warnings, emitted once checked
     warned: set[str] = set()
@@ -578,42 +589,37 @@ def _read_rows(source: Iterable, strict: bool) -> Corpus:
     memo.clear()
     author_memo.clear()
     ids = tuple(map(names.__getitem__, id_codes))
-    ref_codes = np.frombuffer(codes, dtype=np.int64)
-    authors = author_names, np.frombuffer(author_codes, np.int64), np.array(author_counts, np.int64)
+    ref_codes = np.frombuffer(codes, dtype=np.int32)
+    authors = author_names, np.frombuffer(author_codes, np.int32), np.array(author_counts, np.int64)
     checked = (
         set(map(type, chain(names, author_names, journal_ids, kinds))) <= {str}
         and all(ids) and all(journal_ids) and set(kinds) <= KINDS
         and set(map(type, years)) <= {int}
         and YEAR_MIN <= min(years, default=YEAR_MIN) and max(years, default=YEAR_MAX) <= YEAR_MAX
         and len(set(id_codes)) == len(ids)
+        # one reference-sized temporary at a time, and before the build, as
+        # they set a load's peak memory (40 % math preset: 8.0 MB, 8.7 after
+        # the build).  At four bytes an edge, their freed temporaries raising
+        # glibc's mmap threshold no longer fragments the heap: a report's peak
+        # RSS is 46.4 MB either way
+        and not np.any(np.repeat(np.array(id_codes, dtype=np.int32), counts) == ref_codes)
+        and _distinct_per_row(*authors) and _distinct_per_row(names, ref_codes, counts)
+        and utf8_encodable(chain(names, set(journal_ids), author_names))
     )
-    if not checked:
-        _settle(read_so_far(zip(*columns), names, author_names), pending, math.inf)
+    _settle(() if checked else read_so_far(zip(*columns), names, author_names), pending, math.inf)
     journals = {jid: code for code, jid in enumerate(dict.fromkeys(journal_ids))}
-    corpus = Corpus._from_columns(
+    return Corpus._from_columns(
         ids, tuple(journals), np.array(years, dtype=np.int32),
         np.fromiter(map(journals.__getitem__, journal_ids), np.int32, len(ids)),
         np.fromiter(map(KIND_CODES.__getitem__, kinds), np.int8, len(ids)),
         authors, (names, ref_codes, counts), id_codes,
     )
-    # after the build: freed before it, these checks' large temporaries raise
-    # glibc's mmap threshold, and the build's arrays then fragment the heap
-    # (peak RSS of a report on the 40 % math preset 56 -> 64 MB); one
-    # reference-sized temporary at a time, as they set a load's peak memory
-    if checked:
-        checked = (
-            not np.any(np.repeat(np.array(id_codes, dtype=np.int32), counts) == ref_codes)
-            and _distinct_per_row(*authors) and _distinct_per_row(names, ref_codes, counts)
-            and utf8_encodable(chain(names, set(journal_ids), author_names))
-        )
-        _settle(() if checked else read_so_far(zip(*columns), names, author_names),
-                pending, math.inf)
-    return corpus
 
 
 def _distinct_per_row(names, codes, counts) -> bool:
     """Whether no row of ``(names, codes, counts)`` lists a name twice."""
-    keys = np.repeat(np.arange(len(counts), dtype=np.int64) * len(names), counts)
+    dtype = np.int32 if len(counts) * len(names) < 2**31 else np.int64
+    keys = np.repeat(np.arange(len(counts), dtype=dtype) * len(names), counts)
     keys += codes
     keys.sort()
     return not np.any(keys[1:] == keys[:-1])

@@ -277,6 +277,7 @@ def generate(config: SynthConfig) -> Corpus:
     n_authors = rng.integers(1, 4, size=total)
     picks = _sorted_choices(rng, pool_sizes[journal_code], n_authors)
     codes = (picks + (np.cumsum(pool_sizes) - pool_sizes)[journal_code][:, None])[picks >= 0]
+    codes = codes.astype(np.int32)  # a loaded corpus's dtype
 
     # references: per census year, weighted draw over strictly earlier papers
     decay = math.log(2.0) / config.half_life_years
@@ -319,9 +320,9 @@ def generate(config: SynthConfig) -> Corpus:
     # by year, so each journal's cut of every year in turn is in row order
     bounds = np.cumsum([0, *sizes])
     cuts = [np.searchsorted(citing, bounds).tolist() for citing in citing_rows]
-    cited = np.concatenate([np.empty(0, np.int64), *(
+    cited = np.concatenate([np.empty(0, np.int32), *(
         rows[cut[j] : cut[j + 1]] for j in range(len(specs)) for rows, cut in zip(cited_rows, cuts)
-    )])
+    )], dtype=np.int32)
     counts = np.bincount(np.concatenate([np.empty(0, np.int64), *citing_rows]), minlength=total)
     ids = tuple(ids)
     return Corpus._from_columns(

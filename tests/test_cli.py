@@ -1300,16 +1300,22 @@ JSON_VALUES = st.recursive(JSON_SCALARS, _nested, max_leaves=30)
 @st.composite
 def shared_leaf_payloads(draw):
     """Values in which the same dict-of-scalars objects recur, at one depth
-    and at several."""
+    and at several, marked as shared or not."""
     cells = draw(
         st.lists(
-            st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=3), min_size=1, max_size=3
+            st.builds(
+                lambda marked, cell: marked(cell),
+                st.sampled_from((dict, cli._SharedCell)),
+                st.dictionaries(st.text(max_size=4), JSON_SCALARS, max_size=3),
+            ),
+            min_size=1,
+            max_size=3,
         )
     )
     return draw(st.recursive(st.sampled_from(cells) | JSON_SCALARS, _nested, max_leaves=40))
 
 
-SHARED_CELL = {"decimal": "0.5000", "exact": "1/2", "é": None}
+SHARED_CELL = cli._SharedCell({"decimal": "0.5000", "exact": "1/2", "é": None})
 
 
 class TestJsonText:

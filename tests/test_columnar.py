@@ -7,10 +7,14 @@ agree exactly, undefined results included.
 """
 
 import gc
+import json
+import random
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +25,13 @@ from citestats import (
     KINDS,
     CitationStatsError,
     IFQuery,
+    JournalSpec,
+    SynthConfig,
     author_record,
     citation_age_profile,
+    generate,
     impact_factor,
+    load_corpus,
     self_citation_fraction,
     validate,
     window_coverage,
@@ -158,6 +166,63 @@ def test_edges_array_follows_record_order(corpus):
     for paper_id in row:
         incoming = ref.incoming_edges(corpus, paper_id)
         assert [e for e in edges if e.cited_id == paper_id] == incoming
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora(), st.data())
+def test_incoming_matches_the_rows_slices(corpus, data):
+    """Rows in any order, repeated or receiving no citation, and no rows."""
+    indptr, citing_idx = corpus.indptr.tolist(), corpus.citing_idx.tolist()
+    drawn = data.draw(st.lists(st.integers(0, len(corpus) - 1), max_size=40)) if len(corpus) else []
+    for rows in (drawn, drawn[::-1] * 2, []):
+        owner, citing = corpus.incoming(rows)
+        assert owner.dtype == citing.dtype == np.int32
+        expected = [(k, c) for k, r in enumerate(rows) for c in citing_idx[indptr[r] : indptr[r + 1]]]
+        assert list(zip(owner.tolist(), citing.tolist())) == expected
+
+
+def _lines(n):
+    """JSON lines of ``n`` papers, ``p0`` up, each citing up to three others
+    and some ids outside the corpus; paper 1 cites only such ids, and the
+    last two cite each other, which gives the largest (cited, citing) keys."""
+    rng = random.Random(n)
+    lines = []
+    for i in range(n):
+        refs = {f"p{rng.randrange(n)}" for _ in range(rng.randrange(4))} - {f"p{i}"}
+        if rng.random() < 0.1:
+            refs.add(f"ghost-{rng.randrange(50)}")
+        if i == 1:
+            refs = {"ghost-a", "ghost-b"}
+        if i >= n - 2:
+            refs.add(f"p{2 * n - 3 - i}")
+        lines.append(json.dumps({
+            "id": f"p{i}", "journal": "j", "year": 2000 + rng.randrange(10), "kind": "review",
+            "authors": [f"a{i % 3}"] if i % 5 else [], "references": sorted(refs),
+        }))
+    return lines
+
+
+@pytest.mark.parametrize("n", [12, 46_340, 46_341])
+def test_index_matches_the_pair_enumeration_at_both_key_widths(n):
+    """46,340 papers are the most whose (cited, citing) keys the build sorts
+    as int32, and 46,341 the fewest it sorts as int64, where the last two
+    papers' keys would not fit int32."""
+    corpus = load_corpus(_lines(n))
+    pairs, unresolved = ref.citations(corpus)
+    cited = [row for _, row in pairs]
+    assert corpus.indptr.tolist() == [bisect_left(cited, row) for row in range(n + 1)]
+    assert corpus.citing_idx.tolist() == [row for row, _ in pairs]
+    assert pairs[-1] == [n - 2, n - 1]  # key n * n - 2, past int32 at n = 46,341
+    assert corpus.unresolved_reference_count == unresolved >= 2
+    assert validate(corpus) == ref.validate(corpus)
+    assert (corpus.indptr.dtype, corpus.citing_idx.dtype) == (np.int64, np.int32)
+
+
+def test_codes_are_four_bytes_wide():
+    loaded = build_corpus(rec("a", authors=("x", "y")), rec("b", refs=("a", "ghost")))
+    generated = generate(SynthConfig(seed=1, journals=[JournalSpec("j", 5, 2000, 2003)]))
+    for corpus in (loaded, generated):
+        assert corpus._references[1].dtype == corpus._authors[1].dtype == np.int32
 
 
 def test_edges_array_of_a_small_corpus():

@@ -1,0 +1,52 @@
+"""A corpus's memory is its kept columns: loading one allocates, at its
+peak, a small multiple of what the corpus keeps, and ``Corpus.incoming``
+allocates a few bytes per returned edge, as every per-edge array is four
+bytes wide and no int64 temporary of an edge's length is made."""
+
+import tracemalloc
+
+import pytest
+
+from citestats import JournalSpec, SynthConfig, generate, load_corpus, write_corpus
+
+
+def _traced(call):
+    """``call()``'s result, the memory Python held when it returned and the
+    most it held at once during it, each beyond what it held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+        return result, kept - before, peak - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    """One journal of 2,000 papers over 40 years, about 100,000 edges."""
+    corpus = generate(SynthConfig(
+        seed=7, journals=[JournalSpec("core", 50, 1960, 1999)], references_per_paper=60.0,
+    ))
+    assert 95_000 < len(corpus.citing_idx) < 110_000
+    path = tmp_path_factory.mktemp("memory") / "corpus.jsonl"
+    write_corpus(corpus, path)
+    return path
+
+
+def test_a_load_peaks_at_a_small_multiple_of_what_it_keeps(corpus_path):
+    # 1.59x; 2.01x with eight-byte reference codes and an int64 key
+    corpus, kept, peak = _traced(lambda: load_corpus(corpus_path))
+    assert len(corpus.citing_idx) > 95_000
+    assert peak < 1.85 * kept
+
+
+def test_incoming_allocates_a_few_bytes_per_edge(corpus_path):
+    corpus = load_corpus(corpus_path)
+    _, rows = corpus.journal_rows("core")
+    (owner, citing), _, peak = _traced(lambda: corpus.incoming(rows))
+    assert len(owner) == len(corpus.citing_idx)
+    # owner, positions and citing rows at four bytes each: 13.0 bytes an
+    # edge; 24.5 with int64 owners and positions built from int64 gathers
+    assert peak < 15.5 * len(owner)
