@@ -252,7 +252,7 @@ class Corpus:
         # four bytes wide while n * n fits, as the keys set a load's peak memory
         dtype = np.int32 if (n + 1) * n < 2**31 else np.int64
         row_of = np.full(len(names), -1, dtype=dtype)
-        row_of[np.asarray(id_codes, dtype=np.int64)] = np.arange(n, dtype=dtype)
+        row_of[id_codes] = np.arange(n, dtype=dtype)
         key = row_of[codes]
         key *= n
         key += np.repeat(np.arange(n, dtype=dtype), counts)
@@ -417,10 +417,10 @@ def _check_record(obj: Any, line_number: int, strict: bool, warned: set, pending
     missing = [f for f in _RECORD_FIELDS if f not in obj]
     if missing:
         _fail(line_number, f"missing field(s) {', '.join(missing)}")
-    unknown = sorted(set(obj) - set(_RECORD_FIELDS))
+    unknown = sorted(set(obj) - _FIELD_SET, key=str)  # a mapping's keys need not be strings
     if unknown:
         if strict:
-            _fail(line_number, f"unknown field(s) {', '.join(unknown)}")
+            _fail(line_number, f"unknown field(s) {', '.join(map(str, unknown))}")
         for name in unknown:
             if name not in warned:
                 warned.add(name)
@@ -530,22 +530,31 @@ def _read_rows(source: Iterable, strict: bool) -> Corpus:
     record-at-a-time check would, in line order.
 
     Each line gets only the cheap work: decoding, one key-set test, and coding
-    its strings.  The field checks then run once per column; only when one
+    its values.  The field checks then run once per column; only when one
     fails are the records checked one at a time, to find the first bad line.
     """
-    rows: list[tuple] = []  # line number, id code, journal, year, kind, author and reference count
+    # each row's line number, author and reference count, and codes; years are
+    # not coded, as a memo would merge a float year into an equal int one
+    numbers, author_counts, counts = array("q"), array("q"), array("q")
+    id_codes, journal_codes, kind_codes, years = array("i"), array("i"), array("i"), array("i")
     codes = array("i")  # every row's reference codes, in order, as int32
     code_of = (memo := _Codes()).__getitem__
     author_codes = array("i")  # every row's author codes, in order, as int32
     author_of = (author_memo := _Codes()).__getitem__
+    journal_of = (journal_memo := _Codes()).__getitem__
+    kind_of = (kind_memo := _Codes()).__getitem__
+    memos = memo, author_memo, journal_memo, kind_memo
     pending: list[tuple[int, str]] = []  # unknown-field warnings, emitted once checked
     warned: set[str] = set()
 
-    def read_so_far(rows, names, author_names):
+    def read_so_far(names, author_names, journals, kinds):
         authors = map(author_names.__getitem__, author_codes)
         refs = map(names.__getitem__, codes)
-        for number, code, journal, year, kind, n_authors, n_refs in rows:
-            yield (number, names[code], journal, year, kind,
+        # the line numbers first: a bad line's other columns may run one ahead
+        for number, code, journal, year, kind, n_authors, n_refs in zip(
+            numbers, id_codes, journal_codes, years, kind_codes, author_counts, counts
+        ):
+            yield (number, names[code], journals[journal], year, kinds[kind],
                    [*islice(authors, n_authors)], [*islice(refs, n_refs)])
 
     for line_number, obj in enumerate(source, 1):
@@ -563,56 +572,52 @@ def _read_rows(source: Iterable, strict: bool) -> Corpus:
                 _fail(line_number, f"invalid JSON ({getattr(exc, 'msg', exc)})")
             except RecordError as exc:  # a repeated key, which the decoder's hook cannot place
                 _fail(line_number, str(exc))
-            if (type(obj) is not dict or obj.keys() != _FIELD_SET
+            if (type(obj) is not dict or obj.keys() != _FIELD_SET or type(obj["year"]) is not int
                     or type(obj["authors"]) is not list or type(obj["references"]) is not list):
                 _check_record(obj, line_number, strict, warned, pending)
             authors, references = obj["authors"], obj["references"]
             try:
                 author_codes.extend(map(author_of, authors))
                 codes.extend(map(code_of, references))
-                rows.append((
-                    line_number, code_of(obj["id"]), obj["journal"], obj["year"], obj["kind"],
-                    len(authors), len(references),
-                ))
-            except TypeError:  # an unhashable id, author or reference, which the check rejects
+                id_codes.append(code_of(obj["id"]))
+                journal_codes.append(journal_of(obj["journal"]))
+                kind_codes.append(kind_of(obj["kind"]))
+                years.append(obj["year"])
+            except (TypeError, OverflowError):  # an unhashable id, journal, kind, author or
+                # reference, or a year past int32, each of which the check rejects
                 _check_record(obj, line_number, strict, warned, pending)
+            numbers.append(line_number)
+            author_counts.append(len(authors))
+            counts.append(len(references))
         except RecordError:  # the first bad line, unless an earlier line fails a column check
-            _settle(read_so_far(rows, list(memo), list(author_memo)), pending, line_number)
+            _settle(read_so_far(*map(list, memos)), pending, line_number)
             raise
 
-    # the columns and names hold the same values, and the build's peak
-    # memory would count the row tuples and the memos
-    columns = tuple(zip(*rows)) or ((),) * 7
-    rows.clear()
-    _, id_codes, journal_ids, years, kinds, author_counts, counts = columns
-    names, author_names = list(memo), list(author_memo)
-    memo.clear()
+    names, author_names, journals, kinds = map(list, memos)
+    memo.clear()  # the names hold the same values, and the build's peak would count the memo
     author_memo.clear()
     ids = tuple(map(names.__getitem__, id_codes))
-    ref_codes = np.frombuffer(codes, dtype=np.int32)
-    authors = author_names, np.frombuffer(author_codes, np.int32), np.array(author_counts, np.int64)
+    id_view, year, journal_code, kind_code, ref_codes, author_view = (
+        np.frombuffer(column, np.int32)
+        for column in (id_codes, years, journal_codes, kind_codes, codes, author_codes))
+    ref_counts, author_count = (np.frombuffer(a, np.int64) for a in (counts, author_counts))
+    authors = author_names, author_view, author_count
     checked = (
-        set(map(type, chain(names, author_names, journal_ids, kinds))) <= {str}
-        and all(ids) and all(journal_ids) and set(kinds) <= KINDS
-        and set(map(type, years)) <= {int}
-        and YEAR_MIN <= min(years, default=YEAR_MIN) and max(years, default=YEAR_MAX) <= YEAR_MAX
+        set(map(type, chain(names, author_names, journals, kinds))) <= {str}
+        and all(ids) and all(journals) and set(kinds) <= KINDS
+        and YEAR_MIN <= year.min(initial=YEAR_MIN) and year.max(initial=YEAR_MAX) <= YEAR_MAX
         and len(set(id_codes)) == len(ids)
         # one reference-sized temporary at a time, and before the build, as
-        # they set a load's peak memory (40 % math preset: 8.0 MB, 8.7 after
-        # the build).  At four bytes an edge, their freed temporaries raising
-        # glibc's mmap threshold no longer fragments the heap: a report's peak
-        # RSS is 46.4 MB either way
-        and not np.any(np.repeat(np.array(id_codes, dtype=np.int32), counts) == ref_codes)
-        and _distinct_per_row(*authors) and _distinct_per_row(names, ref_codes, counts)
-        and utf8_encodable(chain(names, set(journal_ids), author_names))
+        # they set a load's peak memory
+        and not np.any(np.repeat(id_view, ref_counts) == ref_codes)
+        and _distinct_per_row(*authors) and _distinct_per_row(names, ref_codes, ref_counts)
+        and utf8_encodable(chain(names, journals, author_names))
     )
-    _settle(() if checked else read_so_far(zip(*columns), names, author_names), pending, math.inf)
-    journals = {jid: code for code, jid in enumerate(dict.fromkeys(journal_ids))}
+    _settle(() if checked else read_so_far(names, author_names, journals, kinds), pending, math.inf)
     return Corpus._from_columns(
-        ids, tuple(journals), np.array(years, dtype=np.int32),
-        np.fromiter(map(journals.__getitem__, journal_ids), np.int32, len(ids)),
-        np.fromiter(map(KIND_CODES.__getitem__, kinds), np.int8, len(ids)),
-        authors, (names, ref_codes, counts), id_codes,
+        ids, tuple(journals), year, journal_code,
+        np.array([KIND_CODES[kind] for kind in kinds], np.int8)[kind_code],
+        authors, (names, ref_codes, ref_counts), id_view,
     )
 
 

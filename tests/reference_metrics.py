@@ -586,11 +586,11 @@ def _record_from_obj(
         raise RecordError(
             f"line {line_number}: missing field(s) {', '.join(missing)}", line_number
         )
-    unknown = sorted(set(obj) - set(_RECORD_FIELDS))
+    unknown = sorted(set(obj) - set(_RECORD_FIELDS), key=str)
     if unknown:
         if strict:
             raise RecordError(
-                f"line {line_number}: unknown field(s) {', '.join(unknown)}",
+                f"line {line_number}: unknown field(s) {', '.join(map(str, unknown))}",
                 line_number,
             )
         for name in unknown:

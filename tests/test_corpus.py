@@ -265,6 +265,22 @@ class TestLoaderHardening:
             load_corpus([jline("p1"), json.dumps(bad)])
         assert excinfo.value.line_number == 2
 
+    @pytest.mark.parametrize("extra", [{1: "x"}, {1: "x", "z": "y"}], ids=["int", "int-and-str"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_a_key_that_is_not_a_string_is_an_unknown_field(self, extra, strict):
+        lines = [{**json.loads(jline("p1")), **extra}]
+        (got, caught), (want, expected) = (_outcome(load, lines, strict)
+                                           for load in (load_corpus, ref.load_corpus))
+        assert caught == expected
+        if strict:
+            names = ", ".join(map(str, extra))
+            assert got == want == (RecordError, f"line 1: unknown field(s) {names}", 1)
+        else:
+            _same_corpus(got, want)
+            assert [str(message) for _, message in caught] == [
+                f"ignoring unknown record field {name!r} (first seen on line 1)" for name in extra
+            ]
+
     def test_invalid_utf8_reports_line_number(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         latin1 = jline("p2").encode().replace(b"p2", b"p\xe9")
@@ -594,12 +610,14 @@ def test_write_corpus_removes_a_file_it_cannot_finish(tmp_path):
 # ---------------------------------------------------------------------------
 
 # one mutation kind a loader message, each with the (field, value) pairs it
-# sets; lone surrogates are valid JSON escapes that UTF-8 cannot encode
+# sets; lone surrogates are valid JSON escapes that UTF-8 cannot encode.
+# The year 2000.0 equals the other lines' int year, which a memo of years
+# would merge it into, and 2**31 and -(2**63) overflow an int32 column
 _BAD_VALUES = {
     "wrong-type": [
         ("id", 7), ("id", None), ("id", ["p"]), ("id", True), ("journal", 5), ("journal", {}),
         ("journal", False), ("year", "2000"), ("year", True), ("year", 2000.5), ("year", None),
-        ("year", [2000]), ("kind", ["x"]), ("kind", 3),
+        ("year", [2000]), ("year", 2000.0), ("kind", ["x"]), ("kind", 3),
     ],
     "not-an-array-of-strings": [
         ("authors", "au"), ("authors", [1]), ("authors", [[]]), ("authors", None),
@@ -612,7 +630,7 @@ _BAD_VALUES = {
     ],
     "empty-id": [("id", "")],
     "empty-journal": [("journal", "")],
-    "year-out-of-range": [("year", 1799), ("year", 2101)],
+    "year-out-of-range": [("year", 1799), ("year", 2101), ("year", 2**31), ("year", -(2**63))],
     "unknown-kind": [("kind", "preprint"), ("kind", "")],
     "duplicate-author": [("authors", ["au1", "au1"])],
     "duplicate-ref": [("references", ["ghost-3", "ghost-3"])],
