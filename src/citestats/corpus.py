@@ -10,7 +10,10 @@ codes, counts)`` layout; ``authors`` builds the author row tuples.
 papers citing row ``i`` are ``citing_idx[indptr[i]:indptr[i + 1]]`` (int32
 rows), in record order, the CSR layout of ``scipy.sparse.csr_matrix``; they
 are built by sorting one int32 key an edge in place (int64 past 46,340
-papers), and :meth:`Corpus.incoming` gathers them at four bytes an edge.
+papers), and :meth:`Corpus.incoming` gathers them at four bytes an edge;
+the whole-journal metrics and :func:`validate` take them from
+``Corpus._incoming_parts``, a slice of rows receiving about ``_PART_EDGES``
+citations at a time.
 Ids enter through :meth:`Corpus.rows`; every other call takes rows, checked
 by :meth:`Corpus.checked_rows`.  Metrics are numpy reductions over these
 arrays, and counts become Python ints before any ratio is formed.  Every
@@ -65,6 +68,9 @@ YEAR_MAX = 2100
 KIND_CODES = {"research-article": 0, "review": 1, "letter": 2, "editorial": 3, "book": 4}
 KIND_NAMES = tuple(KIND_CODES)
 SUBSTANTIVE_CODES = tuple(KIND_CODES[kind] for kind in sorted(SUBSTANTIVE_KINDS))
+
+#: About the citations one part of ``Corpus._incoming_parts`` receives.
+_PART_EDGES = 1 << 14
 
 _RECORD_FIELDS = ("id", "journal", "year", "kind", "authors", "references")
 _FIELD_SET = frozenset(_RECORD_FIELDS)
@@ -343,6 +349,19 @@ class Corpus:
         np.cumsum(positions, dtype=positions.dtype, out=positions)
         return owner, self._citing_idx[positions]
 
+    def _incoming_parts(self, rows) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(lo, owner, citing)``: :meth:`incoming` of ``rows[lo:hi]`` for
+        consecutive slices, a new one starting after each row at which the
+        running count of citations received passes a multiple of
+        ``_PART_EDGES``.  So a slice receives fewer than ``_PART_EDGES``
+        citations beyond its first row's, and a metric summed over the slices
+        makes no per-edge array as long as all the rows receive."""
+        rows = self.checked_rows(rows)
+        parts = np.cumsum(self._indptr[rows + 1] - self._indptr[rows]) // _PART_EDGES
+        cuts = (np.flatnonzero(np.diff(parts)) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+            yield (lo, *self.incoming(rows[lo:hi]))
+
     def rows(self, paper_ids: Iterable[str]) -> np.ndarray:
         """The row of each paper id; an unknown id raises :class:`UnknownIdError`."""
         paper_ids = _check_names("paper_ids", paper_ids)
@@ -393,12 +412,14 @@ class ValidationReport(_Record):
 
 def validate(corpus: Corpus) -> ValidationReport:
     """Tally unresolved references, negative-age edges, authorless papers."""
-    cited_year = np.repeat(corpus.year, np.diff(corpus.indptr))
+    year, negative = corpus.year, 0
+    for lo, owner, citing in corpus._incoming_parts(np.arange(len(corpus))):
+        negative += int(np.count_nonzero(year[citing] < year[owner + lo]))
     return ValidationReport(
         paper_count=len(corpus),
         edge_count=len(corpus.citing_idx),
         unresolved_references=corpus.unresolved_reference_count,
-        negative_age_edges=int(np.count_nonzero(corpus.year[corpus.citing_idx] < cited_year)),
+        negative_age_edges=negative,
         papers_without_authors=int(np.count_nonzero(corpus.author_count == 0)),
     )
 

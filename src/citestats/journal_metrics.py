@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .corpus import KIND_CODES, SUBSTANTIVE_CODES, YEAR_MIN, Corpus, _check_int, _Record
+from .corpus import KIND_CODES, SUBSTANTIVE_CODES, YEAR_MAX, YEAR_MIN, Corpus, _check_int, _Record
 from .errors import InsufficientDataError, UsageError
 
 DENOMINATOR_POLICIES = ("substantive-only", "all-items")
@@ -133,10 +133,13 @@ def citation_age_profile(
             stacklevel=2,
         )
         return Counter()
-    owner, citing = corpus.incoming(rows)
-    census = corpus.year[citing] == census_year
-    ages, counts = np.unique(census_year - corpus.year[rows][owner[census]], return_counts=True)
-    return Counter(dict(zip(ages.tolist(), counts.tolist())))
+    # counts by YEAR_MAX - cited year, so in ascending order of age
+    year, counts = corpus.year, np.zeros(YEAR_MAX - YEAR_MIN + 1, np.int64)
+    for lo, owner, citing in corpus._incoming_parts(rows):
+        cited_year = year[rows[lo:][owner[year[citing] == census_year]]]
+        counts += np.bincount(YEAR_MAX - cited_year, minlength=len(counts))
+    shifts = np.flatnonzero(counts)
+    return Counter(dict(zip((shifts + census_year - YEAR_MAX).tolist(), counts[shifts].tolist())))
 
 
 def window_coverage(
@@ -147,12 +150,13 @@ def window_coverage(
     census_year = _check_int("census_year", census_year)
     window_w = _check_int("window_w", window_w, 1)
     _, rows = corpus.journal_rows(journal_id)
-    owner, citing = corpus.incoming(rows)
-    cited_years = corpus.year[rows][owner[corpus.year[citing] == census_year]]
-    if len(cited_years) == 0:
-        return None
-    inside = (cited_years >= census_year - window_w) & (cited_years < census_year)
-    return Fraction(int(np.count_nonzero(inside)), len(cited_years))
+    year, received, inside = corpus.year, 0, 0
+    for lo, owner, citing in corpus._incoming_parts(rows):
+        cited_year = year[rows[lo:][owner[year[citing] == census_year]]]
+        received += len(cited_year)
+        inside += int(np.count_nonzero(
+            (cited_year >= census_year - window_w) & (cited_year < census_year)))
+    return Fraction(inside, received) if received else None
 
 
 class VariabilityResult(_Record):
@@ -239,10 +243,11 @@ def self_citation_fraction(
     if window_w is not None:
         window_w = _check_int("window_w", window_w, 1)
     code, rows = corpus.journal_rows(journal_id)
-    owner, citing = corpus.incoming(rows)
-    if window_w is not None:
-        ages = corpus.year[citing] - corpus.year[rows][owner]
-        citing = citing[(ages >= 1) & (ages <= window_w)]
-    if len(citing) == 0:
-        return None
-    return Fraction(int(np.count_nonzero(corpus.journal_code[citing] == code)), len(citing))
+    year, received, internal = corpus.year, 0, 0
+    for lo, owner, citing in corpus._incoming_parts(rows):
+        if window_w is not None:
+            ages = year[citing] - year[rows[lo:][owner]]
+            citing = citing[(ages >= 1) & (ages <= window_w)]
+        received += len(citing)
+        internal += int(np.count_nonzero(corpus.journal_code[citing] == code))
+    return Fraction(internal, received) if received else None

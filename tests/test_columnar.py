@@ -13,6 +13,7 @@ import warnings
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -179,6 +180,27 @@ def test_incoming_matches_the_rows_slices(corpus, data):
         assert owner.dtype == citing.dtype == np.int32
         expected = [(k, c) for k, r in enumerate(rows) for c in citing_idx[indptr[r] : indptr[r + 1]]]
         assert list(zip(owner.tolist(), citing.tolist())) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora(), st.data(), st.sampled_from((1, 2, 7, citestats.corpus._PART_EDGES)))
+def test_incoming_parts_cut_incoming_at_running_multiples_of_the_part_size(corpus, data, part):
+    """Joined, the parts are ``incoming`` of all the rows, and a part starts
+    after each row at which the running citation count passes a multiple of
+    the part size, so it receives fewer beyond its first row's."""
+    drawn = data.draw(st.lists(st.integers(0, len(corpus) - 1), max_size=40)) if len(corpus) else []
+    received = corpus.citation_counts(drawn)
+    with patch.object(citestats.corpus, "_PART_EDGES", part):
+        parts = list(corpus._incoming_parts(drawn))
+    starts = [lo for lo, _, _ in parts]
+    running = np.cumsum(received, dtype=np.int64) // part
+    assert starts == [0, *(np.flatnonzero(np.diff(running)) + 1).tolist()]
+    for (lo, owner, citing), hi in zip(parts, [*starts[1:], len(drawn)]):
+        assert owner.dtype == citing.dtype == np.int32
+        assert len(owner) == sum(received[lo:hi]) < part + sum(received[lo : lo + 1])
+    owner, citing = corpus.incoming(drawn)
+    assert [(lo + k, c) for lo, o, cs in parts for k, c in zip(o.tolist(), cs.tolist())] == list(
+        zip(owner.tolist(), citing.tolist()))
 
 
 def _lines(n):

@@ -8,9 +8,15 @@ top-level name (``_name``, not ``__name__``) that no module of the package
 reads.  ``__init__.py`` is skipped for imports, as it imports names to
 re-export them.  An import kept on purpose carries ``# noqa: F401`` on the
 line of its name, as for flake8.
+
+No corpus command imports ``numpy.ma``, which costs a process about 2 MB
+of resident memory; a subprocess runs each of them to check.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +115,42 @@ def test_module_parses_as_python_3_10(path):
 def test_python_3_10_parse_rejects_newer_syntax():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+# synth's corpus, then each corpus command run by ``main`` in one process;
+# prints whether numpy.ma was imported after ``import numpy`` and at the end
+_COMMANDS_SCRIPT = """
+import sys
+import numpy
+bare = "numpy.ma" in sys.modules
+from citestats.cli import main
+corpus = ["--input", "a/corpus.jsonl"]
+for argv in (
+    ["synth", "--preset", "volatility", "--seed", "1", "--out", "a"],
+    ["report", *corpus, "--census-year", "2005", "--pair", "small-journal:large-journal",
+     "--pub-years", "2003:2004", "--citing-years", "2005", "--out", "r"],
+    ["policy", *corpus, "--rule", "example3", "--census-year", "2005", "--with-divergence",
+     "--out", "p"],
+    ["validate", *corpus, "--out", "v"],
+    ["author-index", *corpus, "--histograms", "--out", "h"],
+    ["replicate", "--preset", "volatility", "--runs", "2", "--census-years", "1996:2005",
+     "--out", "e"],
+):
+    assert main(argv) == 0, argv
+print(bare, "numpy.ma" in sys.modules, file=sys.stderr)
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.unique(a) without return_counts or return_index imports numpy.ma on
+    # numpy 2.x, about 2 MB of resident memory; the forms the package calls do not
+    done = subprocess.run(
+        [sys.executable, "-c", _COMMANDS_SCRIPT], cwd=tmp_path, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(citestats.__file__).resolve().parents[1])),
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    bare, after = done.stderr.split()[-2:]
+    if bare == "True":
+        pytest.skip("import numpy alone imports numpy.ma here")
+    assert after == "False"

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import citestats.corpus
 from citestats import (
     IFQuery,
     InsufficientDataError,
@@ -16,6 +17,7 @@ from citestats import (
     impact_factor,
     impact_factors,
     self_citation_fraction,
+    validate,
     window_coverage,
 )
 
@@ -399,3 +401,46 @@ class TestSelfCitationFraction:
     def test_bad_window_is_a_usage_error(self, if_fixture_corpus):
         with pytest.raises(UsageError, match="window_w"):
             self_citation_fraction(if_fixture_corpus, "jnl-a", window_w=0)
+
+
+def _parts_corpus():
+    """Papers of 2000-2007 in jnl-a and jnl-b citing earlier and later papers
+    (negative ages), one jnl-a hub cited by about half of them, and jnl-quiet,
+    whose papers cite others but receive no citation."""
+    rng = random.Random(33)
+    ids = [f"p{i}" for i in range(40)]
+    records = [rec("hub", journal="jnl-a", year=2003)]
+    for pid in ids:
+        refs = rng.sample([p for p in ids if p != pid], rng.randrange(4))
+        if rng.random() < 0.5:
+            refs.append("hub")
+        records.append(rec(pid, journal=rng.choice(("jnl-a", "jnl-b")),
+                           year=rng.randrange(2000, 2008), refs=refs))
+    records += [rec(f"q{i}", journal="jnl-quiet", year=2005, refs=("hub", f"p{i}"))
+                for i in range(3)]
+    return build_corpus(*records)
+
+
+@pytest.mark.parametrize("part", [1, 2, 7, citestats.corpus._PART_EDGES])
+def test_metrics_read_in_parts_match_the_oracles(monkeypatch, part):
+    corpus = _parts_corpus()
+    received = corpus.citation_counts(range(len(corpus)))
+    assert received[0] > 7 and 0 in received and ref.validate(corpus).negative_age_edges > 0
+    monkeypatch.setattr(citestats.corpus, "_PART_EDGES", part)
+    for journal in corpus.journals:
+        for census_year in range(2003, 2008):
+            for window_w in (1, 2, 5):
+                assert window_coverage(corpus, journal, census_year, window_w) == (
+                    ref.window_coverage(corpus, journal, census_year, window_w))
+        for window_w in (None, 1, 3):
+            assert self_citation_fraction(corpus, journal, window_w) == (
+                ref.self_citation_fraction(corpus, journal, window_w))
+    assert window_coverage(corpus, "jnl-quiet", 2007, 2) is None
+    assert self_citation_fraction(corpus, "jnl-quiet") is None
+    for journal in (None, *corpus.journals):
+        for census_year in range(2000, 2008):
+            profile = citation_age_profile(corpus, census_year, journal)
+            expected = ref.citation_age_profile(corpus, census_year, journal)
+            assert profile == expected and list(profile) == sorted(expected)
+    assert citation_age_profile(corpus, 2005, "jnl-quiet") == Counter()
+    assert validate(corpus) == ref.validate(corpus)

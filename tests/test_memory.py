@@ -1,13 +1,20 @@
 """A corpus's memory is its kept columns: loading one allocates, at its
-peak, a small multiple of what the corpus keeps, and ``Corpus.incoming``
+peak, a small multiple of what the corpus keeps; ``Corpus.incoming``
 allocates a few bytes per returned edge, as every per-edge array is four
-bytes wide and no int64 temporary of an edge's length is made."""
+bytes wide and no int64 temporary of an edge's length is made; and the
+whole-journal metrics and ``validate``, which read the citations in parts,
+allocate a few bytes per edge of a part, however many edges the rows
+receive."""
 
 import tracemalloc
 
 import pytest
 
-from citestats import JournalSpec, SynthConfig, generate, load_corpus, write_corpus
+from citestats import (
+    JournalSpec, SynthConfig, citation_age_profile, generate, load_corpus, self_citation_fraction,
+    validate, window_coverage, write_corpus,
+)
+from citestats.corpus import _PART_EDGES
 
 
 def _traced(call):
@@ -50,6 +57,23 @@ def test_incoming_allocates_a_few_bytes_per_edge(corpus_path):
     # owner, positions and citing rows at four bytes each: 13.0 bytes an
     # edge; 24.5 with int64 owners and positions built from int64 gathers
     assert peak < 15.5 * len(owner)
+
+
+@pytest.mark.parametrize("metric", [
+    lambda corpus: window_coverage(corpus, "core", 1999, 2),
+    lambda corpus: self_citation_fraction(corpus, "core"),
+    lambda corpus: self_citation_fraction(corpus, "core", 5),
+    lambda corpus: citation_age_profile(corpus, 1999, None),
+    validate,
+], ids=["window_coverage", "self_citation_fraction", "self_citation_fraction_w5",
+        "citation_age_profile", "validate"])
+def test_metrics_read_in_parts_allocate_by_the_part_not_the_edge_count(corpus_path, metric):
+    corpus = load_corpus(corpus_path)
+    assert len(corpus.citing_idx) > 5 * _PART_EDGES
+    _, _, peak = _traced(lambda: metric(corpus))
+    # 27-31 bytes an edge of a part, the 2,000 rows' arrays aside; at 9-17
+    # bytes an edge of all the rows receive with one incoming call
+    assert peak < 40 * _PART_EDGES + 65_536
 
 
 def test_a_load_of_many_short_rows_peaks_near_what_it_keeps(tmp_path):
