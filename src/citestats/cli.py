@@ -47,7 +47,12 @@ from .journal_metrics import (
     self_citation_fraction,
     window_coverage,
 )
-from .policy import build_tiers, divergence, score_example1, score_example2, score_example3
+from .policy import build_tiers, divergence
+# cmd_policy writes from the rules' columns, under the names of the library's
+# PolicyScore functions, which perfbench/layers.py times
+from .policy import _example1 as score_example1
+from .policy import _example2 as score_example2
+from .policy import _example3 as score_example3
 from .synth import PRESETS, config_from_json, config_to_json, generate, replicate
 
 EXIT_OK = 0
@@ -79,6 +84,20 @@ class _SharedCell(dict):
     __slots__ = ()
 
 
+class _OnLookup(dict):
+    """A dict whose value for ``key`` is ``build(value)``, made when looked
+    up, so that :func:`_json_pieces` never holds all the built values."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, items, build):
+        super().__init__(items)
+        self._build = build
+
+    def __getitem__(self, key):
+        return self._build(dict.__getitem__(self, key))
+
+
 def _json_pieces(value) -> Iterator[str]:
     """The text of ``json.dumps(value, indent=2, sort_keys=True)`` for
     string-keyed values, in pieces of about a member each, so that it is
@@ -89,9 +108,11 @@ def _json_pieces(value) -> Iterator[str]:
     :class:`_SharedCell` of scalars is rendered once per object and depth; a
     member holding one already rendered goes out as one piece, without a
     generator of its own.  No other text is kept, as the texts of cells held
-    once would raise the peak memory.
+    once would raise the peak memory.  An :class:`_OnLookup`'s values are
+    looked up one at a time, as written, so it is never a leaf.
     """
-    leaves: dict[str, dict[int, str]] = {}  # indent -> id -> text; the value keeps the ids alive
+    # indent -> id -> (cell, text); holding the cell keeps its id from being reused
+    leaves: dict[str, dict[int, tuple]] = {}
 
     def scalar(value) -> str:
         return _json_string(value) if isinstance(value, str) else json.dumps(value)
@@ -106,15 +127,17 @@ def _json_pieces(value) -> Iterator[str]:
         inner = indent + "  "
         if isinstance(value, dict):
             keys = sorted(value)
-            items = list(map(value.__getitem__, keys))
-            if not any(isinstance(item, (dict, list, tuple)) for item in items):
-                texts = map(": ".__add__, map(scalar, items))
-                pairs = map(str.__add__, map(_json_string, keys), texts)
-                text = "{" + inner + ("," + inner).join(pairs) + indent + "}"
-                if type(value) is _SharedCell:
-                    leaves.setdefault(indent, {})[id(value)] = text
-                yield text
-                return
+            items = map(value.__getitem__, keys)
+            if type(value) is not _OnLookup:
+                items = list(items)
+                if not any(isinstance(item, (dict, list, tuple)) for item in items):
+                    texts = map(": ".__add__, map(scalar, items))
+                    pairs = map(str.__add__, map(_json_string, keys), texts)
+                    text = "{" + inner + ("," + inner).join(pairs) + indent + "}"
+                    if type(value) is _SharedCell:
+                        leaves.setdefault(indent, {})[id(value)] = (value, text)
+                    yield text
+                    return
             heads = (inner + _json_string(key) + ": " for key in keys)
             first, last = "{", indent + "}"
         else:
@@ -122,12 +145,12 @@ def _json_pieces(value) -> Iterator[str]:
         kept = leaves.setdefault(inner, {})
         separator = first
         for head, item in zip(heads, items):
-            text = kept.get(id(item))
-            if text is None:
+            leaf = kept.get(id(item))
+            if leaf is None:
                 yield separator + head
                 yield from pieces(item, inner)
             else:
-                yield separator + head + text
+                yield separator + head + leaf[1]
             separator = ","
         yield last
 
@@ -456,50 +479,48 @@ def cmd_policy(args, corpus: Corpus) -> tuple[dict, str]:
     authors = _distinct_authors(args)
     if args.rule == "example2":
         tiers = build_tiers(corpus, args.census_year, args.window)
-        scores = [score_example2(corpus, paper_ids, tiers, subject_id=args.subject)]
+        scored = score_example2(corpus, paper_ids, tiers, args.subject)
     else:
         unknown = [author_id for author_id in authors if author_id not in corpus.author_rows]
         if unknown:
             raise UnknownIdError(f"unknown author {unknown[0]!r}")
         subjects = {a: corpus.author_rows[a] for a in authors or sorted(corpus.author_rows)}
         if args.rule == "example1":
-            scores = score_example1(corpus, args.core_journals, args.indexed_journals, subjects)
+            scored = score_example1(corpus, args.core_journals, args.indexed_journals, subjects)
         else:
             lookup = impact_factors(corpus, args.census_year, args.window)
-            scores = score_example3(corpus, lookup, subjects)
+            scored = score_example3(corpus, lookup, subjects)
     header = ("subject", "rule", "score")
-    rows = [(s.subject_id, s.rule, _fmt(s.score)) for s in scores]
-    stdout = _csv_text(header, rows)
+    stdout = _csv_text(header, zip(scored.subjects, repeat(args.rule), map(_fmt, scored.totals)))
     files = {"policy_scores.csv": stdout}
-    # One cell per points object, shared by the entries that hold it; the
-    # scores keep every object, and so its id, alive.
-    distinct = {id(points): points for s in scores for _, points in s.breakdown}
-    cells = {key: _SharedCell(_cell(points)) for key, points in distinct.items()}
+    # one cell a distinct points value, shared by the entries that score it
+    cells = [_SharedCell(_cell(points)) for points in scored.values]
+    bounds = scored.bounds
+
+    def subject(i):
+        lo, hi = bounds[i], bounds[i + 1]
+        paper_ids = map(corpus.ids.__getitem__, scored.rows[lo:hi].tolist())
+        points = map(cells.__getitem__, scored.index[lo:hi].tolist())
+        return {"score": _cell(scored.totals[i]), "breakdown": dict(zip(paper_ids, points))}
 
     payload = {
         "rule": args.rule,
-        "scores": {
-            s.subject_id: {
-                "score": _cell(s.score),
-                "breakdown": {pid: cells[id(points)] for pid, points in s.breakdown},
-            }
-            for s in scores
-        },
+        "scores": _OnLookup(zip(scored.subjects, range(len(scored.subjects))), subject),
     }
     if args.with_divergence:
-        if len(scores) < 2:
+        if len(scored.subjects) < 2:
             raise CitationStatsError("--with-divergence needs >= 2 subjects")
         # each score as an integer over the scores' common denominator: the
         # same order and ties, but ints hash and compare in C, Fractions in Python
-        denominator = math.lcm(*(s.score.denominator for s in scores))
+        denominator = math.lcm(*(total.denominator for total in scored.totals))
         by_policy = {
-            s.subject_id: s.score.numerator * (denominator // s.score.denominator) for s in scores
+            s: total.numerator * (denominator // total.denominator)
+            for s, total in zip(scored.subjects, scored.totals)
         }
-        counts = corpus.citation_counts(np.concatenate(list(subjects.values())))
-        # each author's papers are one run of counts; no run is empty, the
-        # case that reduceat gets wrong
-        starts = np.cumsum([0, *map(len, subjects.values())])[:-1]
-        by_citations = dict(zip(subjects, np.add.reduceat(counts, starts).tolist()))
+        # each author's papers are one run of the entries; no run is empty,
+        # the case that reduceat gets wrong
+        counts = np.add.reduceat(np.diff(corpus.indptr)[scored.rows], bounds[:-1])
+        by_citations = dict(zip(scored.subjects, counts.tolist()))
         result = divergence(by_policy, by_citations)
         payload["divergence_vs_citation_counts"] = {
             "kendall_tau": None if result.kendall_tau is None else round(result.kendall_tau, 4),

@@ -295,13 +295,18 @@ class Corpus:
         as read-only views of one array; authors in order of first appearance."""
         if self._author_rows is None:
             names, codes, counts = self._authors
-            rows = np.repeat(np.arange(len(self), dtype=np.int64), counts)
-            rows = rows[np.argsort(codes, kind="stable")]
+            order = np.argsort(codes, kind="stable")
+            rows = np.repeat(np.arange(len(self), dtype=np.int64), counts)[order]
             rows.setflags(write=False)
-            spans = [0, *np.cumsum(np.bincount(codes, minlength=len(names))).tolist()]
-            # in order of first appearance, which a generated corpus's pool codes do not follow
+            sizes = np.bincount(codes, minlength=len(names))
+            ends = np.cumsum(sizes)
+            # in order of first appearance, which a generated corpus's pool
+            # codes do not follow: an author's first entry leads its stable run
+            listed = np.flatnonzero(sizes)
+            listed = listed[np.argsort(order[ends[listed] - sizes[listed]])]
+            spans = [0, *ends.tolist()]
             self._author_rows = MappingProxyType(
-                {names[c]: rows[spans[c] : spans[c + 1]] for c in dict.fromkeys(codes.tolist())}
+                {names[c]: rows[spans[c] : spans[c + 1]] for c in listed.tolist()}
             )
         return self._author_rows
 

@@ -19,6 +19,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,55 +123,75 @@ def _exact_sum(values: Iterable[Fraction | int]) -> Fraction:
     )
 
 
-def _author_rule(
+class _Scored(NamedTuple):
+    """A rule's scores of many subjects, as columns: subject ``i``'s papers
+    are ``rows[bounds[i]:bounds[i + 1]]``, in the order given, paper ``j``
+    scores ``values[index[j]]``, and ``totals[i]`` is subject ``i``'s exact sum."""
+
+    rule: str
+    subjects: list[str]
+    rows: np.ndarray
+    bounds: list[int]
+    index: np.ndarray
+    values: list[Fraction]
+    totals: list[Fraction]
+
+    def policy_scores(self, corpus: Corpus) -> list[PolicyScore]:
+        """One :class:`PolicyScore` a subject, in order."""
+        paper_ids = map(corpus.ids.__getitem__, self.rows.tolist())
+        breakdown = tuple(zip(paper_ids, map(self.values.__getitem__, self.index.tolist())))
+        return [
+            PolicyScore(s, self.rule, breakdown[lo:hi])
+            for s, lo, hi in zip(self.subjects, self.bounds, self.bounds[1:])
+        ]
+
+
+def _score(
     corpus: Corpus,
     subjects: Mapping[str, Sequence[int]],
     rule: str,
     points: Callable[[str, int, str], Fraction],
-) -> list[PolicyScore]:
-    """One ``rule`` score a subject, in ``subjects`` order.  A paper scores
-    ``points(journal id, author count, paper id)``, called once per distinct
-    pair with the first paper in subject order that has it, the paper an
-    error names.  The calls go in journal id order, then author count, so
-    that an error names the least journal id, whatever the corpus's line order."""
+) -> _Scored:
+    """Every rule's one scoring core: ``rule`` scores each subject's rows.  A
+    paper scores ``points(journal id, author count, paper id)``, called once
+    per distinct pair with the first paper in subject order that has it, the
+    paper an error names.  The calls go in journal id order, then author
+    count, so that an error names the least journal id, whatever the
+    corpus's line order.  Every array an entry is four bytes wide but the rows."""
     # each subject's rows checked as integers, as concatenating casts a bool to int
     arrays = list(map(_integer_rows, subjects.values()))
     rows = corpus.checked_rows(np.concatenate([np.empty(0, np.int64), *arrays]))
     lengths = list(map(len, arrays))
-    ends = np.cumsum(lengths).tolist()
+    bounds = [0, *np.cumsum(lengths).tolist()]
     if not _distinct_per_row(corpus.ids, rows, lengths):  # a paper listed twice would score twice
-        for subject_id, lo, hi in zip(subjects, [0, *ends], ends):
+        for subject_id, lo, hi in zip(subjects, bounds, bounds[1:]):
             repeated = [row for row, n in Counter(rows[lo:hi].tolist()).items() if n > 1]
             if repeated:
                 raise PolicyError(
                     f"subject {subject_id!r} lists paper {corpus.ids[repeated[0]]!r} more than once"
                 )
-    paper_ids = list(map(corpus.ids.__getitem__, rows.tolist()))
-    journal_code = corpus.journal_code[rows].astype(np.int64)
-    author_count = corpus.author_count[rows]
-    # one int a (journal, author count) pair; np.unique numbers the distinct ones
-    pair = journal_code * (int(author_count.max(initial=0)) + 1) + author_count
-    _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
-    journal_ids = list(map(corpus.journals.__getitem__, journal_code[first].tolist()))
-    values: list = [None] * len(first)
+    # one int a (journal, author count) pair, numbered by its place among the distinct ones
+    base = int(corpus.author_count.max(initial=0)) + 1
+    dtype = np.int32 if len(corpus.journals) * base < 2**31 else np.int64
+    key = corpus.journal_code[rows].astype(dtype, copy=False)
+    key *= base
+    key += corpus.author_count.astype(dtype)[rows]
+    keys, first = np.unique(key, return_index=True)
+    index = keys.searchsorted(key).astype(np.int32)
+    journal_ids = list(map(corpus.journals.__getitem__, (keys // base).tolist()))
+    values: list = [None] * len(keys)
     # a stable sort, so that a journal's keys stay in author count order
-    for key in sorted(range(len(first)), key=journal_ids.__getitem__):
-        at = first[key]
-        values[key] = points(journal_ids[key], int(author_count[at]), paper_ids[at])
-    breakdown = tuple(zip(paper_ids, map(values.__getitem__, inverse.tolist())))
-    return [PolicyScore(s, rule, breakdown[lo:hi]) for s, lo, hi in zip(subjects, [0, *ends], ends)]
+    for at in sorted(range(len(keys)), key=journal_ids.__getitem__):
+        values[at] = points(journal_ids[at], int(keys[at] % base), corpus.ids[rows[first[at]]])
+    totals = [
+        _exact_sum(map(values.__getitem__, index[lo:hi].tolist()))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    return _Scored(rule, list(subjects), rows, bounds, index, values, totals)
 
 
-def score_example1(
-    corpus: Corpus,
-    core_journals: Iterable[str],
-    indexed_journals: Iterable[str],
-    subjects: Mapping[str, Sequence[int]],
-) -> list[PolicyScore]:
-    """Flat points per publication: 15 for a core-list journal, 10 for any
-    other indexed journal, 0 otherwise.  The two lists must be disjoint.
-    ``subjects`` maps each subject id to its papers' rows, such as
-    ``corpus.author_rows[author_id]``; one score a subject, in that order."""
+def _example1(corpus, core_journals, indexed_journals, subjects) -> _Scored:
+    """:func:`score_example1` as columns."""
     core = frozenset(_check_names("core_journals", core_journals))
     indexed = frozenset(_check_names("indexed_journals", indexed_journals))
     overlap = core & indexed
@@ -184,14 +205,24 @@ def score_example1(
             return Fraction(CORE_POINTS)
         return Fraction(INDEXED_POINTS if journal_id in indexed else 0)
 
-    return _author_rule(corpus, subjects, "example1", points)
+    return _score(corpus, subjects, "example1", points)
 
 
-def score_example2(
-    corpus: Corpus, paper_ids: Sequence[str], tiers: TierTable, subject_id: str = "paper-set"
-) -> PolicyScore:
-    """Tercile points for exactly five distinct papers of ``corpus``: 3 / 2 /
-    1 for top / middle / bottom tier journals, 0 for unindexed ones."""
+def score_example1(
+    corpus: Corpus,
+    core_journals: Iterable[str],
+    indexed_journals: Iterable[str],
+    subjects: Mapping[str, Sequence[int]],
+) -> list[PolicyScore]:
+    """Flat points per publication: 15 for a core-list journal, 10 for any
+    other indexed journal, 0 otherwise.  The two lists must be disjoint.
+    ``subjects`` maps each subject id to its papers' rows, such as
+    ``corpus.author_rows[author_id]``; one score a subject, in that order."""
+    return _example1(corpus, core_journals, indexed_journals, subjects).policy_scores(corpus)
+
+
+def _example2(corpus, paper_ids, tiers, subject_id="paper-set") -> _Scored:
+    """:func:`score_example2` as columns."""
     if len(_check_names("paper_ids", paper_ids)) != 5:
         raise PolicyError(f"rule scores exactly 5 papers, got {len(paper_ids)}")
     rows = corpus.rows(paper_ids)
@@ -202,18 +233,20 @@ def score_example2(
     def points(journal_id, author_count, paper_id):
         return Fraction(TIER_POINTS[tiers.tier_of(journal_id)])
 
-    [score] = _author_rule(corpus, {subject_id: rows}, "example2", points)
+    return _score(corpus, {subject_id: rows}, "example2", points)
+
+
+def score_example2(
+    corpus: Corpus, paper_ids: Sequence[str], tiers: TierTable, subject_id: str = "paper-set"
+) -> PolicyScore:
+    """Tercile points for exactly five distinct papers of ``corpus``: 3 / 2 /
+    1 for top / middle / bottom tier journals, 0 for unindexed ones."""
+    [score] = _example2(corpus, paper_ids, tiers, subject_id).policy_scores(corpus)
     return score
 
 
-def score_example3(
-    corpus: Corpus,
-    impact_factors: Mapping[str, Fraction | None],
-    subjects: Mapping[str, Sequence[int]],
-) -> list[PolicyScore]:
-    """Author-share-weighted impact factors: each paper contributes
-    ``(1 / author count) * IF(journal)``.  ``subjects`` is as for
-    :func:`score_example1`; one score a subject, in that order."""
+def _example3(corpus, impact_factors, subjects) -> _Scored:
+    """:func:`score_example3` as columns."""
 
     def points(journal_id, author_count, paper_id):
         if not author_count:
@@ -228,7 +261,18 @@ def score_example3(
         # from the two ints: Fraction(value) takes the slow numbers.Rational path
         return Fraction(value.numerator, value.denominator * author_count)
 
-    return _author_rule(corpus, subjects, "example3", points)
+    return _score(corpus, subjects, "example3", points)
+
+
+def score_example3(
+    corpus: Corpus,
+    impact_factors: Mapping[str, Fraction | None],
+    subjects: Mapping[str, Sequence[int]],
+) -> list[PolicyScore]:
+    """Author-share-weighted impact factors: each paper contributes
+    ``(1 / author count) * IF(journal)``.  ``subjects`` is as for
+    :func:`score_example1`; one score a subject, in that order."""
+    return _example3(corpus, impact_factors, subjects).policy_scores(corpus)
 
 
 class DivergenceResult(_Record):

@@ -26,6 +26,7 @@ from citestats import (
     Corpus,
     IFQuery,
     InsufficientDataError,
+    TierTable,
     cli,
     corpus_to_jsonl,
     load_corpus,
@@ -577,16 +578,32 @@ def _run(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+_THREE_TIERS = [  # in 2007, j1's 2006 paper is cited three times, j2's twice and j3's once
+    json.dumps({"id": pid, "journal": journal, "year": year, "kind": "research-article",
+                "authors": authors, "references": refs})
+    for pid, journal, year, authors, refs in [
+        ("p0", "j1", 2006, ["a"], []),
+        ("p1", "j2", 2006, ["a", "b"], []),
+        ("p2", "j3", 2006, ["b"], []),
+        ("c0", "j1", 2007, ["c"], ["p0", "p1", "p2"]),
+        ("c1", "j2", 2007, ["a", "c"], ["p0", "p1"]),
+        ("c2", "j3", 2007, ["b", "c", "a"], ["p0"]),
+    ]
+]
+
+
 # no shrink phase, as above
 @settings(max_examples=20, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(corpus_lines(), st.integers(2001, 2008), st.integers(1, 3),
        st.integers(0, 15), st.integers(0, 15), st.randoms(use_true_random=False))
 @example(_SHARED_POINTS, 2007, 1, 0b001, 0b010, random.Random(0))
+@example(_THREE_TIERS, 2007, 1, 0b010, 0b100, random.Random(0))
 def test_policy_matches_the_oracles(lines, census_year, window, core_bits, indexed_bits, rng):
     """Every score, breakdown cell and divergence number that policy writes
     for example1 and example3 (with --with-divergence over two or more
-    authors), against the record oracles on the same file.  Bit i of
-    ``core_bits``/``indexed_bits`` puts the i-th listable journal on a list."""
+    authors) and for example2 (five of the papers), against the record
+    oracles on the same file.  Bit i of ``core_bits``/``indexed_bits`` puts
+    the i-th listable journal on a list."""
     with tempfile.TemporaryDirectory() as tmp:
         path, oracle = _corpus_file(tmp, lines)
         papers_of: dict[str, list] = {}  # author -> papers, in record order
@@ -662,6 +679,44 @@ def test_policy_matches_the_oracles(lines, census_year, window, core_bits, index
                 f"citestats: error: journal {unscored!r} has no defined impact factor\n"
             ))
             assert not out.exists()
+
+        # example2 over five papers, in any order, on the oracle's tier table:
+        # the defined impact factors best first, ties by journal id, in thirds
+        records = list(ref.records(oracle).values())
+        if len(records) < 5:
+            return
+        five = rng.sample(records, 5)
+        out = Path(tmp) / "example2"
+        code, stdout, stderr = _run(["policy", "--input", str(path), "--rule", "example2",
+                                     *year_args, f"--papers={','.join(p.id for p in five)}",
+                                     "--subject=five", "--out", str(out)])
+        defined = sorted(((j, v) for j, v in impact.items() if v is not None),
+                         key=lambda item: (-item[1], item[0]))
+        if len(defined) < 3:
+            assert (code, stderr) == (2, (
+                "citestats: error: tier table needs >= 3 journals with defined impact factors, "
+                f"got {len(defined)}\n"
+            ))
+            assert not out.exists()
+            return
+        third, extra = divmod(len(defined), 3)
+        names = [name for i, name in enumerate(("top", "middle", "bottom"))
+                 for _ in range(third + (i < extra))]
+        tiers = TierTable({j: name for (j, _), name in zip(defined, names)}, census_year, window,
+                          tuple(defined))
+        want = ref.score_example2(five, tiers, "five")
+        assert code == 0
+        assert stdout == f"subject,rule,score\nfive,example2,{_decimal(want.score)}\n"
+        assert read_csv(out / "policy_scores.csv") == [
+            {"subject": "five", "rule": "example2", "score": _decimal(want.score)}
+        ]
+        assert json.loads((out / "policy_breakdown.json").read_text()) == {
+            "rule": "example2",
+            "scores": {"five": {
+                "score": _oracle_cell(want.score),
+                "breakdown": {pid: _oracle_cell(points) for pid, points in want.breakdown},
+            }},
+        }
 
 
 def _csv_rows(header, rows):

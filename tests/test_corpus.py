@@ -714,6 +714,26 @@ def test_mutation_kinds_reach_every_loader_message():
     assert [parts for parts in messages if not pinned(parts, raised)] == []
 
 
+@pytest.mark.parametrize("loaded", [False, True], ids=["generated", "loaded"])
+def test_author_rows_follow_first_appearance(tmp_path, loaded):
+    """Authors in order of first appearance, each with every row listing
+    them: on a generated corpus, whose per-journal pool codes do not follow
+    first appearance, and on the same corpus loaded, whose codes do."""
+    corpus = generate(SynthConfig(
+        seed=5, journals=[JournalSpec("a", 20, 2001, 2003), JournalSpec("b", 20, 2001, 2003)],
+    ))
+    if loaded:
+        write_corpus(corpus, tmp_path / "corpus.jsonl")
+        corpus = load_corpus(tmp_path / "corpus.jsonl")
+    _, codes, _ = corpus._authors
+    first_codes = list(dict.fromkeys(codes.tolist()))
+    assert (first_codes == sorted(first_codes)) is loaded
+    authors = corpus.authors
+    assert list(corpus.author_rows) == list(dict.fromkeys(a for names in authors for a in names))
+    for author_id, rows in corpus.author_rows.items():
+        assert rows.tolist() == [row for row, names in enumerate(authors) if author_id in names]
+
+
 def _outcome(load, lines, strict):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -4,7 +4,8 @@ allocates a few bytes per returned edge, as every per-edge array is four
 bytes wide and no int64 temporary of an edge's length is made; and the
 whole-journal metrics and ``validate``, which read the citations in parts,
 allocate a few bytes per edge of a part, however many edges the rows
-receive."""
+receive; ``policy`` scores and writes from columns, at well under 100
+bytes per breakdown entry."""
 
 import tracemalloc
 
@@ -14,6 +15,7 @@ from citestats import (
     JournalSpec, SynthConfig, citation_age_profile, generate, load_corpus, self_citation_fraction,
     validate, window_coverage, write_corpus,
 )
+from citestats.cli import _finish, build_parser, cmd_policy
 from citestats.corpus import _PART_EDGES
 
 
@@ -89,3 +91,32 @@ def test_a_load_of_many_short_rows_peaks_near_what_it_keeps(tmp_path):
     corpus, kept, peak = _traced(lambda: load_corpus(path))
     assert len(corpus) == 20_000 and 80_000 < len(corpus.citing_idx) < 100_000
     assert peak < 1.7 * kept
+
+
+def test_policy_allocates_under_100_bytes_per_breakdown_entry(tmp_path, capsys):
+    # 20 journals of 100 papers a year over ten years: 20,000 papers by
+    # 2,000 authors, about 40,000 breakdown entries; 55 bytes an entry when
+    # written from the scoring columns, 184 with a (paper id, points) tuple
+    # an entry and every subject's breakdown dict built before the write
+    corpus = generate(SynthConfig(
+        seed=11, journals=[JournalSpec(f"j{i:02d}", 100, 2001, 2010) for i in range(20)],
+        references_per_paper=5.0,
+    ))
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(corpus, path)
+    del corpus
+    corpus = load_corpus(path)
+    argv = ["policy", "--input", str(path), "--rule", "example3", "--census-year", "2010",
+            "--with-divergence", "--out", str(tmp_path / "out")]
+    args = build_parser().parse_args(argv)
+
+    def policy():
+        files, stdout = cmd_policy(args, corpus)
+        return _finish(args, argv, files, stdout, [], "")
+
+    code, _, peak = _traced(policy)
+    assert code == 0
+    entries = sum(map(len, corpus.author_rows.values()))
+    assert len(corpus.author_rows) == 2_000 and entries > 35_000
+    assert capsys.readouterr().out.startswith("subject,rule,score\n")
+    assert peak < 100 * entries

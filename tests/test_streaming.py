@@ -2,11 +2,15 @@
 memory than the file's size, as neither its whole text nor an encoded copy
 of it is built."""
 
+import json
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
+import pytest
+
 from citestats import JournalSpec, SynthConfig, generate, write_corpus
-from citestats.cli import _finish, _SharedCell
+from citestats.cli import _finish, _json_text, _OnLookup, _SharedCell
 
 
 def _peak_allocation(write) -> int:
@@ -39,6 +43,54 @@ def test_a_json_payload_is_written_in_pieces(tmp_path):
     size = (tmp_path / "policy_breakdown.json").stat().st_size
     assert size > 4_000_000
     assert peak < size / 20
+
+
+@pytest.mark.parametrize("n", [0, 1, 300])
+def test_members_built_on_lookup_render_as_the_dict(n):
+    """``scores`` built a member at a time, as written, as policy builds it
+    from its columns: the text of the same payload with every member built,
+    with no more than two members alive at once (the one written and the
+    next one looked up)."""
+    cells = [_SharedCell(decimal=f"{i / 7:.4f}", exact=f"{i}/7") for i in range(9)]
+
+    def subject(s):
+        breakdown = {f"paper-{s:03d}-{p}": cells[(s * p) % 9] for p in range(s % 4)}
+        return {"score": {"decimal": "1.0000", "exact": f"{s}/1"}, "breakdown": breakdown}
+
+    class Member(dict):
+        """A dict whose lifetime a weak reference can see."""
+
+    live = {"now": 0, "most": 0}
+
+    def freed():
+        live["now"] -= 1
+
+    def member(s):
+        value = Member(subject(s))
+        live["now"] += 1
+        live["most"] = max(live.values())
+        weakref.finalize(value, freed)
+        return value
+
+    order = {f"subject-{s:03d}": s for s in reversed(range(n))}  # not in sorted order
+    built = {"rule": "example3", "scores": {key: subject(s) for key, s in order.items()}}
+    payload = {"rule": "example3", "scores": _OnLookup(order, member)}
+    assert _json_text(payload) == json.dumps(built, indent=2, sort_keys=True)
+    assert live["most"] == min(n, 2)
+
+
+def test_a_cell_built_per_member_is_never_served_for_another():
+    """The writer keeps a shared cell's text by the cell's id; a cell built
+    for one member and dropped after it must not lend its text to a later
+    object that reuses its id."""
+
+    def cell(s):
+        return _SharedCell(decimal=f"{s / 7:.4f}", exact=f"{s}/7")
+
+    order = {f"subject-{s:03d}": s for s in range(300)}
+    built = {"scores": {key: cell(s) for key, s in order.items()}}
+    payload = {"scores": _OnLookup(order, cell)}
+    assert _json_text(payload) == json.dumps(built, indent=2, sort_keys=True)
 
 
 def test_cells_held_once_are_not_kept(tmp_path):
